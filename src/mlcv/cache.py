@@ -1,23 +1,26 @@
-"""Deterministic on-disk persistence for pilot runs and reduced bases.
+"""Deterministic on-disk persistence for pilot runs.
 
 Arrays are stored as individual ``.npy`` files (their bytes depend only on
 shape, dtype, and contents, never on timestamps), metadata as canonical JSON
 with sorted keys, so re-saving identical data rewrites identical bytes.
 Caches are keyed by a hash of the pilot-scoped configuration; a mismatch
 means the cached artifacts belong to a different study and must be rebuilt.
+The metadata file is removed before and written after the arrays, so a save
+interrupted part-way leaves no loadable cache rather than a valid key over
+another study's arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
-from .control_variates import CVSetup, ReducedBasisPair, prepare_control_variates
+from .control_variates import CVSetup, prepare_control_variates
 from .errors import DataError
-from .linalg import LeastSquaresOperator
 from .mlmc import PilotLevel, PilotRun, _level_stats
 from .models import LevelHierarchy
 
@@ -45,24 +48,28 @@ def _save_array(path: Path, a: np.ndarray) -> None:
     np.save(path, np.ascontiguousarray(a), allow_pickle=False)
 
 
-def _load_array(path: Path) -> np.ndarray:
+def _load_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
     if not path.is_file():
         raise DataError(f"cache file missing: {path}")
-    return np.load(path, allow_pickle=False)
+    a = np.load(path, allow_pickle=False)
+    if a.shape != shape:
+        raise DataError(
+            f"cache file {path} has shape {a.shape}, expected {shape}: "
+            "re-run the pilot command"
+        )
+    return a
 
 
 def save_pilot_cache(cache_dir: Path, pilot: PilotRun, pilot_key: str) -> None:
-    """Persist the pilot's inputs, per-level snapshots, and identity key."""
+    """Persist the pilot's inputs, per-level snapshots, and identity key.
+
+    The identity file goes last, through a rename, so it only ever names a
+    complete set of arrays.
+    """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "schema": CACHE_SCHEMA,
-        "pilot_key": pilot_key,
-        "master_seed": pilot.master_seed,
-        "n_pilot": pilot.n_pilot,
-        "n_levels": pilot.n_levels,
-    }
-    _write_text(cache_dir / _META, canonical_json(meta))
+    (cache_dir / _META).unlink(missing_ok=True)
+    (cache_dir / _TIMINGS).unlink(missing_ok=True)
     _save_array(cache_dir / "xi.npy", pilot.xi)
     for data in pilot.levels:
         tag = f"level{data.level}"
@@ -72,6 +79,16 @@ def save_pilot_cache(cache_dir: Path, pilot: PilotRun, pilot_key: str) -> None:
         if data.level > 0:
             _save_array(cache_dir / f"{tag}_qoi_coarse.npy", data.qoi_coarse)
             _save_array(cache_dir / f"{tag}_q_coarse.npy", data.q_coarse)
+    meta = {
+        "schema": CACHE_SCHEMA,
+        "pilot_key": pilot_key,
+        "master_seed": pilot.master_seed,
+        "n_pilot": pilot.n_pilot,
+        "n_levels": pilot.n_levels,
+    }
+    tmp = cache_dir / (_META + ".tmp")
+    _write_text(tmp, canonical_json(meta))
+    os.replace(tmp, cache_dir / _META)
 
 
 def save_measured_timings(cache_dir: Path, pilot: PilotRun) -> None:
@@ -99,7 +116,8 @@ def _read_meta(cache_dir: Path) -> dict:
 def load_pilot_cache(
     cache_dir: Path, hierarchy: LevelHierarchy, pilot_key: str
 ) -> PilotRun:
-    """Rebuild a PilotRun from disk, checking the identity key.
+    """Rebuild a PilotRun from disk, checking the identity key and every
+    array's shape against the pilot size and the hierarchy.
 
     Statistics are recomputed from the arrays with the same reductions the
     live pilot uses; measured timings are restored when present.
@@ -120,11 +138,12 @@ def load_pilot_cache(
     seconds = {}
     if timings_path.is_file():
         seconds = json.loads(timings_path.read_text(encoding="utf-8"))
-    xi = _load_array(cache_dir / "xi.npy")
+    n = int(meta["n_pilot"])
+    xi = _load_array(cache_dir / "xi.npy", (n, hierarchy.input_dim))
     levels: list[PilotLevel] = []
     run = PilotRun(
         master_seed=int(meta["master_seed"]),
-        n_pilot=int(meta["n_pilot"]),
+        n_pilot=n,
         xi=xi,
         levels=levels,
     )
@@ -132,13 +151,17 @@ def load_pilot_cache(
         tag = f"level{ell}"
         data = PilotLevel(
             level=ell,
-            y=_load_array(cache_dir / f"{tag}_y.npy"),
-            qoi_fine=_load_array(cache_dir / f"{tag}_qoi_fine.npy"),
-            q_fine=_load_array(cache_dir / f"{tag}_q_fine.npy"),
+            y=_load_array(cache_dir / f"{tag}_y.npy", (n,)),
+            qoi_fine=_load_array(cache_dir / f"{tag}_qoi_fine.npy", (n,)),
+            q_fine=_load_array(
+                cache_dir / f"{tag}_q_fine.npy", (hierarchy.output_dim(ell), n)
+            ),
         )
         if ell > 0:
-            data.qoi_coarse = _load_array(cache_dir / f"{tag}_qoi_coarse.npy")
-            data.q_coarse = _load_array(cache_dir / f"{tag}_q_coarse.npy")
+            data.qoi_coarse = _load_array(cache_dir / f"{tag}_qoi_coarse.npy", (n,))
+            data.q_coarse = _load_array(
+                cache_dir / f"{tag}_q_coarse.npy", (hierarchy.output_dim(ell - 1), n)
+            )
         levels.append(data)
         sec = seconds.get(str(ell), (0.0, 0.0))
         run.stats.append(
@@ -147,97 +170,17 @@ def load_pilot_cache(
     return run
 
 
-def save_bases(bases_dir: Path, setup: CVSetup) -> None:
-    """Persist the reduced bases (selected columns and residuals) per level."""
-    bases_dir = Path(bases_dir)
-    bases_dir.mkdir(parents=True, exist_ok=True)
-    index = {"schema": CACHE_SCHEMA, "levels": {}}
-    for basis in setup.bases:
-        if basis is None:
-            continue
-        tag = f"level{basis.level}"
-        index["levels"][str(basis.level)] = {
-            "rank": basis.rank,
-            "id_residual": basis.id_residual,
-        }
-        _save_array(bases_dir / f"{tag}_coarse.npy", basis.coarse_basis)
-        _save_array(bases_dir / f"{tag}_fine.npy", basis.fine_basis)
-        _save_array(
-            bases_dir / f"{tag}_selected.npy",
-            basis.selected_pilot_indices.astype(np.int64),
-        )
-        _save_array(bases_dir / f"{tag}_inputs.npy", basis.selected_inputs)
-    _write_text(bases_dir / _META, canonical_json(index))
-
-
-def load_bases(bases_dir: Path) -> dict[int, ReducedBasisPair]:
-    """Rebuild persisted bases; the least-squares factorization is recomputed
-    from the stored coarse basis."""
-    bases_dir = Path(bases_dir)
-    path = bases_dir / _META
-    if not path.is_file():
-        raise DataError(
-            f"no basis cache at {bases_dir}: run the pilot command first"
-        )
-    index = json.loads(path.read_text(encoding="utf-8"))
-    if index.get("schema") != CACHE_SCHEMA:
-        raise DataError(f"unsupported cache schema {index.get('schema')!r}")
-    out: dict[int, ReducedBasisPair] = {}
-    for key, entry in index["levels"].items():
-        ell = int(key)
-        tag = f"level{ell}"
-        coarse = _load_array(bases_dir / f"{tag}_coarse.npy")
-        out[ell] = ReducedBasisPair(
-            level=ell,
-            rank=int(entry["rank"]),
-            coarse_basis=coarse,
-            fine_basis=_load_array(bases_dir / f"{tag}_fine.npy"),
-            selected_pilot_indices=_load_array(bases_dir / f"{tag}_selected.npy"),
-            selected_inputs=_load_array(bases_dir / f"{tag}_inputs.npy"),
-            id_residual=float(entry["id_residual"]),
-            solver=LeastSquaresOperator(coarse),
-        )
-    return out
-
-
 def load_setup(
-    bases_dir: Path,
     hierarchy: LevelHierarchy,
     pilot: PilotRun,
     *,
     rank=None,
     tol: float | None = None,
     s2: float,
-    force_rho2_zero: bool = False,
 ) -> CVSetup:
-    """Recreate the control-variate setup against cached bases.
+    """Derive the control-variate setup from a loaded pilot.
 
-    The per-level parameters are recomputed from the pilot arrays (they are
-    pure functions of them); the persisted bases are cross-checked against
-    the freshly derived ones so a stale cache cannot silently change the
-    estimator.
+    Bases and per-level parameters are pure functions of the pilot arrays,
+    so they are rebuilt rather than stored.
     """
-    stored = load_bases(bases_dir)
-    setup = prepare_control_variates(
-        hierarchy,
-        pilot,
-        rank=rank,
-        tol=tol,
-        s2=s2,
-        force_rho2_zero=force_rho2_zero,
-    )
-    for ell in range(1, hierarchy.n_levels):
-        fresh = setup.bases[ell]
-        kept = stored.get(ell)
-        if (fresh is None) != (kept is None):
-            raise DataError(
-                f"basis cache disagrees with pilot at level {ell}: re-run pilot"
-            )
-        if fresh is not None and (
-            fresh.rank != kept.rank
-            or not np.array_equal(fresh.selected_pilot_indices, kept.selected_pilot_indices)
-        ):
-            raise DataError(
-                f"basis cache is stale at level {ell}: re-run the pilot command"
-            )
-    return setup
+    return prepare_control_variates(hierarchy, pilot, rank=rank, tol=tol, s2=s2)

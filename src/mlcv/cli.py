@@ -2,10 +2,10 @@
 
 Three subcommands share one JSON config file:
 
-* ``pilot``     runs the pilot study, persists its samples and reduced bases
-                under the output directory, and writes ``pilot.json`` with
-                per-level diagnostics, rate fits, and planned allocations.
-* ``estimate``  loads the pilot artifacts and runs the requested estimators
+* ``pilot``     runs the pilot study, persists its samples under the output
+                directory, and writes ``pilot.json`` with per-level
+                diagnostics, rate fits, and planned allocations.
+* ``estimate``  loads the pilot samples and runs the requested estimators
                 at each configured accuracy, writing one JSON report and one
                 per-level CSV per (method, epsilon).
 * ``compare``   tabulates plan-implied costs of plain MC, the multilevel
@@ -310,29 +310,6 @@ def _select_stats(pilot, cost_mode: str):
     return pilot.stats
 
 
-def _counted_cost(counts, level_stats) -> float:
-    """Cost of logged solve counts under the selected cost table."""
-    by_level = {s.level: s for s in level_stats}
-    total = 0.0
-    for c in counts:
-        st = by_level[c.level]
-        total += c.fine_evals * st.cost_fine
-        total += (c.coarse_evals + c.aux_coarse_evals) * st.cost_coarse
-    return total
-
-
-def _setup_from_cache(out_dir: Path, hierarchy, pilot, cfg, force_rho2_zero=False):
-    return cache.load_setup(
-        out_dir / "bases",
-        hierarchy,
-        pilot,
-        rank=cfg["rank"],
-        tol=cfg["id_tol"],
-        s2=cfg["s2"],
-        force_rho2_zero=force_rho2_zero,
-    )
-
-
 def _try_rates(level_stats):
     """Rate fits, or (None, reason) when the hierarchy cannot support them
     (single level, or degenerate variances as on deterministic models)."""
@@ -400,7 +377,6 @@ def cmd_pilot(cfg: dict) -> int:
 
     key = cache.config_sha(pilot_key_payload(cfg))
     cache.save_pilot_cache(out_dir / "cache", pilot, key)
-    cache.save_bases(out_dir / "bases", setup)
     if cfg["cost_mode"] == "measured":
         cache.save_measured_timings(out_dir / "cache", pilot)
 
@@ -409,7 +385,6 @@ def cmd_pilot(cfg: dict) -> int:
 
     rows = []
     for st, c in zip(level_stats, setup.configs):
-        basis = setup.bases[c.level]
         row = {
             "level": st.level,
             "dofs": st.dofs,
@@ -426,7 +401,7 @@ def cmd_pilot(cfg: dict) -> int:
             "mse_factor": c.mse_factor,
             "zbar_multiplier": c.multiplier,
             "theta": c.theta,
-            "id_residual": basis.id_residual if basis is not None else 0.0,
+            "id_residual": setup.id_residual(c.level),
         }
         if cfg["cost_mode"] == "measured":
             row["seconds_fine"] = st.seconds_fine
@@ -439,8 +414,9 @@ def cmd_pilot(cfg: dict) -> int:
         "config": cfg,
         "pilot": {
             "n_pilot": pilot.n_pilot,
-            "total_cost": sum(
-                pilot.n_pilot * st.unit_cost for st in level_stats
+            "total_cost": mlmc.counted_cost(
+                [mlmc.pair_counts(ell, pilot.n_pilot) for ell in range(pilot.n_levels)],
+                level_stats,
             ),
         },
         "levels": rows,
@@ -458,7 +434,10 @@ def _load_study(cfg: dict):
     hierarchy = build_hierarchy(cfg)
     key = cache.config_sha(pilot_key_payload(cfg))
     pilot = cache.load_pilot_cache(out_dir / "cache", hierarchy, key)
-    return out_dir, hierarchy, pilot
+    setup = cache.load_setup(
+        hierarchy, pilot, rank=cfg["rank"], tol=cfg["id_tol"], s2=cfg["s2"]
+    )
+    return out_dir, hierarchy, pilot, setup
 
 
 def _run_method(method, hierarchy, pilot, level_stats, setup, eps):
@@ -473,8 +452,7 @@ def _run_method(method, hierarchy, pilot, level_stats, setup, eps):
 
 
 def cmd_estimate(cfg: dict, methods) -> int:
-    out_dir, hierarchy, pilot = _load_study(cfg)
-    setup = _setup_from_cache(out_dir, hierarchy, pilot, cfg)
+    out_dir, hierarchy, pilot, setup = _load_study(cfg)
     level_stats = _select_stats(pilot, cfg["cost_mode"])
     rates, _ = _try_rates(level_stats)
     by_level = {s.level: s for s in level_stats}
@@ -485,12 +463,12 @@ def cmd_estimate(cfg: dict, methods) -> int:
             result, plan = _run_method(
                 method, hierarchy, pilot, level_stats, setup, eps
             )
-            total_cost = _counted_cost(result.eval_counts, level_stats)
+            total_cost = mlmc.counted_cost(result.eval_counts, level_stats)
             rows = []
             for i, counts in enumerate(result.eval_counts):
                 st = by_level[counts.level]
                 c = setup.configs[counts.level]
-                level_cost = _counted_cost([counts], level_stats)
+                level_cost = mlmc.counted_cost([counts], level_stats)
                 use_cv = method == "mlcv" and c.enabled
                 rows.append(
                     {
@@ -543,8 +521,7 @@ def cmd_estimate(cfg: dict, methods) -> int:
 
 
 def cmd_compare(cfg: dict) -> int:
-    out_dir, hierarchy, pilot = _load_study(cfg)
-    setup = _setup_from_cache(out_dir, hierarchy, pilot, cfg)
+    out_dir, hierarchy, pilot, setup = _load_study(cfg)
     level_stats = _select_stats(pilot, cfg["cost_mode"])
     rows = []
     for eps in sorted(cfg["epsilon"], reverse=True):

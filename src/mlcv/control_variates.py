@@ -26,20 +26,20 @@ from . import stats
 from .errors import ConfigError, DataError, DimensionError
 from .linalg import LeastSquaresOperator, interpolative_decomposition
 from .mlmc import (
-    _BATCH,
     N_MIN,
     AllocationPlan,
     EstimatorResult,
-    LevelEvalCounts,
     LevelStats,
     PilotRun,
     _check_epsilon,
     _level_y_moments,
+    _stream_moments,
     allocate_samples,
-    cost_from_counts,
+    counted_cost,
+    pair_counts,
 )
 from .models import LevelHierarchy, evaluate_coupled
-from .streams import PURPOSE_MAIN_Y, PURPOSE_ZBAR, draw_inputs
+from .streams import PURPOSE_MAIN_Y, PURPOSE_ZBAR
 
 # Default cap on Nprime / Ntilde: past this, extra mean-pinning samples buy
 # almost nothing.
@@ -59,14 +59,8 @@ class ReducedBasisPair:
     coarse_basis: np.ndarray
     fine_basis: np.ndarray
     selected_pilot_indices: np.ndarray
-    selected_inputs: np.ndarray
     id_residual: float
     solver: LeastSquaresOperator
-
-    @property
-    def build_cost_pairs(self) -> int:
-        """Pilot sample pairs consumed by the basis (not recyclable)."""
-        return self.rank
 
 
 def build_reduced_basis(
@@ -104,7 +98,6 @@ def build_reduced_basis(
         coarse_basis=coarse,
         fine_basis=fine,
         selected_pilot_indices=sel,
-        selected_inputs=pilot.xi[sel].copy(),
         id_residual=idf.residual_norm,
         solver=LeastSquaresOperator(coarse),
     )
@@ -147,15 +140,14 @@ def estimate_zbar(
     """
     if n_prime < 1:
         raise ConfigError(f"n_prime must be positive, got {n_prime}")
-    moments = stats.RunningMoments()
-    for start in range(0, n_prime, _BATCH):
-        b = min(_BATCH, n_prime - start)
-        xi = draw_inputs(
-            master_seed, PURPOSE_ZBAR, basis.level, start, b, hierarchy.distributions
-        )
+
+    def z(xi):
         coarse = hierarchy.evaluate(basis.level - 1, xi)
-        moments.update(sample_z(hierarchy, basis, coarse.q, coarse.qoi))
-    return moments.mean
+        return sample_z(hierarchy, basis, coarse.q, coarse.qoi)
+
+    return _stream_moments(
+        hierarchy, master_seed, PURPOSE_ZBAR, basis.level, n_prime, z
+    ).mean
 
 
 def theta_star(cov_yz: float, var_z: float, ratio: float) -> float:
@@ -172,33 +164,10 @@ def theta_star(cov_yz: float, var_z: float, ratio: float) -> float:
     return (cov_yz / var_z) / (1.0 + ratio)
 
 
-@dataclass(frozen=True)
-class ZbarRule:
-    """Sizing rule for the auxiliary mean samples: Nprime = ceil(multiplier *
-    Ntilde).  multiplier = 0 disables the control variate on the level."""
-
-    multiplier: float
-
-    @property
-    def enabled(self) -> bool:
-        return self.multiplier > 0.0
-
-    @property
-    def ratio(self) -> float:
-        """Planned Ntilde / Nprime."""
-        if not self.enabled:
-            raise DataError("ratio undefined for a disabled rule")
-        return 1.0 / self.multiplier
-
-    def n_prime(self, n_samples: int) -> int:
-        if not self.enabled:
-            return 0
-        return math.ceil(self.multiplier * n_samples)
-
-
-def allocate_zbar(rho2: float, zeta: float, s2: float = S2_DEFAULT) -> ZbarRule:
-    """Cost-optimal auxiliary sizing from the level's correlation and the
-    coarse-solve cost fraction zeta = C(Q_(l-1)) / (C(Q_l) + C(Q_(l-1))).
+def allocate_zbar(rho2: float, zeta: float, s2: float = S2_DEFAULT) -> float:
+    """Cost-optimal auxiliary sizing multiplier, Nprime = ceil(multiplier *
+    Ntilde), from the level's correlation and the coarse-solve cost fraction
+    zeta = C(Q_(l-1)) / (C(Q_l) + C(Q_(l-1))).
 
     The unconstrained optimum is multiplier = s1 - 1 with
     s1 = sqrt(rho2 / (zeta (1 - rho2))); it is clamped to [0, s2].  A
@@ -212,9 +181,9 @@ def allocate_zbar(rho2: float, zeta: float, s2: float = S2_DEFAULT) -> ZbarRule:
     if not np.isfinite(s2) or s2 <= 1:
         raise ConfigError(f"s2 must exceed 1, got {s2}")
     if rho2 >= 1.0:
-        return ZbarRule(multiplier=float(s2))
+        return float(s2)
     s1 = math.sqrt(rho2 / (zeta * (1.0 - rho2)))
-    return ZbarRule(multiplier=float(min(s2, max(0.0, s1 - 1.0))))
+    return float(min(s2, max(0.0, s1 - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -258,6 +227,11 @@ class CVSetup:
         cfg = self.configs[level]
         basis = self.bases[level]
         return basis.rank if (cfg.enabled and basis is not None) else 0
+
+    def id_residual(self, level: int) -> float:
+        """Spectral-norm ID residual of the level's basis (0.0 without one)."""
+        basis = self.bases[level]
+        return basis.id_residual if basis is not None else 0.0
 
 
 def prepare_control_variates(
@@ -312,11 +286,13 @@ def prepare_control_variates(
             rho2, degenerate = 0.0, False
         st = pilot.stats[ell]
         zeta = st.cost_coarse / st.unit_cost
-        rule = allocate_zbar(rho2, zeta, s2) if not degenerate else ZbarRule(0.0)
-        enabled = rule.enabled and not degenerate
+        multiplier = allocate_zbar(rho2, zeta, s2) if not degenerate else 0.0
+        enabled = multiplier > 0.0 and not degenerate
         var_z = stats.sample_variance(z)
         cov = stats.sample_covariance(data.y, z)
-        theta = theta_star(cov, var_z, rule.ratio) if enabled and var_z > 0 else 0.0
+        theta = (
+            theta_star(cov, var_z, 1.0 / multiplier) if enabled and var_z > 0 else 0.0
+        )
         configs.append(
             CVLevelConfig(
                 level=ell,
@@ -326,7 +302,7 @@ def prepare_control_variates(
                 rho2_degenerate=degenerate,
                 cov_yz=cov,
                 var_z=var_z,
-                multiplier=rule.multiplier,
+                multiplier=multiplier,
                 theta=theta,
             )
         )
@@ -374,6 +350,20 @@ def _recycle_indices(n_pilot: int, consumed: np.ndarray | None) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
+def _controlled(
+    hierarchy: LevelHierarchy, basis: ReducedBasisPair, theta: float, zbar: float
+):
+    """Per-batch map from inputs to controlled corrections
+    W = Y - theta (Z - Zbar)."""
+
+    def w(xi):
+        fine, coarse = evaluate_coupled(hierarchy, basis.level, xi)
+        y = fine.qoi - coarse.qoi
+        return y - theta * (sample_z(hierarchy, basis, coarse.q, coarse.qoi) - zbar)
+
+    return w
+
+
 def run_mlcv(
     hierarchy: LevelHierarchy,
     plan: AllocationPlan,
@@ -415,15 +405,8 @@ def run_mlcv(
         st = pilot.stats[ell]
 
         if ell == 0 or not cfg.enabled or basis is None:
-            moments, fresh_n = _level_y_moments(hierarchy, ell, n, pilot, seed)
-            solves = pilot.n_pilot + fresh_n
-            counts.append(
-                LevelEvalCounts(
-                    level=ell,
-                    fine_evals=solves,
-                    coarse_evals=solves if ell > 0 else 0,
-                )
-            )
+            moments, level_counts = _level_y_moments(hierarchy, ell, n, pilot, seed)
+            counts.append(level_counts)
             zbars.append(0.0)
             error_terms.append(st.var_y / n)
         else:
@@ -431,29 +414,18 @@ def run_mlcv(
             zbar = estimate_zbar(hierarchy, basis, n_prime, seed)
             recyclable = _recycle_indices(pilot.n_pilot, basis.selected_pilot_indices)
             take = recyclable[: min(n, recyclable.size)]
-            moments = stats.RunningMoments()
-            if take.size:
-                w_pilot = data.y[take] - cfg.theta * (setup.pilot_z[ell][take] - zbar)
-                moments.update(w_pilot)
+            w_pilot = data.y[take] - cfg.theta * (setup.pilot_z[ell][take] - zbar)
             fresh_n = n - take.size
-            for start in range(0, fresh_n, _BATCH):
-                b = min(_BATCH, fresh_n - start)
-                xi = draw_inputs(
-                    seed, PURPOSE_MAIN_Y, ell, start, b, hierarchy.distributions
-                )
-                fine, coarse = evaluate_coupled(hierarchy, ell, xi)
-                y_b = fine.qoi - coarse.qoi
-                z_b = sample_z(hierarchy, basis, coarse.q, coarse.qoi)
-                moments.update(y_b - cfg.theta * (z_b - zbar))
-            solves = pilot.n_pilot + fresh_n
-            counts.append(
-                LevelEvalCounts(
-                    level=ell,
-                    fine_evals=solves,
-                    coarse_evals=solves,
-                    aux_coarse_evals=n_prime,
-                )
+            moments = _stream_moments(
+                hierarchy,
+                seed,
+                PURPOSE_MAIN_Y,
+                ell,
+                fresh_n,
+                _controlled(hierarchy, basis, cfg.theta, zbar),
+                w_pilot,
             )
+            counts.append(pair_counts(ell, pilot.n_pilot + fresh_n, n_prime))
             zbars.append(zbar)
             error_terms.append((st.var_y / n) * cfg.mse_factor)
 
@@ -466,7 +438,7 @@ def run_mlcv(
         level_estimates=tuple(level_means),
         n_samples=plan.n_samples,
         sampling_error=float(sum(error_terms)),
-        total_cost=cost_from_counts(hierarchy, counts),
+        total_cost=counted_cost(counts, pilot.stats),
         eval_counts=tuple(counts),
         master_seed=seed,
         sample_variances=tuple(level_vars),
@@ -482,19 +454,17 @@ def nominal_mlcv_cost(
     units follow the given statistics (declared or measured)."""
     if plan.n_prime is None:
         raise ConfigError("plan lacks auxiliary counts; use allocate_mlcv")
-    total = plan.n_samples[0] * level_stats[0].unit_cost
-    for ell in range(1, len(level_stats)):
-        st = level_stats[ell]
-        pairs = plan.n_samples[ell] + setup.consumed_pairs(ell)
-        total += pairs * st.unit_cost
-        total += plan.n_prime[ell] * st.cost_coarse
-    return total
+    counts = [
+        pair_counts(ell, n + setup.consumed_pairs(ell), n_prime)
+        for ell, (n, n_prime) in enumerate(zip(plan.n_samples, plan.n_prime))
+    ]
+    return counted_cost(counts, level_stats)
 
 
 def nominal_mlmc_cost(level_stats: list[LevelStats], plan: AllocationPlan) -> float:
     """Plan-implied cost of a plain multilevel run."""
-    return sum(
-        n * st.unit_cost for st, n in zip(level_stats, plan.n_samples)
+    return counted_cost(
+        [pair_counts(ell, n) for ell, n in enumerate(plan.n_samples)], level_stats
     )
 
 

@@ -171,10 +171,6 @@ class LeastSquaresOperator:
         self._a = _check_matrix(a, "basis matrix")
         self._pinv = np.linalg.pinv(self._a, rcond=_RCOND)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
     def solve(self, b) -> np.ndarray:
         """Coefficients c minimizing ||a c - b||; accepts a vector or a
         matrix whose columns are independent right-hand sides."""
@@ -190,14 +186,3 @@ class LeastSquaresOperator:
             raise DataError("right-hand side contains non-finite entries")
         c = self._pinv @ bv
         return c[:, 0] if single else c
-
-
-def least_squares(a, b) -> np.ndarray:
-    """One-shot least squares; build a LeastSquaresOperator to amortize."""
-    return LeastSquaresOperator(a).solve(b)
-
-
-def singular_values(u) -> np.ndarray:
-    """Singular values of a matrix, descending."""
-    a = _check_matrix(u)
-    return np.linalg.svd(a, compute_uv=False)

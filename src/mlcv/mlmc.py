@@ -82,9 +82,6 @@ class PilotRun:
     def n_levels(self) -> int:
         return len(self.levels)
 
-    def total_cost(self, hierarchy: LevelHierarchy) -> float:
-        return sum(hierarchy.pair_cost(ell) * self.n_pilot for ell in range(self.n_levels))
-
 
 def _level_stats(
     hierarchy: LevelHierarchy,
@@ -475,18 +472,32 @@ class EstimatorResult:
     sample_variances: tuple[float, ...] = ()
     zbar_values: tuple[float, ...] = ()
 
-    def cumulative_estimates(self) -> np.ndarray:
-        return np.cumsum(self.level_estimates)
 
+def counted_cost(counts, level_stats: list[LevelStats]) -> float:
+    """Cost of logged per-level solve counts under a cost table.
 
-def cost_from_counts(hierarchy: LevelHierarchy, counts) -> float:
-    """Declared-cost total implied by logged per-level solve counts."""
+    ``level_stats`` is indexed by level and carries either declared or
+    measured unit costs.  Fine solves and then coarse plus auxiliary solves
+    are added level by level, so the total is the exact count-times-cost
+    ledger that the reports and the cost-identity check recompute.
+    """
     total = 0.0
     for c in counts:
-        fine = hierarchy.cost(c.level)
-        coarse = hierarchy.cost(c.level - 1) if c.level > 0 else 0.0
-        total += c.fine_evals * fine + (c.coarse_evals + c.aux_coarse_evals) * coarse
+        st = level_stats[c.level]
+        total += c.fine_evals * st.cost_fine
+        total += (c.coarse_evals + c.aux_coarse_evals) * st.cost_coarse
     return total
+
+
+def pair_counts(level: int, n: int, aux: int = 0) -> LevelEvalCounts:
+    """Counts for ``n`` coupled samples at a level (fine solves only at
+    level 0) plus ``aux`` auxiliary coarse solves."""
+    return LevelEvalCounts(
+        level=level,
+        fine_evals=n,
+        coarse_evals=n if level > 0 else 0,
+        aux_coarse_evals=aux,
+    )
 
 
 # Fresh draws are evaluated in fixed-size batches so runs with sample counts
@@ -496,21 +507,39 @@ def cost_from_counts(hierarchy: LevelHierarchy, counts) -> float:
 _BATCH = 1 << 16
 
 
-def _fresh_y_batches(
-    hierarchy: LevelHierarchy, level: int, fresh_n: int, master_seed: int
-):
-    """Yield (start, y) batches of fresh correction samples from the level's
-    main stream."""
-    for start in range(0, fresh_n, _BATCH):
-        b = min(_BATCH, fresh_n - start)
-        xi = draw_inputs(
-            master_seed, PURPOSE_MAIN_Y, level, start, b, hierarchy.distributions
-        )
-        if level == 0:
-            yield start, hierarchy.evaluate(0, xi).qoi
-        else:
-            fine, coarse = evaluate_coupled(hierarchy, level, xi)
-            yield start, fine.qoi - coarse.qoi
+def _stream_moments(
+    hierarchy: LevelHierarchy,
+    master_seed: int,
+    purpose: str,
+    level: int,
+    n: int,
+    values_of,
+    replay=None,
+) -> stats.RunningMoments:
+    """Moments of ``values_of(xi)`` over stream indices 0..n-1 of the
+    (seed, purpose, level) stream, drawn in ``_BATCH`` slices and reduced
+    after the optional replayed samples ``replay``."""
+    moments = stats.RunningMoments()
+    if replay is not None and replay.size:
+        moments.update(replay)
+    for start in range(0, n, _BATCH):
+        b = min(_BATCH, n - start)
+        xi = draw_inputs(master_seed, purpose, level, start, b, hierarchy.distributions)
+        moments.update(values_of(xi))
+    return moments
+
+
+def _correction(hierarchy: LevelHierarchy, level: int):
+    """Per-batch map from inputs to the level's correction Y = Q_l - Q_(l-1)
+    (Y = Q_0 at level 0)."""
+    if level == 0:
+        return lambda xi: hierarchy.evaluate(0, xi).qoi
+
+    def y(xi):
+        fine, coarse = evaluate_coupled(hierarchy, level, xi)
+        return fine.qoi - coarse.qoi
+
+    return y
 
 
 def _level_y_moments(
@@ -519,19 +548,22 @@ def _level_y_moments(
     n: int,
     pilot: PilotRun,
     master_seed: int,
-) -> tuple[stats.RunningMoments, int]:
+) -> tuple[stats.RunningMoments, LevelEvalCounts]:
     """Moments of n Y samples at one level: replayed pilot samples first,
-    then fresh draws from the level's main stream.  Returns
-    (moments, fresh_count)."""
-    data = pilot.levels[level]
-    reused = data.y[: min(n, data.y.size)]
-    moments = stats.RunningMoments()
-    if reused.size:
-        moments.update(reused)
+    then fresh draws from the level's main stream.  Returns the moments and
+    the solves they cost, pilot solves included."""
+    reused = pilot.levels[level].y[:n]
     fresh_n = n - reused.size
-    for _, y in _fresh_y_batches(hierarchy, level, fresh_n, master_seed):
-        moments.update(y)
-    return moments, fresh_n
+    moments = _stream_moments(
+        hierarchy,
+        master_seed,
+        PURPOSE_MAIN_Y,
+        level,
+        fresh_n,
+        _correction(hierarchy, level),
+        reused,
+    )
+    return moments, pair_counts(level, pilot.n_pilot + fresh_n)
 
 
 def run_mlmc(
@@ -559,17 +591,10 @@ def run_mlmc(
     for ell, n in enumerate(plan.n_samples):
         if n < 1:
             raise ConfigError(f"plan requests {n} samples at level {ell}")
-        moments, fresh_n = _level_y_moments(hierarchy, ell, n, pilot, seed)
+        moments, level_counts = _level_y_moments(hierarchy, ell, n, pilot, seed)
         level_means.append(moments.mean)
         level_vars.append(moments.variance)
-        solves = pilot.n_pilot + fresh_n
-        counts.append(
-            LevelEvalCounts(
-                level=ell,
-                fine_evals=solves,
-                coarse_evals=solves if ell > 0 else 0,
-            )
-        )
+        counts.append(level_counts)
     sampling_error = plan.sampling_variance([s.var_y for s in pilot.stats])
     return EstimatorResult(
         method="mlmc",
@@ -577,7 +602,7 @@ def run_mlmc(
         level_estimates=tuple(level_means),
         n_samples=plan.n_samples,
         sampling_error=sampling_error,
-        total_cost=cost_from_counts(hierarchy, counts),
+        total_cost=counted_cost(counts, pilot.stats),
         eval_counts=tuple(counts),
         master_seed=seed,
         sample_variances=tuple(level_vars),
@@ -602,13 +627,14 @@ def run_mc(
     if var_q <= 0:
         raise DataError("plain MC needs a positive finest-level pilot variance")
     n = max(math.ceil(2.0 * var_q / epsilon**2), N_MIN)
-    moments = stats.RunningMoments()
-    for start in range(0, n, _BATCH):
-        b = min(_BATCH, n - start)
-        xi = draw_inputs(
-            seed, PURPOSE_MAIN_Y, finest, start, b, hierarchy.distributions
-        )
-        moments.update(hierarchy.evaluate(finest, xi).qoi)
+    moments = _stream_moments(
+        hierarchy,
+        seed,
+        PURPOSE_MAIN_Y,
+        finest,
+        n,
+        lambda xi: hierarchy.evaluate(finest, xi).qoi,
+    )
     counts = (LevelEvalCounts(level=finest, fine_evals=n, coarse_evals=0),)
     return EstimatorResult(
         method="mc",
@@ -616,7 +642,7 @@ def run_mc(
         level_estimates=(moments.mean,),
         n_samples=(n,),
         sampling_error=var_q / n,
-        total_cost=cost_from_counts(hierarchy, counts),
+        total_cost=counted_cost(counts, pilot.stats),
         eval_counts=counts,
         master_seed=seed,
         sample_variances=(moments.variance,),
@@ -639,11 +665,12 @@ def mc_oracle_mean(
         raise ConfigError(f"oracle sample count must be positive, got {n}")
     ell = hierarchy.finest_level if level is None else level
     hierarchy.check_level(ell)
-    moments = stats.RunningMoments()
-    for start in range(0, n, _BATCH):
-        b = min(_BATCH, n - start)
-        xi = draw_inputs(
-            master_seed, PURPOSE_ORACLE, ell, start, b, hierarchy.distributions
-        )
-        moments.update(hierarchy.evaluate(ell, xi).qoi)
+    moments = _stream_moments(
+        hierarchy,
+        master_seed,
+        PURPOSE_ORACLE,
+        ell,
+        n,
+        lambda xi: hierarchy.evaluate(ell, xi).qoi,
+    )
     return moments.mean

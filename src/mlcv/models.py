@@ -260,14 +260,6 @@ class LevelHierarchy(abc.ABC):
                 f"level {level} outside hierarchy range [0, {self.finest_level}]"
             )
 
-    def pair_cost(self, level: int) -> float:
-        """Cost of one coupled sample: fine plus coarse solve (level 0 has no
-        coarse partner)."""
-        self.check_level(level)
-        if level == 0:
-            return self.cost(0)
-        return self.cost(level) + self.cost(level - 1)
-
     def _check_inputs(self, xi) -> np.ndarray:
         z = np.asarray(xi, dtype=np.float64)
         if z.ndim == 1:
@@ -486,14 +478,6 @@ class SyntheticLowRank(LevelHierarchy):
 
 # ---------------------------------------------------------------------------
 # 1-D lognormal diffusion
-
-
-def nested_grids(m0: int, refine: int, num_levels: int) -> tuple[int, ...]:
-    """Interior-node counts for nested uniform grids: refining multiplies the
-    cell count by ``refine`` and keeps every coarse node."""
-    if m0 < 1 or refine < 2 or num_levels < 1:
-        raise ConfigError("need m0 >= 1, refine >= 2, num_levels >= 1")
-    return tuple(refine**ell * (m0 + 1) - 1 for ell in range(num_levels))
 
 
 def _solve_tridiagonal_batch(lower, diag, upper, rhs):

@@ -1,10 +1,10 @@
 """Deterministic stream-keyed input sampling.
 
 Every random input vector consumed anywhere in the package is addressed by a
-:class:`StreamKey`: (master seed, purpose label, level, sample index).  The
-key is hashed into the state of a counter-based generator, so replaying a key
-reproduces the sample bit for bit, independent of how many other samples were
-drawn, in which order, or from how many workers.
+key (master seed, purpose label, level, sample index).  The key is hashed
+into the state of a counter-based generator, so replaying a key reproduces
+the sample bit for bit, independent of how many other samples were drawn, in
+which order, or from how many workers.
 
 Gaussian variates are produced by applying the inverse normal CDF to one
 uniform draw each; no rejection steps, so every variate consumes exactly one
@@ -56,26 +56,6 @@ def uniform(low: float, high: float) -> DistributionTag:
     if not (np.isfinite(low) and np.isfinite(high) and low < high):
         raise ConfigError(f"uniform bounds must be finite with low < high, got ({low}, {high})")
     return DistributionTag("uniform", float(low), float(high))
-
-
-@dataclass(frozen=True)
-class StreamKey:
-    """Address of a single input sample.
-
-    ``level`` is meaningful for the per-level purposes (``main_y``, ``zbar``)
-    and fixed at 0 for the others.
-    """
-
-    master_seed: int
-    purpose: str
-    level: int = 0
-    sample_index: int = 0
-
-
-@dataclass(frozen=True)
-class InputSample:
-    values: np.ndarray
-    tags: tuple[DistributionTag, ...]
 
 
 def _check_key_fields(master_seed: int, purpose: str, level: int, sample_index: int) -> None:
@@ -145,11 +125,3 @@ def draw_inputs(
         filled += take
         index += take
     return _transform(out, tags)
-
-
-def draw_input(key: StreamKey, tags: tuple[DistributionTag, ...]) -> InputSample:
-    """Single input vector for one stream key."""
-    values = draw_inputs(
-        key.master_seed, key.purpose, key.level, key.sample_index, 1, tuple(tags)
-    )[0]
-    return InputSample(values=values, tags=tuple(tags))

@@ -1,4 +1,4 @@
-"""Tests for deterministic on-disk persistence of pilots and reduced bases."""
+"""Tests for deterministic on-disk persistence of pilots."""
 
 from __future__ import annotations
 
@@ -13,13 +13,11 @@ from mlcv import (
     LevelSubset,
     canonical_json,
     config_sha,
-    load_bases,
     load_pilot_cache,
     load_setup,
     pilot_mlmc,
     prepare_control_variates,
     sample_z,
-    save_bases,
     save_measured_timings,
     save_pilot_cache,
     with_measured_costs,
@@ -73,6 +71,7 @@ class TestPilotCache:
         first = _tree_digest(tmp_path)
         save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
         assert _tree_digest(tmp_path) == first
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_key_mismatch_rejected(self, tmp_path, synthetic, synthetic_pilot):
         save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
@@ -97,6 +96,22 @@ class TestPilotCache:
         with pytest.raises(DataError, match="schema"):
             load_pilot_cache(tmp_path, synthetic, "key-1")
 
+    @pytest.mark.parametrize(
+        "name", ["xi.npy", "level0_y.npy", "level1_qoi_coarse.npy", "level2_q_fine.npy"]
+    )
+    def test_short_sample_axis_rejected(self, tmp_path, synthetic, synthetic_pilot, name):
+        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
+        a = np.load(tmp_path / name)
+        np.save(tmp_path / name, a[:, :-1] if "_q_" in name else a[:-1])
+        with pytest.raises(DataError, match="shape"):
+            load_pilot_cache(tmp_path, synthetic, "key-1")
+
+    def test_output_dim_mismatch_rejected(self, tmp_path, synthetic, synthetic_pilot):
+        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
+        np.save(tmp_path / "level1_q_fine.npy", synthetic_pilot.levels[2].q_fine)
+        with pytest.raises(DataError, match="shape"):
+            load_pilot_cache(tmp_path, synthetic, "key-1")
+
     def test_timings_restored(self, tmp_path, synthetic):
         pilot = pilot_mlmc(synthetic, 10, 7)
         save_pilot_cache(tmp_path, pilot, "key-1")
@@ -114,58 +129,20 @@ class TestPilotCache:
         assert all(s.seconds_fine == 0.0 for s in loaded.stats)
 
 
-class TestBasesCache:
-    def test_roundtrip(self, tmp_path, synthetic, synthetic_pilot):
-        setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
-        save_bases(tmp_path, setup)
-        back = load_bases(tmp_path)
-        assert sorted(back) == [1, 2]
-        for ell in (1, 2):
-            orig = setup.bases[ell]
-            kept = back[ell]
-            assert kept.rank == orig.rank
-            assert kept.id_residual == orig.id_residual
-            assert np.array_equal(kept.coarse_basis, orig.coarse_basis)
-            assert np.array_equal(kept.fine_basis, orig.fine_basis)
-            assert np.array_equal(
-                kept.selected_pilot_indices, orig.selected_pilot_indices
-            )
-            assert np.array_equal(kept.selected_inputs, orig.selected_inputs)
-
-    def test_loaded_solver_reproduces_z(self, tmp_path, synthetic, synthetic_pilot):
-        setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
-        save_bases(tmp_path, setup)
-        back = load_bases(tmp_path)
-        data = synthetic_pilot.levels[1]
-        z_orig = sample_z(synthetic, setup.bases[1], data.q_coarse, data.qoi_coarse)
-        z_back = sample_z(synthetic, back[1], data.q_coarse, data.qoi_coarse)
-        assert np.allclose(z_orig, z_back, rtol=1e-13, atol=1e-15)
-
-    def test_missing_rejected(self, tmp_path):
-        with pytest.raises(DataError, match="no basis cache"):
-            load_bases(tmp_path / "nope")
-
-
 class TestLoadSetup:
     def test_matching_cache_accepted(self, tmp_path, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
-        save_bases(tmp_path, setup)
-        again = load_setup(tmp_path, synthetic, synthetic_pilot, rank=3, s2=10.0)
+        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
+        loaded = load_pilot_cache(tmp_path, synthetic, "key-1")
+        again = load_setup(synthetic, loaded, rank=3, s2=10.0)
         assert [c.rho2 for c in again.configs] == [c.rho2 for c in setup.configs]
 
-    def test_stale_rank_rejected(self, tmp_path, synthetic, synthetic_pilot):
-        setup = prepare_control_variates(synthetic, synthetic_pilot, rank=2)
-        save_bases(tmp_path, setup)
-        with pytest.raises(DataError, match="stale"):
-            load_setup(tmp_path, synthetic, synthetic_pilot, rank=3, s2=10.0)
-
-    def test_disagreeing_enablement_rejected(
-        self, tmp_path, synthetic, synthetic_pilot
-    ):
+    def test_loaded_solver_reproduces_z(self, tmp_path, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
-        save_bases(tmp_path, setup)
-        meta = json.loads((tmp_path / "meta.json").read_text())
-        del meta["levels"]["2"]
-        (tmp_path / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(DataError, match="disagrees"):
-            load_setup(tmp_path, synthetic, synthetic_pilot, rank=3, s2=10.0)
+        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
+        loaded = load_pilot_cache(tmp_path, synthetic, "key-1")
+        back = load_setup(synthetic, loaded, rank=3, s2=10.0)
+        data = synthetic_pilot.levels[1]
+        z_orig = sample_z(synthetic, setup.bases[1], data.q_coarse, data.qoi_coarse)
+        z_back = sample_z(synthetic, back.bases[1], data.q_coarse, data.qoi_coarse)
+        assert np.allclose(z_orig, z_back, rtol=1e-13, atol=1e-15)

@@ -209,7 +209,6 @@ class TestEndToEnd:
                 assert (out / f"report_{method}_{tag}.json").is_file()
                 assert (out / f"levels_{method}_{tag}.csv").is_file()
         assert (out / "cache" / "meta.json").is_file()
-        assert (out / "bases" / "meta.json").is_file()
 
     def test_pilot_report_contents(self, study):
         _, out = study
@@ -319,6 +318,28 @@ class TestReproducibility:
         assert main(["pilot", path, "--out-dir", str(other)]) == 0
         assert (other / "pilot.json").is_file()
         assert not out.exists()
+
+    def test_interrupted_pilot_leaves_no_usable_cache(self, tmp_path, monkeypatch):
+        """A pilot that dies while writing its cache must not leave the new
+        study's key over the previous study's arrays."""
+        from mlcv import cache
+
+        path = write_config(tmp_path, base_config(tmp_path / "out", methods=["mlmc"]))
+        assert main(["pilot", path, "--seed", "7"]) == 0
+        save, calls = cache._save_array, []
+
+        def dies_after_xi(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("interrupted")
+            save(*args)
+
+        monkeypatch.setattr(cache, "_save_array", dies_after_xi)
+        with pytest.raises(OSError):
+            main(["pilot", path, "--seed", "8"])
+        monkeypatch.undo()
+        assert calls[0][0].name == "xi.npy"
+        assert main(["estimate", path, "--seed", "8"]) == 2
 
     def test_threads_override_keeps_cache_valid(self, tmp_path):
         out = tmp_path / "out"

@@ -17,12 +17,11 @@ from mlcv import (
     Diffusion1D,
     DimensionError,
     SyntheticLowRank,
-    ZbarRule,
     allocate_mlcv,
     allocate_mlmc,
     allocate_zbar,
     build_reduced_basis,
-    cost_from_counts,
+    counted_cost,
     draw_inputs,
     estimate_zbar,
     mc_oracle_mean,
@@ -35,7 +34,6 @@ from mlcv import (
     run_mlcv,
     run_mlmc,
     sample_z,
-    singular_values,
     theta_star,
 )
 from tests.test_mlmc import make_stats
@@ -43,29 +41,31 @@ from tests.test_mlmc import make_stats
 
 class TestAllocateZbar:
     def test_moderate_correlation(self):
-        rule = allocate_zbar(0.5, 0.5)
-        assert rule.multiplier == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
-        assert rule.multiplier == pytest.approx(0.41421356, abs=1e-8)
-        assert rule.enabled
-        assert rule.ratio == pytest.approx(1.0 / rule.multiplier)
-        assert rule.n_prime(10) == 5
+        multiplier = allocate_zbar(0.5, 0.5)
+        assert multiplier == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
+        assert multiplier == pytest.approx(0.41421356, abs=1e-8)
+        cfg = CVLevelConfig(level=1, enabled=multiplier > 0.0, multiplier=multiplier)
+        assert cfg.enabled
+        assert cfg.ratio == pytest.approx(1.0 / multiplier)
+        assert math.ceil(multiplier * 10) == 5
 
     def test_weak_correlation_disables(self):
-        rule = allocate_zbar(0.2, 1.0)
-        assert rule.multiplier == 0.0
-        assert not rule.enabled
-        assert rule.n_prime(1000) == 0
+        multiplier = allocate_zbar(0.2, 1.0)
+        assert multiplier == 0.0
+        cfg = CVLevelConfig(level=1, enabled=multiplier > 0.0, multiplier=multiplier)
+        assert not cfg.enabled
+        assert math.ceil(multiplier * 1000) == 0
         with pytest.raises(DataError):
-            _ = rule.ratio
+            _ = cfg.ratio
 
     def test_strong_correlation_capped(self):
-        rule = allocate_zbar(0.99, 0.1)
+        multiplier = allocate_zbar(0.99, 0.1)
         assert math.sqrt(0.99 / (0.1 * 0.01)) > 11.0
-        assert rule.multiplier == 10.0
+        assert multiplier == 10.0
 
     def test_perfect_correlation_uses_cap(self):
-        assert allocate_zbar(1.0, 0.5).multiplier == 10.0
-        assert allocate_zbar(1.0, 0.5, s2=25).multiplier == 25.0
+        assert allocate_zbar(1.0, 0.5) == 10.0
+        assert allocate_zbar(1.0, 0.5, s2=25) == 25.0
 
     def test_validation(self):
         with pytest.raises(DataError):
@@ -108,8 +108,10 @@ class TestBuildReducedBasis:
         data = synthetic_pilot.levels[1]
         assert np.array_equal(basis.coarse_basis, data.q_coarse[:, sel])
         assert np.array_equal(basis.fine_basis, data.q_fine[:, sel])
-        assert np.array_equal(basis.selected_inputs, synthetic_pilot.xi[sel])
-        assert basis.build_cost_pairs == 3
+        assert np.array_equal(
+            synthetic.evaluate(0, synthetic_pilot.xi[sel]).q, basis.coarse_basis
+        )
+        assert sel.size == basis.rank == 3
 
     def test_square_pilot_selects_everything(self, synthetic):
         pilot = pilot_mlmc(synthetic, 3, 5)
@@ -120,7 +122,7 @@ class TestBuildReducedBasis:
     def test_id_residual_bound(self, synthetic, synthetic_pilot):
         basis = build_reduced_basis(synthetic, 2, synthetic_pilot, rank=2)
         u = synthetic_pilot.levels[2].q_coarse
-        sigma = singular_values(u)
+        sigma = np.linalg.svd(u, compute_uv=False)
         n_cols = u.shape[1]
         assert basis.id_residual <= 1.5 * math.sqrt(2 * (n_cols - 2) + 1) * sigma[2]
 
@@ -229,8 +231,7 @@ class TestPrepareControlVariates:
             cfg = setup.configs[ell]
             st = synthetic_pilot.stats[ell]
             zeta = st.cost_coarse / (st.cost_fine + st.cost_coarse)
-            rule = allocate_zbar(cfg.rho2, zeta)
-            assert cfg.multiplier == rule.multiplier
+            assert cfg.multiplier == allocate_zbar(cfg.rho2, zeta)
             assert cfg.theta == theta_star(cfg.cov_yz, cfg.var_z, cfg.ratio)
             assert cfg.mse_factor == pytest.approx(
                 1.0 - cfg.rho2 / (1.0 + cfg.ratio), rel=1e-12
@@ -404,7 +405,7 @@ class TestRunMlcv:
             + (40 + 3) * (32.0 + 16.0) + 9 * 16.0
         )
         assert result.total_cost == expected
-        assert result.total_cost == cost_from_counts(synthetic, result.eval_counts)
+        assert result.total_cost == counted_cost(result.eval_counts, synthetic_pilot.stats)
         assert result.total_cost == pytest.approx(
             nominal_mlcv_cost(synthetic_pilot.stats, plan, setup), rel=1e-14
         )

@@ -23,15 +23,18 @@ from mlcv import (
     allocate_mlmc,
     allocate_samples,
     bias_check,
-    cost_from_counts,
+    counted_cost,
     draw_inputs,
+    estimate_zbar,
     fit_rates,
     mc_cost_reference,
     mc_mean,
     mc_oracle_mean,
     nominal_mlmc_cost,
     pilot_mlmc,
+    prepare_control_variates,
     run_mc,
+    run_mlcv,
     run_mlmc,
     sample_variance,
     with_measured_costs,
@@ -165,9 +168,10 @@ class TestPilotMlmc:
         pilot = pilot_mlmc(h, 10, 0)
         assert all(s.var_y == 0.0 for s in pilot.stats)
 
-    def test_pilot_cost_property(self, synthetic, synthetic_pilot):
+    def test_pilot_cost_property(self, synthetic_pilot):
         expected = 40 * (8.0 + (16.0 + 8.0) + (32.0 + 16.0))
-        assert synthetic_pilot.total_cost(synthetic) == expected
+        pilot_plan = AllocationPlan(epsilon=1.0, n_samples=(40, 40, 40))
+        assert nominal_mlmc_cost(synthetic_pilot.stats, pilot_plan) == expected
 
     def test_n_pilot_validation(self, synthetic):
         with pytest.raises(ConfigError):
@@ -301,7 +305,7 @@ class TestRunMlmc:
         for level, est in enumerate(result.level_estimates):
             assert est == synthetic_pilot.stats[level].mean_y
         # no fresh solves: cost equals the pilot cost
-        assert result.total_cost == synthetic_pilot.total_cost(synthetic)
+        assert result.total_cost == 40 * (8.0 + (16.0 + 8.0) + (32.0 + 16.0))
 
     def test_partial_replay_matches_manual_recompute(self, synthetic, synthetic_pilot):
         plan = AllocationPlan(epsilon=1.0, n_samples=(55, 43, 40))
@@ -340,7 +344,7 @@ class TestRunMlmc:
         expected_cost = 100 * 8.0 + 50 * (16.0 + 8.0) + 40 * (32.0 + 16.0)
         assert result.total_cost == pytest.approx(expected_cost, rel=1e-12)
         assert result.total_cost == pytest.approx(
-            cost_from_counts(synthetic, result.eval_counts), rel=1e-15
+            counted_cost(result.eval_counts, synthetic_pilot.stats), rel=1e-15
         )
         assert result.total_cost == pytest.approx(
             nominal_mlmc_cost(synthetic_pilot.stats, plan), rel=1e-12
@@ -387,7 +391,7 @@ class TestRunMlmc:
     def test_cumulative_estimates(self, synthetic, synthetic_pilot):
         plan = AllocationPlan(epsilon=1.0, n_samples=(40, 40, 40))
         result = run_mlmc(synthetic, plan, synthetic_pilot)
-        cum = result.cumulative_estimates()
+        cum = np.cumsum(result.level_estimates)
         assert cum[-1] == pytest.approx(result.estimate, rel=1e-14)
         assert cum[0] == result.level_estimates[0]
 
@@ -453,13 +457,27 @@ class TestMcOracleMean:
         xi = draw_inputs(5, PURPOSE_ORACLE, 0, 0, 200, synthetic.distributions)
         assert v0 == pytest.approx(synthetic.evaluate(0, xi).qoi.mean(), rel=1e-12)
 
-    def test_batch_split_independence(self, synthetic, monkeypatch):
+    def test_batch_split_independence(self, synthetic, synthetic_pilot, monkeypatch):
         """Shrinking the evaluation batch size must not change the drawn
-        samples, only the reduction order."""
-        default = mc_oracle_mean(synthetic, 100, 9)
+        samples, only the reduction order, for every consumer of the
+        batched sampling loop."""
+        setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
+        plan = AllocationPlan(epsilon=1.0, n_samples=(100, 60, 50), n_prime=(0, 20, 15))
+
+        def levels(result):
+            return (result.estimate, *result.level_estimates)
+
+        consumers = {
+            "mc_oracle_mean": lambda: mc_oracle_mean(synthetic, 100, 9),
+            "run_mc": lambda: levels(run_mc(synthetic, 0.25, synthetic_pilot)),
+            "run_mlmc": lambda: levels(run_mlmc(synthetic, plan, synthetic_pilot)),
+            "run_mlcv": lambda: levels(run_mlcv(synthetic, plan, synthetic_pilot, setup)),
+            "estimate_zbar": lambda: estimate_zbar(synthetic, setup.bases[1], 37, 9),
+        }
+        default = {name: run() for name, run in consumers.items()}
         monkeypatch.setattr(mlmc_module, "_BATCH", 7)
-        small_batch = mc_oracle_mean(synthetic, 100, 9)
-        assert small_batch == pytest.approx(default, rel=1e-12)
+        for name, run in consumers.items():
+            assert run() == pytest.approx(default[name], rel=1e-12), name
 
     def test_validation(self, synthetic):
         with pytest.raises(ConfigError):

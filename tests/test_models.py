@@ -19,9 +19,7 @@ from mlcv import (
     kl_decompose,
     kl_modes_at,
     make_kernel,
-    nested_grids,
     sample_field,
-    singular_values,
     trapezoid_weights,
     uniform,
 )
@@ -189,14 +187,14 @@ class TestSampleField:
 
 
 class TestSyntheticLowRank:
-    def test_shapes_and_costs(self, synthetic):
+    def test_shapes_and_costs(self, synthetic, synthetic_pilot):
         assert synthetic.finest_level == 2
         assert synthetic.n_levels == 3
         assert [synthetic.dofs(k) for k in range(3)] == [8, 16, 32]
         assert [synthetic.output_dim(k) for k in range(3)] == [8, 16, 32]
         assert [synthetic.cost(k) for k in range(3)] == [8.0, 16.0, 32.0]
-        assert synthetic.pair_cost(0) == 8.0
-        assert synthetic.pair_cost(2) == 48.0
+        assert synthetic_pilot.stats[0].unit_cost == 8.0
+        assert synthetic_pilot.stats[2].unit_cost == 48.0
         assert len(synthetic.distributions) == 4
 
     def test_cost_gamma_exponent(self):
@@ -221,7 +219,7 @@ class TestSyntheticLowRank:
     def test_exact_rank_when_unperturbed(self, synthetic_exact):
         xi = draw_inputs(11, PURPOSE_PILOT, 0, 0, 200, synthetic_exact.distributions)
         data = synthetic_exact.evaluate(1, xi).q
-        s = singular_values(data)
+        s = np.linalg.svd(data, compute_uv=False)
         numerical_rank = int(np.sum(s > 1e-8 * s[0]))
         assert numerical_rank == synthetic_exact.r_true == 3
 
@@ -244,19 +242,6 @@ class TestSyntheticLowRank:
             SyntheticLowRank(refine=1)
         with pytest.raises(ConfigError):
             SyntheticLowRank(delta=-0.1)
-
-
-class TestNestedGrids:
-    def test_values(self):
-        assert nested_grids(15, 2, 3) == (15, 31, 63)
-        assert nested_grids(4, 4, 3) == (4, 19, 79)
-        assert nested_grids(7, 2, 1) == (7,)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            nested_grids(0, 2, 3)
-        with pytest.raises(ConfigError):
-            nested_grids(4, 1, 3)
 
 
 class TestDiffusion1D:

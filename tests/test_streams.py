@@ -16,8 +16,6 @@ from mlcv import (
     PURPOSE_ZBAR,
     ConfigError,
     DistributionTag,
-    StreamKey,
-    draw_input,
     draw_inputs,
     standard_gaussian,
     uniform,
@@ -28,18 +26,17 @@ UNIF01 = (uniform(0.0, 1.0),)
 
 
 def test_same_key_bitwise_identical():
-    key = StreamKey(42, PURPOSE_PILOT, 0, 7)
-    a = draw_input(key, UNIF01)
-    b = draw_input(key, UNIF01)
-    assert a.values.shape == (1,)
-    assert a.values[0] == b.values[0]
+    a = draw_inputs(42, PURPOSE_PILOT, 0, 7, 1, UNIF01)[0]
+    b = draw_inputs(42, PURPOSE_PILOT, 0, 7, 1, UNIF01)[0]
+    assert a.shape == (1,)
+    assert a[0] == b[0]
 
 
 def test_draw_inputs_matches_single_draws():
     rows = draw_inputs(9, PURPOSE_MAIN_Y, 2, 5, 20, GAUSS)
     for i in range(20):
-        single = draw_input(StreamKey(9, PURPOSE_MAIN_Y, 2, 5 + i), GAUSS)
-        assert single.values[0] == rows[i, 0]
+        single = draw_inputs(9, PURPOSE_MAIN_Y, 2, 5 + i, 1, GAUSS)[0]
+        assert single[0] == rows[i, 0]
 
 
 def test_batch_split_invariance():
@@ -57,11 +54,11 @@ def test_batch_split_invariance():
 
 
 def test_distinct_key_fields_change_output():
-    base = draw_input(StreamKey(1, PURPOSE_MAIN_Y, 1, 0), UNIF01).values[0]
-    assert draw_input(StreamKey(2, PURPOSE_MAIN_Y, 1, 0), UNIF01).values[0] != base
-    assert draw_input(StreamKey(1, PURPOSE_ZBAR, 1, 0), UNIF01).values[0] != base
-    assert draw_input(StreamKey(1, PURPOSE_MAIN_Y, 2, 0), UNIF01).values[0] != base
-    assert draw_input(StreamKey(1, PURPOSE_MAIN_Y, 1, 1), UNIF01).values[0] != base
+    base = draw_inputs(1, PURPOSE_MAIN_Y, 1, 0, 1, UNIF01)[0, 0]
+    assert draw_inputs(2, PURPOSE_MAIN_Y, 1, 0, 1, UNIF01)[0, 0] != base
+    assert draw_inputs(1, PURPOSE_ZBAR, 1, 0, 1, UNIF01)[0, 0] != base
+    assert draw_inputs(1, PURPOSE_MAIN_Y, 2, 0, 1, UNIF01)[0, 0] != base
+    assert draw_inputs(1, PURPOSE_MAIN_Y, 1, 1, 1, UNIF01)[0, 0] != base
 
 
 def test_purposes_are_mutually_independent_streams():
@@ -94,11 +91,11 @@ def test_gaussian_moments():
 
 def test_mixed_layout_52_coordinates():
     tags = tuple([uniform(-1.0, 1.0)] * 50 + [uniform(105.0, 109.0), uniform(0.004, 0.01)])
-    sample = draw_input(StreamKey(13, PURPOSE_PILOT, 0, 0), tags)
-    assert sample.values.shape == (52,)
-    assert np.all(sample.values[:50] > -1.0) and np.all(sample.values[:50] < 1.0)
-    assert 105.0 < sample.values[50] < 109.0
-    assert 0.004 < sample.values[51] < 0.01
+    sample = draw_inputs(13, PURPOSE_PILOT, 0, 0, 1, tags)[0]
+    assert sample.shape == (52,)
+    assert np.all(sample[:50] > -1.0) and np.all(sample[:50] < 1.0)
+    assert 105.0 < sample[50] < 109.0
+    assert 0.004 < sample[51] < 0.01
 
 
 def test_uniform_ks_statistic_below_critical():
@@ -129,7 +126,7 @@ def test_invalid_inputs_raise_config_error():
     with pytest.raises(ConfigError):
         draw_inputs(0, PURPOSE_PILOT, 0, 0, 1, ())
     with pytest.raises(ConfigError):
-        draw_input(StreamKey(0, PURPOSE_PILOT, 0, 0), (DistributionTag("cauchy"),))
+        draw_inputs(0, PURPOSE_PILOT, 0, 0, 1, (DistributionTag("cauchy"),))
     with pytest.raises(ConfigError):
         uniform(1.0, 1.0)
     with pytest.raises(ConfigError):
@@ -148,5 +145,5 @@ def test_property_draws_finite_and_in_support(seed, purpose, level, index):
     row = draw_inputs(seed, purpose, level, index, 1, tags)[0]
     assert np.all(np.isfinite(row))
     assert -2.0 < row[1] < 3.0
-    again = draw_input(StreamKey(seed, purpose, level, index), tags)
-    assert np.array_equal(row, again.values)
+    again = draw_inputs(seed, purpose, level, index, 1, tags)[0]
+    assert np.array_equal(row, again)
