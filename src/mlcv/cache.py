@@ -1,13 +1,16 @@
 """Deterministic on-disk persistence for pilot runs.
 
-Arrays are stored as individual ``.npy`` files (their bytes depend only on
-shape, dtype, and contents, never on timestamps), metadata as canonical JSON
-with sorted keys, so re-saving identical data rewrites identical bytes.
-Caches are keyed by a hash of the pilot-scoped configuration; a mismatch
-means the cached artifacts belong to a different study and must be rebuilt.
-The metadata file is removed before and written after the arrays, so a save
-interrupted part-way leaves no loadable cache rather than a valid key over
-another study's arrays.
+A pilot cache holds, per level, the output snapshots ``level{l}_q.npy`` and
+the quantities of interest ``level{l}_qoi.npy`` at the shared pilot inputs,
+plus ``meta.json``; corrections and statistics are rebuilt from these on
+load.  Arrays are stored as individual ``.npy`` files (their bytes depend
+only on shape, dtype, and contents, never on timestamps), metadata as
+canonical JSON with sorted keys, so re-saving identical data rewrites
+identical bytes.  Caches are keyed by a hash of the pilot-scoped
+configuration; a mismatch means the cached artifacts belong to a different
+study and must be rebuilt.  The metadata file is removed before and written
+after the arrays, so a save interrupted part-way leaves no loadable cache
+rather than a valid key over another study's arrays.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ import numpy as np
 
 from .control_variates import CVSetup, prepare_control_variates
 from .errors import DataError
-from .mlmc import PilotLevel, PilotRun, _level_stats
+from .mlmc import PilotRun, _build_pilot
 from .models import LevelHierarchy
 
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 _META = "meta.json"
 _TIMINGS = "timings.json"
@@ -61,24 +64,20 @@ def _load_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def save_pilot_cache(cache_dir: Path, pilot: PilotRun, pilot_key: str) -> None:
-    """Persist the pilot's inputs, per-level snapshots, and identity key.
+    """Persist the pilot's per-level outputs and identity key.
 
-    The identity file goes last, through a rename, so it only ever names a
-    complete set of arrays.
+    Arrays of an earlier save are removed first.  The identity file goes
+    last, through a rename, so it only ever names a complete set of arrays.
     """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     (cache_dir / _META).unlink(missing_ok=True)
     (cache_dir / _TIMINGS).unlink(missing_ok=True)
-    _save_array(cache_dir / "xi.npy", pilot.xi)
+    for old in cache_dir.glob("*.npy"):
+        old.unlink()
     for data in pilot.levels:
-        tag = f"level{data.level}"
-        _save_array(cache_dir / f"{tag}_y.npy", data.y)
-        _save_array(cache_dir / f"{tag}_qoi_fine.npy", data.qoi_fine)
-        _save_array(cache_dir / f"{tag}_q_fine.npy", data.q_fine)
-        if data.level > 0:
-            _save_array(cache_dir / f"{tag}_qoi_coarse.npy", data.qoi_coarse)
-            _save_array(cache_dir / f"{tag}_q_coarse.npy", data.q_coarse)
+        _save_array(cache_dir / f"level{data.level}_q.npy", data.q)
+        _save_array(cache_dir / f"level{data.level}_qoi.npy", data.qoi)
     meta = {
         "schema": CACHE_SCHEMA,
         "pilot_key": pilot_key,
@@ -92,13 +91,11 @@ def save_pilot_cache(cache_dir: Path, pilot: PilotRun, pilot_key: str) -> None:
 
 
 def save_measured_timings(cache_dir: Path, pilot: PilotRun) -> None:
-    """Persist measured seconds per solve (measured cost mode only; these
-    values are timing data, not reproducible from config and seed)."""
-    cache_dir = Path(cache_dir)
-    seconds = {
-        str(s.level): [s.seconds_fine, s.seconds_coarse] for s in pilot.stats
-    }
-    _write_text(cache_dir / _TIMINGS, canonical_json(seconds))
+    """Persist measured seconds per solve, one number per level (measured
+    cost mode only; these values are timing data, not reproducible from
+    config and seed)."""
+    seconds = [s.seconds_fine for s in pilot.stats]
+    _write_text(Path(cache_dir) / _TIMINGS, canonical_json(seconds))
 
 
 def _read_meta(cache_dir: Path) -> dict:
@@ -109,7 +106,10 @@ def _read_meta(cache_dir: Path) -> dict:
         )
     meta = json.loads(path.read_text(encoding="utf-8"))
     if meta.get("schema") != CACHE_SCHEMA:
-        raise DataError(f"unsupported cache schema {meta.get('schema')!r}")
+        raise DataError(
+            f"unsupported cache schema {meta.get('schema')!r}: "
+            "re-run the pilot command"
+        )
     return meta
 
 
@@ -119,8 +119,8 @@ def load_pilot_cache(
     """Rebuild a PilotRun from disk, checking the identity key and every
     array's shape against the pilot size and the hierarchy.
 
-    Statistics are recomputed from the arrays with the same reductions the
-    live pilot uses; measured timings are restored when present.
+    Corrections and statistics are recomputed from the arrays by the same
+    builder the live pilot uses; measured timings are restored when present.
     """
     cache_dir = Path(cache_dir)
     meta = _read_meta(cache_dir)
@@ -129,45 +129,27 @@ def load_pilot_cache(
             "pilot cache was built from a different configuration: "
             "re-run the pilot command"
         )
-    if meta["n_levels"] != hierarchy.n_levels:
+    n_levels = hierarchy.n_levels
+    if meta["n_levels"] != n_levels:
         raise DataError(
-            f"pilot cache has {meta['n_levels']} levels, hierarchy "
-            f"{hierarchy.n_levels}"
+            f"pilot cache has {meta['n_levels']} levels, hierarchy {n_levels}"
         )
     timings_path = cache_dir / _TIMINGS
-    seconds = {}
+    seconds = [0.0] * n_levels
     if timings_path.is_file():
         seconds = json.loads(timings_path.read_text(encoding="utf-8"))
+        if len(seconds) != n_levels:
+            raise DataError(f"{timings_path} does not hold one time per level")
     n = int(meta["n_pilot"])
-    xi = _load_array(cache_dir / "xi.npy", (n, hierarchy.input_dim))
-    levels: list[PilotLevel] = []
-    run = PilotRun(
-        master_seed=int(meta["master_seed"]),
-        n_pilot=n,
-        xi=xi,
-        levels=levels,
-    )
-    for ell in range(meta["n_levels"]):
-        tag = f"level{ell}"
-        data = PilotLevel(
-            level=ell,
-            y=_load_array(cache_dir / f"{tag}_y.npy", (n,)),
-            qoi_fine=_load_array(cache_dir / f"{tag}_qoi_fine.npy", (n,)),
-            q_fine=_load_array(
-                cache_dir / f"{tag}_q_fine.npy", (hierarchy.output_dim(ell), n)
-            ),
+    outputs = [
+        (
+            _load_array(cache_dir / f"level{ell}_q.npy", (hierarchy.output_dim(ell), n)),
+            _load_array(cache_dir / f"level{ell}_qoi.npy", (n,)),
+            float(seconds[ell]),
         )
-        if ell > 0:
-            data.qoi_coarse = _load_array(cache_dir / f"{tag}_qoi_coarse.npy", (n,))
-            data.q_coarse = _load_array(
-                cache_dir / f"{tag}_q_coarse.npy", (hierarchy.output_dim(ell - 1), n)
-            )
-        levels.append(data)
-        sec = seconds.get(str(ell), (0.0, 0.0))
-        run.stats.append(
-            _level_stats(hierarchy, ell, data, float(sec[0]), float(sec[1]))
-        )
-    return run
+        for ell in range(n_levels)
+    ]
+    return _build_pilot(hierarchy, int(meta["master_seed"]), n, outputs)
 
 
 def load_setup(

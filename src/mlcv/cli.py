@@ -341,8 +341,9 @@ def _bias_block(level_stats, rates, eps: float):
     return block
 
 
-def _plan_block(level_stats, setup, eps: float) -> dict:
-    """Planned allocations and plan-implied costs for one tolerance."""
+def _plan_block(level_stats, setup, eps: float):
+    """Planned allocations and plan-implied costs for one tolerance, and the
+    plans themselves keyed by method."""
     plan_ml = mlmc.allocate_mlmc(level_stats, eps)
     plan_cv = cv.allocate_mlcv(level_stats, setup.configs, eps)
     finest = level_stats[-1]
@@ -353,7 +354,7 @@ def _plan_block(level_stats, setup, eps: float) -> dict:
         for c, n in zip(setup.configs, plan_cv.n_samples)
         if c.enabled and n < c.rank
     ]
-    return {
+    block = {
         "epsilon": eps,
         "n_mlmc": list(plan_ml.n_samples),
         "n_mlcv": list(plan_cv.n_samples),
@@ -364,6 +365,7 @@ def _plan_block(level_stats, setup, eps: float) -> dict:
         "cost_ratio": cost_cv / cost_ml,
         "allocation_below_rank_levels": under_rank,
     }
+    return block, {"mlmc": plan_ml, "mlcv": plan_cv}
 
 
 def cmd_pilot(cfg: dict) -> int:
@@ -408,7 +410,7 @@ def cmd_pilot(cfg: dict) -> int:
             row["seconds_coarse"] = st.seconds_coarse
         rows.append(row)
 
-    plans = [_plan_block(level_stats, setup, eps) for eps in cfg["epsilon"]]
+    plans = [_plan_block(level_stats, setup, eps)[0] for eps in cfg["epsilon"]]
     report = {
         "provenance": _provenance(cfg),
         "config": cfg,
@@ -440,15 +442,12 @@ def _load_study(cfg: dict):
     return out_dir, hierarchy, pilot, setup
 
 
-def _run_method(method, hierarchy, pilot, level_stats, setup, eps):
+def _run_method(method, hierarchy, pilot, setup, eps, plans):
     if method == "mlmc":
-        plan = mlmc.allocate_mlmc(level_stats, eps)
-        return mlmc.run_mlmc(hierarchy, plan, pilot), plan
+        return mlmc.run_mlmc(hierarchy, plans["mlmc"], pilot)
     if method == "mlcv":
-        plan = cv.allocate_mlcv(level_stats, setup.configs, eps)
-        return cv.run_mlcv(hierarchy, plan, pilot, setup), plan
-    result = mlmc.run_mc(hierarchy, eps, pilot)
-    return result, None
+        return cv.run_mlcv(hierarchy, plans["mlcv"], pilot, setup)
+    return mlmc.run_mc(hierarchy, eps, pilot)
 
 
 def cmd_estimate(cfg: dict, methods) -> int:
@@ -458,11 +457,9 @@ def cmd_estimate(cfg: dict, methods) -> int:
     by_level = {s.level: s for s in level_stats}
 
     for eps in cfg["epsilon"]:
-        plan_costs = _plan_block(level_stats, setup, eps)
+        plan_costs, plans = _plan_block(level_stats, setup, eps)
         for method in methods:
-            result, plan = _run_method(
-                method, hierarchy, pilot, level_stats, setup, eps
-            )
+            result = _run_method(method, hierarchy, pilot, setup, eps, plans)
             total_cost = mlmc.counted_cost(result.eval_counts, level_stats)
             rows = []
             for i, counts in enumerate(result.eval_counts):
@@ -525,7 +522,7 @@ def cmd_compare(cfg: dict) -> int:
     level_stats = _select_stats(pilot, cfg["cost_mode"])
     rows = []
     for eps in sorted(cfg["epsilon"], reverse=True):
-        block = _plan_block(level_stats, setup, eps)
+        block, _ = _plan_block(level_stats, setup, eps)
         rows.append(
             [
                 eps,

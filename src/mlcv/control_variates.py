@@ -71,9 +71,10 @@ def build_reduced_basis(
     rank: int | None = None,
     tol: float | None = None,
 ) -> ReducedBasisPair | None:
-    """Select basis columns from the pilot's coarse snapshots at ``level``.
+    """Select basis columns from the pilot's coarse snapshots at ``level``,
+    which are level ``level - 1``'s pilot outputs.
 
-    The fine-basis columns are the pilot's cached fine solves at the selected
+    The fine-basis columns are the level's pilot outputs at the selected
     inputs, so no new evaluations happen here; the cost ledger still charges
     the selected pairs to basis construction because they are withheld from
     main-run recycling.  Returns None when tolerance termination finds rank
@@ -83,15 +84,13 @@ def build_reduced_basis(
     hierarchy.check_level(level)
     if level < 1:
         raise DimensionError("reduced bases exist for correction levels (level >= 1)")
-    data = pilot.levels[level]
-    if data.q_coarse is None:
-        raise DataError(f"pilot cache for level {level} lacks coarse snapshots")
-    idf = interpolative_decomposition(data.q_coarse, rank=rank, tol=tol)
+    snapshots = pilot.levels[level - 1].q
+    idf = interpolative_decomposition(snapshots, rank=rank, tol=tol)
     if idf.rank == 0:
         return None
     sel = np.sort(idf.selected_indices)
-    coarse = np.ascontiguousarray(data.q_coarse[:, sel])
-    fine = np.ascontiguousarray(data.q_fine[:, sel])
+    coarse = np.ascontiguousarray(snapshots[:, sel])
+    fine = np.ascontiguousarray(pilot.levels[level].q[:, sel])
     return ReducedBasisPair(
         level=level,
         rank=idf.rank,
@@ -106,25 +105,25 @@ def build_reduced_basis(
 def sample_z(
     hierarchy: LevelHierarchy,
     basis: ReducedBasisPair,
-    q_coarse: np.ndarray,
-    qoi_coarse: np.ndarray | None = None,
+    coarse_q: np.ndarray,
+    coarse_qoi: np.ndarray | None = None,
 ) -> np.ndarray:
     """Surrogate corrections Z for coarse output columns.
 
-    Fits each column of ``q_coarse`` in the coarse basis, reconstructs the
+    Fits each column of ``coarse_q`` in the coarse basis, reconstructs the
     fine output with the fine basis, applies the scalar output map, and
     subtracts the coarse quantity of interest (recomputed here unless
     passed in).
     """
-    qc = np.asarray(q_coarse, dtype=np.float64)
+    qc = np.asarray(coarse_q, dtype=np.float64)
     if qc.ndim == 1:
         qc = qc[:, None]
     coeff = basis.solver.solve(qc)
     q_id = basis.fine_basis @ coeff
     qoi_id = hierarchy.qoi(basis.level, q_id)
-    if qoi_coarse is None:
-        qoi_coarse = hierarchy.qoi(basis.level - 1, qc)
-    return qoi_id - np.asarray(qoi_coarse, dtype=np.float64)
+    if coarse_qoi is None:
+        coarse_qoi = hierarchy.qoi(basis.level - 1, qc)
+    return qoi_id - np.asarray(coarse_qoi, dtype=np.float64)
 
 
 def estimate_zbar(
@@ -279,9 +278,10 @@ def prepare_control_variates(
             bases.append(None)
             pilot_z.append(None)
             continue
-        data = pilot.levels[ell]
-        z = sample_z(hierarchy, basis, data.q_coarse, data.qoi_coarse)
-        rho2, degenerate = stats.rho_squared(data.y, z)
+        coarse = pilot.levels[ell - 1]
+        y = pilot.levels[ell].y
+        z = sample_z(hierarchy, basis, coarse.q, coarse.qoi)
+        rho2, degenerate = stats.rho_squared(y, z)
         if force_rho2_zero:
             rho2, degenerate = 0.0, False
         st = pilot.stats[ell]
@@ -289,7 +289,7 @@ def prepare_control_variates(
         multiplier = allocate_zbar(rho2, zeta, s2) if not degenerate else 0.0
         enabled = multiplier > 0.0 and not degenerate
         var_z = stats.sample_variance(z)
-        cov = stats.sample_covariance(data.y, z)
+        cov = stats.sample_covariance(y, z)
         theta = (
             theta_star(cov, var_z, 1.0 / multiplier) if enabled and var_z > 0 else 0.0
         )

@@ -3,11 +3,13 @@ telescoping estimator.
 
 The estimator targets the finest-level mean E[Q_L] by summing independent
 per-level correction means: E[Q_L] = E[Q_0] + sum_l E[Q_l - Q_(l-1)].  A
-pilot run measures per-level moments; the allocation then minimizes total
-declared cost subject to the summed sampling variance staying within
-epsilon^2 / 2, which gives counts proportional to sqrt(V_l / C_l).  Pilot
-samples are replayed at the start of each level's main run so their cost is
-not paid twice.
+pilot run solves every level once at one shared input set, so level l's
+correction samples are the differences of adjacent levels' outputs, and
+measures per-level moments; the allocation then minimizes total declared
+cost subject to the summed sampling variance staying within epsilon^2 / 2,
+which gives counts proportional to sqrt(V_l / C_l).  Pilot samples are
+replayed at the start of each level's main run so their cost is not paid
+twice; the cost ledger still charges each pilot sample as a coupled pair.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import stats
 from .errors import ConfigError, DataError, DimensionError
-from .models import LevelHierarchy, LevelOutput, evaluate_coupled
+from .models import LevelHierarchy, evaluate_coupled
 from .streams import PURPOSE_MAIN_Y, PURPOSE_ORACLE, PURPOSE_PILOT, draw_inputs
 
 # Minimum per-level sample count: variance estimates need at least two
@@ -53,14 +55,16 @@ class LevelStats:
 
 @dataclass
 class PilotLevel:
-    """Cached pilot evaluations for one level (coarse arrays absent at level 0)."""
+    """One level evaluated at the shared pilot inputs.
+
+    ``y`` is the level's correction ``qoi - levels[level - 1].qoi`` (``qoi``
+    itself at level 0).
+    """
 
     level: int
+    q: np.ndarray
+    qoi: np.ndarray
     y: np.ndarray
-    qoi_fine: np.ndarray
-    q_fine: np.ndarray
-    qoi_coarse: np.ndarray | None = None
-    q_coarse: np.ndarray | None = None
 
 
 @dataclass
@@ -68,13 +72,14 @@ class PilotRun:
     """Pilot evaluations plus the derived per-level statistics.
 
     The same input set (purpose ``pilot``, indices 0..n_pilot-1) is applied
-    on every level, and the raw outputs are kept so the main runs and the
-    reduced-basis construction can reuse them without re-solving.
+    on every level, so the coarse half of level ell's coupled pilot samples
+    is level ell-1's output and each level is solved once.  The raw outputs
+    are kept so the main runs and the reduced-basis construction can reuse
+    them without re-solving.
     """
 
     master_seed: int
     n_pilot: int
-    xi: np.ndarray
     levels: list[PilotLevel]
     stats: list[LevelStats] = field(default_factory=list)
 
@@ -83,65 +88,55 @@ class PilotRun:
         return len(self.levels)
 
 
-def _level_stats(
-    hierarchy: LevelHierarchy,
-    level: int,
-    data: PilotLevel,
-    seconds_fine: float = 0.0,
-    seconds_coarse: float = 0.0,
-) -> LevelStats:
-    return LevelStats(
-        level=level,
-        n_samples=data.y.size,
-        mean_y=stats.mc_mean(data.y),
-        var_y=stats.sample_variance(data.y),
-        mean_q=stats.mc_mean(data.qoi_fine),
-        var_q=stats.sample_variance(data.qoi_fine),
-        cost_fine=hierarchy.cost(level),
-        cost_coarse=hierarchy.cost(level - 1) if level > 0 else 0.0,
-        dofs=hierarchy.dofs(level),
-        output_dim=hierarchy.output_dim(level),
-        seconds_fine=seconds_fine,
-        seconds_coarse=seconds_coarse,
-    )
+def _build_pilot(
+    hierarchy: LevelHierarchy, master_seed: int, n_pilot: int, outputs
+) -> PilotRun:
+    """Assemble a PilotRun from per-level ``(q, qoi, seconds)`` at the shared
+    pilot inputs, ``seconds`` being the mean wall time of one solve.
+
+    The live pilot and the cache loader both build here, so their levels and
+    statistics cannot drift apart.
+    """
+    run = PilotRun(master_seed=master_seed, n_pilot=n_pilot, levels=[])
+    for ell, (q, qoi, seconds) in enumerate(outputs):
+        y = qoi - run.levels[ell - 1].qoi if ell > 0 else qoi
+        run.levels.append(PilotLevel(level=ell, q=q, qoi=qoi, y=y))
+        run.stats.append(
+            LevelStats(
+                level=ell,
+                n_samples=y.size,
+                mean_y=stats.mc_mean(y),
+                var_y=stats.sample_variance(y),
+                mean_q=stats.mc_mean(qoi),
+                var_q=stats.sample_variance(qoi),
+                cost_fine=hierarchy.cost(ell),
+                cost_coarse=hierarchy.cost(ell - 1) if ell > 0 else 0.0,
+                dofs=hierarchy.dofs(ell),
+                output_dim=hierarchy.output_dim(ell),
+                seconds_fine=seconds,
+                seconds_coarse=run.stats[ell - 1].seconds_fine if ell > 0 else 0.0,
+            )
+        )
+    return run
 
 
 def pilot_mlmc(hierarchy: LevelHierarchy, n_pilot: int, master_seed: int) -> PilotRun:
-    """Evaluate ``n_pilot`` coupled samples on every level and cache everything.
+    """Evaluate every level once at ``n_pilot`` shared inputs and keep the
+    outputs.
 
-    Level 0 uses plain (single-level) samples.  The pilot shares one input
-    set across levels; the main runs use separate per-level streams, so the
-    cached samples can be replayed there as the first samples of each level.
+    The pilot shares one input set across levels; the main runs use separate
+    per-level streams, so the cached samples can be replayed there as the
+    first samples of each level.
     """
     if n_pilot < N_MIN:
         raise ConfigError(f"n_pilot must be at least {N_MIN}, got {n_pilot}")
     xi = draw_inputs(master_seed, PURPOSE_PILOT, 0, 0, n_pilot, hierarchy.distributions)
-    levels: list[PilotLevel] = []
-    run = PilotRun(master_seed=master_seed, n_pilot=n_pilot, xi=xi, levels=levels)
+    outputs = []
     for ell in range(hierarchy.n_levels):
         t0 = time.perf_counter()
-        if ell == 0:
-            out = hierarchy.evaluate(0, xi)
-            sec_fine = (time.perf_counter() - t0) / n_pilot
-            sec_coarse = 0.0
-            data = PilotLevel(level=0, y=out.qoi.copy(), qoi_fine=out.qoi, q_fine=out.q)
-        else:
-            fine = hierarchy.evaluate(ell, xi)
-            t1 = time.perf_counter()
-            coarse = hierarchy.evaluate(ell - 1, xi)
-            sec_fine = (t1 - t0) / n_pilot
-            sec_coarse = (time.perf_counter() - t1) / n_pilot
-            data = PilotLevel(
-                level=ell,
-                y=fine.qoi - coarse.qoi,
-                qoi_fine=fine.qoi,
-                q_fine=fine.q,
-                qoi_coarse=coarse.qoi,
-                q_coarse=coarse.q,
-            )
-        levels.append(data)
-        run.stats.append(_level_stats(hierarchy, ell, data, sec_fine, sec_coarse))
-    return run
+        out = hierarchy.evaluate(ell, xi)
+        outputs.append((out.q, out.qoi, (time.perf_counter() - t0) / n_pilot))
+    return _build_pilot(hierarchy, master_seed, n_pilot, outputs)
 
 
 def with_measured_costs(pilot: PilotRun) -> list[LevelStats]:

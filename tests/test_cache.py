@@ -50,14 +50,10 @@ class TestPilotCache:
         loaded = load_pilot_cache(tmp_path, synthetic, "key-1")
         assert loaded.master_seed == synthetic_pilot.master_seed
         assert loaded.n_pilot == synthetic_pilot.n_pilot
-        assert np.array_equal(loaded.xi, synthetic_pilot.xi)
         for orig, back in zip(synthetic_pilot.levels, loaded.levels):
             assert np.array_equal(orig.y, back.y)
-            assert np.array_equal(orig.q_fine, back.q_fine)
-            assert np.array_equal(orig.qoi_fine, back.qoi_fine)
-            if orig.level > 0:
-                assert np.array_equal(orig.q_coarse, back.q_coarse)
-                assert np.array_equal(orig.qoi_coarse, back.qoi_coarse)
+            assert np.array_equal(orig.q, back.q)
+            assert np.array_equal(orig.qoi, back.qoi)
         for orig, back in zip(synthetic_pilot.stats, loaded.stats):
             assert back.mean_y == orig.mean_y
             assert back.var_y == orig.var_y
@@ -68,6 +64,9 @@ class TestPilotCache:
 
     def test_resave_is_byte_identical(self, tmp_path, synthetic_pilot):
         save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"level{ell}_{kind}.npy" for ell in range(3) for kind in ("q", "qoi")
+        ] + ["meta.json"]
         first = _tree_digest(tmp_path)
         save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
         assert _tree_digest(tmp_path) == first
@@ -97,18 +96,18 @@ class TestPilotCache:
             load_pilot_cache(tmp_path, synthetic, "key-1")
 
     @pytest.mark.parametrize(
-        "name", ["xi.npy", "level0_y.npy", "level1_qoi_coarse.npy", "level2_q_fine.npy"]
+        "name", ["level0_qoi.npy", "level1_qoi.npy", "level1_q.npy", "level2_q.npy"]
     )
     def test_short_sample_axis_rejected(self, tmp_path, synthetic, synthetic_pilot, name):
         save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
         a = np.load(tmp_path / name)
-        np.save(tmp_path / name, a[:, :-1] if "_q_" in name else a[:-1])
+        np.save(tmp_path / name, a[:, :-1] if name.endswith("_q.npy") else a[:-1])
         with pytest.raises(DataError, match="shape"):
             load_pilot_cache(tmp_path, synthetic, "key-1")
 
     def test_output_dim_mismatch_rejected(self, tmp_path, synthetic, synthetic_pilot):
         save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
-        np.save(tmp_path / "level1_q_fine.npy", synthetic_pilot.levels[2].q_fine)
+        np.save(tmp_path / "level1_q.npy", synthetic_pilot.levels[2].q)
         with pytest.raises(DataError, match="shape"):
             load_pilot_cache(tmp_path, synthetic, "key-1")
 
@@ -120,8 +119,16 @@ class TestPilotCache:
         for orig, back in zip(pilot.stats, loaded.stats):
             assert back.seconds_fine == orig.seconds_fine
             assert back.seconds_coarse == orig.seconds_coarse
+        for prev, cur in zip(loaded.stats, loaded.stats[1:]):
+            assert cur.seconds_coarse == prev.seconds_fine
         measured = with_measured_costs(loaded)
         assert measured[0].cost_fine == loaded.stats[0].seconds_fine
+
+    def test_timings_length_mismatch_rejected(self, tmp_path, synthetic, synthetic_pilot):
+        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
+        (tmp_path / "timings.json").write_text("[0.1,0.2]\n")
+        with pytest.raises(DataError, match="one time per level"):
+            load_pilot_cache(tmp_path, synthetic, "key-1")
 
     def test_timings_default_to_zero(self, tmp_path, synthetic, synthetic_pilot):
         save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
@@ -142,7 +149,7 @@ class TestLoadSetup:
         save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
         loaded = load_pilot_cache(tmp_path, synthetic, "key-1")
         back = load_setup(synthetic, loaded, rank=3, s2=10.0)
-        data = synthetic_pilot.levels[1]
-        z_orig = sample_z(synthetic, setup.bases[1], data.q_coarse, data.qoi_coarse)
-        z_back = sample_z(synthetic, back.bases[1], data.q_coarse, data.qoi_coarse)
+        coarse = synthetic_pilot.levels[0]
+        z_orig = sample_z(synthetic, setup.bases[1], coarse.q, coarse.qoi)
+        z_back = sample_z(synthetic, back.bases[1], coarse.q, coarse.qoi)
         assert np.allclose(z_orig, z_back, rtol=1e-13, atol=1e-15)

@@ -6,7 +6,9 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mlcv import ConfigError, LevelSubset, SyntheticLowRank
@@ -328,18 +330,50 @@ class TestReproducibility:
         assert main(["pilot", path, "--seed", "7"]) == 0
         save, calls = cache._save_array, []
 
-        def dies_after_xi(*args):
+        def dies_on_second_array(*args):
             calls.append(args)
             if len(calls) == 2:
                 raise OSError("interrupted")
             save(*args)
 
-        monkeypatch.setattr(cache, "_save_array", dies_after_xi)
+        monkeypatch.setattr(cache, "_save_array", dies_on_second_array)
         with pytest.raises(OSError):
             main(["pilot", path, "--seed", "8"])
         monkeypatch.undo()
-        assert calls[0][0].name == "xi.npy"
+        assert calls[0][0].name == "level0_q.npy"
         assert main(["estimate", path, "--seed", "8"]) == 2
+
+    def test_schema_1_cache_needs_new_pilot(self, tmp_path, capsys):
+        """A cache in the schema-1 layout (inputs, corrections and coarse
+        snapshots stored beside each level's outputs) is refused."""
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out, methods=["mlmc"]))
+        assert main(["pilot", path]) == 0
+        cache_dir = out / "cache"
+        meta = json.loads((cache_dir / "meta.json").read_text())
+        np.save(cache_dir / "xi.npy", np.zeros((meta["n_pilot"], 4)))
+        prev = None
+        for ell in range(meta["n_levels"]):
+            tag = cache_dir / f"level{ell}"
+            q = np.load(f"{tag}_q.npy")
+            qoi = np.load(f"{tag}_qoi.npy")
+            Path(f"{tag}_q.npy").rename(f"{tag}_q_fine.npy")
+            Path(f"{tag}_qoi.npy").rename(f"{tag}_qoi_fine.npy")
+            np.save(f"{tag}_y.npy", qoi if prev is None else qoi - prev[1])
+            if prev is not None:
+                np.save(f"{tag}_q_coarse.npy", prev[0])
+                np.save(f"{tag}_qoi_coarse.npy", prev[1])
+            prev = (q, qoi)
+        meta["schema"] = 1
+        (cache_dir / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["estimate", path]) == 2
+        assert "re-run the pilot" in capsys.readouterr().err
+        assert main(["pilot", path]) == 0
+        assert sorted(p.name for p in cache_dir.iterdir()) == [
+            f"level{ell}_{kind}.npy" for ell in range(3) for kind in ("q", "qoi")
+        ] + ["meta.json"]
+        assert main(["estimate", path]) == 0
 
     def test_threads_override_keeps_cache_valid(self, tmp_path):
         out = tmp_path / "out"
@@ -357,6 +391,28 @@ class TestMethodSelection:
         assert (out / "report_mlmc_0.1.json").is_file()
         assert not (out / "report_mc_0.1.json").exists()
         assert not (out / "report_mlcv_0.1.json").exists()
+
+    def test_each_plan_allocated_once(self, tmp_path, monkeypatch):
+        from mlcv import control_variates, mlmc
+
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        assert main(["pilot", path]) == 0
+        calls = []
+
+        def counted(module, name):
+            allocate = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return allocate(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(mlmc, "allocate_mlmc")
+        counted(control_variates, "allocate_mlcv")
+        assert main(["estimate", path]) == 0
+        # one plan per (epsilon, method) for the two tolerances
+        assert sorted(calls) == ["allocate_mlcv"] * 2 + ["allocate_mlmc"] * 2
 
     def test_unknown_method_rejected_by_parser(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path / "out"))

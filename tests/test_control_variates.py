@@ -9,6 +9,7 @@ import pytest
 
 from mlcv import (
     PURPOSE_ORACLE,
+    PURPOSE_PILOT,
     PURPOSE_ZBAR,
     AllocationPlan,
     ConfigError,
@@ -105,23 +106,29 @@ class TestBuildReducedBasis:
         basis = build_reduced_basis(synthetic, 1, synthetic_pilot, rank=3)
         sel = basis.selected_pilot_indices
         assert np.all(np.diff(sel) > 0)
-        data = synthetic_pilot.levels[1]
-        assert np.array_equal(basis.coarse_basis, data.q_coarse[:, sel])
-        assert np.array_equal(basis.fine_basis, data.q_fine[:, sel])
-        assert np.array_equal(
-            synthetic.evaluate(0, synthetic_pilot.xi[sel]).q, basis.coarse_basis
+        assert np.array_equal(basis.coarse_basis, synthetic_pilot.levels[0].q[:, sel])
+        assert np.array_equal(basis.fine_basis, synthetic_pilot.levels[1].q[:, sel])
+        xi = draw_inputs(
+            synthetic_pilot.master_seed,
+            PURPOSE_PILOT,
+            0,
+            0,
+            synthetic_pilot.n_pilot,
+            synthetic.distributions,
         )
+        assert np.array_equal(synthetic.evaluate(0, xi[sel]).q, basis.coarse_basis)
+        assert np.array_equal(synthetic.evaluate(1, xi[sel]).q, basis.fine_basis)
         assert sel.size == basis.rank == 3
 
     def test_square_pilot_selects_everything(self, synthetic):
         pilot = pilot_mlmc(synthetic, 3, 5)
         basis = build_reduced_basis(synthetic, 1, pilot, rank=3)
         assert np.array_equal(basis.selected_pilot_indices, [0, 1, 2])
-        assert np.array_equal(basis.coarse_basis, pilot.levels[1].q_coarse)
+        assert np.array_equal(basis.coarse_basis, pilot.levels[0].q)
 
     def test_id_residual_bound(self, synthetic, synthetic_pilot):
         basis = build_reduced_basis(synthetic, 2, synthetic_pilot, rank=2)
-        u = synthetic_pilot.levels[2].q_coarse
+        u = synthetic_pilot.levels[1].q
         sigma = np.linalg.svd(u, compute_uv=False)
         n_cols = u.shape[1]
         assert basis.id_residual <= 1.5 * math.sqrt(2 * (n_cols - 2) + 1) * sigma[2]
@@ -139,10 +146,10 @@ class TestBuildReducedBasis:
 class TestSampleZ:
     def test_interpolates_exactly_at_basis_points(self, synthetic, synthetic_pilot):
         basis = build_reduced_basis(synthetic, 1, synthetic_pilot, rank=3)
-        data = synthetic_pilot.levels[1]
+        coarse = synthetic_pilot.levels[0]
         for k, idx in enumerate(basis.selected_pilot_indices):
-            z = sample_z(synthetic, basis, data.q_coarse[:, idx])
-            y = data.y[idx]
+            z = sample_z(synthetic, basis, coarse.q[:, idx])
+            y = synthetic_pilot.levels[1].y[idx]
             assert z[0] == pytest.approx(y, rel=1e-9, abs=1e-12)
 
     def test_reproduces_y_on_exact_low_rank_model(self, synthetic_exact):
@@ -157,17 +164,17 @@ class TestSampleZ:
 
     def test_batch_consistent_with_columns(self, synthetic, synthetic_pilot):
         basis = build_reduced_basis(synthetic, 1, synthetic_pilot, rank=3)
-        data = synthetic_pilot.levels[1]
-        batch = sample_z(synthetic, basis, data.q_coarse[:, :6], data.qoi_coarse[:6])
+        coarse = synthetic_pilot.levels[0]
+        batch = sample_z(synthetic, basis, coarse.q[:, :6], coarse.qoi[:6])
         for j in range(6):
-            single = sample_z(synthetic, basis, data.q_coarse[:, j])
+            single = sample_z(synthetic, basis, coarse.q[:, j])
             assert single[0] == pytest.approx(batch[j], rel=1e-10, abs=1e-13)
 
     def test_high_correlation_with_y(self, synthetic, synthetic_pilot):
         basis = build_reduced_basis(synthetic, 1, synthetic_pilot, rank=3)
-        data = synthetic_pilot.levels[1]
-        z = sample_z(synthetic, basis, data.q_coarse, data.qoi_coarse)
-        rho2, degenerate = rho_squared(data.y, z)
+        coarse = synthetic_pilot.levels[0]
+        z = sample_z(synthetic, basis, coarse.q, coarse.qoi)
+        rho2, degenerate = rho_squared(synthetic_pilot.levels[1].y, z)
         assert not degenerate
         assert rho2 >= 0.99
 
@@ -199,8 +206,8 @@ class TestEstimateZbar:
         # with the small correction variance rather than the QoI variance
         xi = draw_inputs(5, PURPOSE_ORACLE, 1, 0, 100_000, synthetic_exact.distributions)
         y = synthetic_exact.evaluate(1, xi).qoi - synthetic_exact.evaluate(0, xi).qoi
-        data = pilot.levels[1]
-        z = sample_z(synthetic_exact, basis, data.q_coarse, data.qoi_coarse)
+        coarse = pilot.levels[0]
+        z = sample_z(synthetic_exact, basis, coarse.q, coarse.qoi)
         sigma_z = math.sqrt(np.var(z, ddof=1))
         tol = 3.0 * (sigma_z / math.sqrt(n_prime) + y.std(ddof=1) / math.sqrt(y.size))
         assert abs(zbar - y.mean()) <= tol
@@ -239,8 +246,8 @@ class TestPrepareControlVariates:
 
     def test_pilot_z_matches_sample_z(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
-        data = synthetic_pilot.levels[1]
-        z = sample_z(synthetic, setup.bases[1], data.q_coarse, data.qoi_coarse)
+        coarse = synthetic_pilot.levels[0]
+        z = sample_z(synthetic, setup.bases[1], coarse.q, coarse.qoi)
         assert np.array_equal(setup.pilot_z[1], z)
 
     def test_force_rho2_zero_disables_everything(self, synthetic, synthetic_pilot):

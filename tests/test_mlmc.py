@@ -13,13 +13,16 @@ from mlcv import (
     N_MIN,
     PURPOSE_MAIN_Y,
     PURPOSE_ORACLE,
+    PURPOSE_PILOT,
     AllocationPlan,
     ConfigError,
     DataError,
     Diffusion1D,
     DimensionError,
     LevelHierarchy,
+    LevelOutput,
     LevelStats,
+    SyntheticLowRank,
     allocate_mlmc,
     allocate_samples,
     bias_check,
@@ -132,7 +135,7 @@ class TestPilotMlmc:
         b = pilot_mlmc(synthetic, 25, 7)
         for la, lb in zip(a.levels, b.levels):
             assert np.array_equal(la.y, lb.y)
-            assert np.array_equal(la.q_fine, lb.q_fine)
+            assert np.array_equal(la.q, lb.q)
         for sa, sb in zip(a.stats, b.stats):
             assert sa.mean_y == sb.mean_y
             assert sa.var_y == sb.var_y
@@ -144,16 +147,34 @@ class TestPilotMlmc:
             assert s.n_samples == synthetic_pilot.n_pilot
             assert s.mean_y == mc_mean(data.y)
             assert s.var_y == sample_variance(data.y)
-            assert s.mean_q == mc_mean(data.qoi_fine)
+            assert s.mean_q == mc_mean(data.qoi)
 
-    def test_same_inputs_shared_across_levels(self, synthetic_pilot):
-        """Every level's coarse evaluation reuses the pilot input set, so it
-        equals the previous level's fine evaluation bitwise."""
+    def test_same_inputs_shared_across_levels(self, synthetic, synthetic_pilot):
+        """Every level is evaluated at the one pilot input set, so a coupled
+        evaluation there returns the previous level's pilot output bitwise
+        as its coarse half; that is why the pilot solves each level once."""
+        n = synthetic_pilot.n_pilot
+        xi = draw_inputs(
+            synthetic_pilot.master_seed, PURPOSE_PILOT, 0, 0, n, synthetic.distributions
+        )
         for level in (1, 2):
-            cur = synthetic_pilot.levels[level]
+            fine, coarse = mlmc_module.evaluate_coupled(synthetic, level, xi)
             prev = synthetic_pilot.levels[level - 1]
-            assert np.array_equal(cur.qoi_coarse, prev.qoi_fine)
-            assert np.array_equal(cur.q_coarse, prev.q_fine)
+            assert np.array_equal(coarse.qoi, prev.qoi)
+            assert np.array_equal(coarse.q, prev.q)
+            assert np.array_equal(fine.qoi - coarse.qoi, synthetic_pilot.levels[level].y)
+
+    def test_each_level_evaluated_once(self, monkeypatch):
+        h = SyntheticLowRank(r_true=3, m0=8, refine=2, num_levels=3, input_dim=4)
+        evaluate, calls = h.evaluate, []
+
+        def counted(level, xi):
+            calls.append((level, len(xi)))
+            return evaluate(level, xi)
+
+        monkeypatch.setattr(h, "evaluate", counted)
+        pilot_mlmc(h, 25, 7)
+        assert calls == [(level, 25) for level in range(h.n_levels)]
 
     def test_level_means_telescope(self, synthetic_pilot):
         total = sum(s.mean_y for s in synthetic_pilot.stats)
@@ -182,11 +203,12 @@ class TestPilotMlmc:
         assert all(s.cost_fine > 0 for s in measured)
         assert all(s.cost_coarse > 0 for s in measured if s.level > 0)
         assert measured[0].cost_coarse == 0.0
+        for prev, cur in zip(synthetic_pilot.stats, synthetic_pilot.stats[1:]):
+            assert cur.seconds_coarse == prev.seconds_fine
 
     def test_measured_costs_require_timings(self):
         stats = [make_stats(0, 1.0, 1.0), make_stats(1, 1.0, 2.0, 1.0)]
-        fake = mlmc_module.PilotRun(master_seed=0, n_pilot=2, xi=np.zeros((2, 1)), levels=[])
-        fake.stats = stats
+        fake = mlmc_module.PilotRun(master_seed=0, n_pilot=2, levels=[], stats=stats)
         with pytest.raises(DataError):
             with_measured_costs(fake)
 
@@ -285,7 +307,7 @@ class ScaledHierarchy(LevelHierarchy):
 
     def evaluate(self, level, xi):
         out = self._parent.evaluate(level, xi)
-        return mlmc_module.LevelOutput(q=2.0 * out.q, qoi=self._factor * out.qoi)
+        return LevelOutput(q=2.0 * out.q, qoi=self._factor * out.qoi)
 
     def qoi(self, level, q):
         return self._factor * self._parent.qoi(level, q)
