@@ -98,18 +98,30 @@ def save_measured_timings(cache_dir: Path, pilot: PilotRun) -> None:
     _write_text(Path(cache_dir) / _TIMINGS, canonical_json(seconds))
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(
+            f"{path} is not valid JSON ({exc}): re-run the pilot command"
+        ) from None
+
+
 def _read_meta(cache_dir: Path) -> dict:
     path = cache_dir / _META
     if not path.is_file():
         raise DataError(
             f"no pilot cache at {cache_dir}: run the pilot command first"
         )
-    meta = json.loads(path.read_text(encoding="utf-8"))
-    if meta.get("schema") != CACHE_SCHEMA:
+    meta = _read_json(path)
+    schema = meta.get("schema") if isinstance(meta, dict) else None
+    if schema != CACHE_SCHEMA:
         raise DataError(
-            f"unsupported cache schema {meta.get('schema')!r}: "
-            "re-run the pilot command"
+            f"unsupported cache schema {schema!r}: re-run the pilot command"
         )
+    missing = [k for k in ("pilot_key", "n_levels", "n_pilot", "master_seed") if k not in meta]
+    if missing:
+        raise DataError(f"{path} lacks {', '.join(missing)}: re-run the pilot command")
     return meta
 
 
@@ -137,8 +149,8 @@ def load_pilot_cache(
     timings_path = cache_dir / _TIMINGS
     seconds = [0.0] * n_levels
     if timings_path.is_file():
-        seconds = json.loads(timings_path.read_text(encoding="utf-8"))
-        if len(seconds) != n_levels:
+        seconds = _read_json(timings_path)
+        if not isinstance(seconds, list) or len(seconds) != n_levels:
             raise DataError(f"{timings_path} does not hold one time per level")
     n = int(meta["n_pilot"])
     outputs = [

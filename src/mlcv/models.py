@@ -480,30 +480,29 @@ class SyntheticLowRank(LevelHierarchy):
 # 1-D lognormal diffusion
 
 
-def _solve_tridiagonal_batch(lower, diag, upper, rhs):
-    """Thomas elimination along axis 1 for a batch of tridiagonal systems.
+def _solve_tridiagonal_batch(diag, off, rhs):
+    """Thomas elimination along axis 0 for a batch of symmetric tridiagonal
+    systems with a common scalar right-hand side.
 
-    Shapes: diag and rhs (n, m); lower and upper (n, m-1).  Callers must
-    guarantee diagonal dominance (true for the elliptic systems assembled
-    here), so no pivoting is needed.
+    Shapes: diag (m, n) and off (m - 1, n), column j holding system j; the
+    result is the (m, n) C-contiguous solution.  Each step updates one
+    contiguous row of n samples.  Callers must guarantee m >= 2 and diagonal
+    dominance (true for the elliptic systems assembled here), so no pivoting
+    is needed.
     """
-    n, m = diag.shape
-    if m == 1:
-        return rhs / diag
-    cp = np.empty((n, m - 1))
-    dp = np.empty((n, m))
-    cp[:, 0] = upper[:, 0] / diag[:, 0]
-    dp[:, 0] = rhs[:, 0] / diag[:, 0]
+    m, n = diag.shape
+    cp = np.empty((m - 1, n))
+    dp = np.empty((m, n))
+    cp[0] = off[0] / diag[0]
+    dp[0] = rhs / diag[0]
     for i in range(1, m):
-        denom = diag[:, i] - lower[:, i - 1] * cp[:, i - 1]
+        denom = diag[i] - off[i - 1] * cp[i - 1]
         if i < m - 1:
-            cp[:, i] = upper[:, i] / denom
-        dp[:, i] = (rhs[:, i] - lower[:, i - 1] * dp[:, i - 1]) / denom
-    x = np.empty((n, m))
-    x[:, -1] = dp[:, -1]
+            cp[i] = off[i] / denom
+        dp[i] = (rhs - off[i - 1] * dp[i - 1]) / denom
     for i in range(m - 2, -1, -1):
-        x[:, i] = dp[:, i] - cp[:, i] * x[:, i + 1]
-    return x
+        dp[i] -= cp[i] * dp[i + 1]
+    return dp
 
 
 class Diffusion1D(LevelHierarchy):
@@ -513,7 +512,8 @@ class Diffusion1D(LevelHierarchy):
     midpoints of each level's grid (modes are linearly interpolated from the
     KL reference grid).  Discretization is the standard conservative
     second-order finite-difference scheme with harmonic-free midpoint
-    coefficients, solved by a batched Thomas sweep.
+    coefficients, solved by a node-major Thomas sweep (one contiguous row of
+    samples per step).
 
     ``qoi="integral_of_u"`` returns q = interior solution values and Q =
     trapezoid integral of u.  ``qoi="flux_at_left"`` returns q = the
@@ -619,27 +619,22 @@ class Diffusion1D(LevelHierarchy):
     def evaluate(self, level: int, xi) -> LevelOutput:
         self.check_level(level)
         z = self._check_inputs(xi)
-        m = self._grids[level]
         h = self._h[level]
-        a = self._coefficient(level, z)  # (n, m + 1) at midpoints
-        diag = a[:, :-1] + a[:, 1:]
-        lower = -a[:, 1:-1]
-        upper = -a[:, 1:-1]
-        rhs = np.full((z.shape[0], m), h * h)
-        u = _solve_tridiagonal_batch(lower, diag, upper, rhs)
+        a = np.ascontiguousarray(self._coefficient(level, z).T)  # (m + 1, n) at midpoints
+        u = _solve_tridiagonal_batch(a[:-1] + a[1:], -a[1:-1], h * h)
         if not np.all(np.isfinite(u)):
-            bad = int(np.nonzero(~np.all(np.isfinite(u), axis=1))[0][0])
+            bad = int(np.nonzero(~np.all(np.isfinite(u), axis=0))[0][0])
             raise NumericalError(
                 f"tridiagonal solve produced non-finite values at level {level} "
                 f"for input row {bad}: xi={z[bad]}"
             )
         if self.qoi_kind == "integral_of_u":
-            q = u.T
-        else:
-            upad = np.zeros((z.shape[0], m + 2))
-            upad[:, 1:-1] = u
-            q = (-a * np.diff(upad, axis=1) / h).T
-        return LevelOutput(q=np.ascontiguousarray(q), qoi=self.qoi(level, q))
+            # transposed so each sample sums contiguously, in numpy's pairwise order
+            return LevelOutput(q=u, qoi=h * np.ascontiguousarray(u.T).sum(axis=1))
+        upad = np.zeros((u.shape[0] + 2, u.shape[1]))
+        upad[1:-1] = u
+        q = -a * np.diff(upad, axis=0) / h
+        return LevelOutput(q=q, qoi=self.qoi(level, q))
 
     def qoi(self, level: int, q) -> np.ndarray:
         self.check_level(level)

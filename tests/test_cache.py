@@ -95,6 +95,22 @@ class TestPilotCache:
         with pytest.raises(DataError, match="schema"):
             load_pilot_cache(tmp_path, synthetic, "key-1")
 
+    @pytest.mark.parametrize("text", ['{"schema": 2', "", "[2]"])
+    def test_malformed_meta_rejected(self, tmp_path, synthetic, synthetic_pilot, text):
+        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
+        (tmp_path / "meta.json").write_text(text)
+        with pytest.raises(DataError, match="re-run the pilot"):
+            load_pilot_cache(tmp_path, synthetic, "key-1")
+
+    @pytest.mark.parametrize("key", ["pilot_key", "n_levels", "n_pilot", "master_seed"])
+    def test_missing_meta_key_rejected(self, tmp_path, synthetic, synthetic_pilot, key):
+        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        del meta[key]
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DataError, match=f"lacks {key}: re-run the pilot"):
+            load_pilot_cache(tmp_path, synthetic, "key-1")
+
     @pytest.mark.parametrize(
         "name", ["level0_qoi.npy", "level1_qoi.npy", "level1_q.npy", "level2_q.npy"]
     )
@@ -128,6 +144,12 @@ class TestPilotCache:
         save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
         (tmp_path / "timings.json").write_text("[0.1,0.2]\n")
         with pytest.raises(DataError, match="one time per level"):
+            load_pilot_cache(tmp_path, synthetic, "key-1")
+
+    def test_malformed_timings_rejected(self, tmp_path, synthetic, synthetic_pilot):
+        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
+        (tmp_path / "timings.json").write_text("[0.1,0.2,")
+        with pytest.raises(DataError, match="timings.json is not valid JSON"):
             load_pilot_cache(tmp_path, synthetic, "key-1")
 
     def test_timings_default_to_zero(self, tmp_path, synthetic, synthetic_pilot):

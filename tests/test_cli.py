@@ -375,6 +375,16 @@ class TestReproducibility:
         ] + ["meta.json"]
         assert main(["estimate", path]) == 0
 
+    def test_truncated_cache_meta_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out, methods=["mlmc"]))
+        assert main(["pilot", path]) == 0
+        meta = out / "cache" / "meta.json"
+        meta.write_text(meta.read_text()[:12])
+        capsys.readouterr()
+        assert main(["estimate", path]) == 2
+        assert "re-run the pilot" in capsys.readouterr().err
+
     def test_threads_override_keeps_cache_valid(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out, epsilon=[0.1]))

@@ -12,6 +12,7 @@ from mlcv import (
     DimensionError,
     ExponentialKernel,
     LevelSubset,
+    NumericalError,
     SquaredExponentialKernel,
     SyntheticLowRank,
     draw_inputs,
@@ -23,6 +24,25 @@ from mlcv import (
     trapezoid_weights,
     uniform,
 )
+
+
+def _thomas_reference(a, h):
+    """One system solved in plain Python floats, with the multiply and the
+    subtract of each update done separately, as the batched sweep does."""
+    m = len(a) - 1
+    diag = [a[i] + a[i + 1] for i in range(m)]
+    off = [-a[i + 1] for i in range(m - 1)]
+    rhs = h * h
+    cp = [off[0] / diag[0]]
+    dp = [rhs / diag[0]]
+    for i in range(1, m):
+        denom = diag[i] - off[i - 1] * cp[i - 1]
+        if i < m - 1:
+            cp.append(off[i] / denom)
+        dp.append((rhs - off[i - 1] * dp[i - 1]) / denom)
+    for i in range(m - 2, -1, -1):
+        dp[i] = dp[i] - cp[i] * dp[i + 1]
+    return dp
 
 
 class TestKernels:
@@ -292,6 +312,37 @@ class TestDiffusion1D:
             )
             resid = mat @ out.q[:, j] - step * step
             assert np.linalg.norm(resid) < 1e-12
+
+    @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
+    def test_solver_matches_scalar_reference_bitwise(self, qoi):
+        h = Diffusion1D(grids=(2, 5, 11, 23, 47, 95, 191), n_modes=4, kl_grid_n=65, qoi=qoi)
+        xi = draw_inputs(11, PURPOSE_PILOT, 0, 0, 4, h.distributions)
+        for level in range(h.n_levels):
+            out = h.evaluate(level, xi)
+            assert out.q.shape == (h.output_dim(level), 4)
+            assert out.q.flags.c_contiguous
+            step = 1.0 / (h.dofs(level) + 1)
+            a = h._coefficient(level, xi)
+            for j in range(4):
+                u = _thomas_reference(a[j].tolist(), step)
+                if qoi == "integral_of_u":
+                    q = u
+                    qoi_j = step * np.sum(np.array(q))
+                else:
+                    upad = [0.0] + u + [0.0]
+                    q = [-a[j, k] * (upad[k + 1] - upad[k]) / step for k in range(len(u) + 1)]
+                    qoi_j = 1.5 * q[0] - 0.5 * q[1]
+                assert out.q[:, j].tobytes() == np.array(q).tobytes()
+                assert out.qoi[j] == qoi_j
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_non_finite_solve_names_input_row(self, level):
+        h = Diffusion1D(grids=(9, 19), n_modes=4, kl_grid_n=65)
+        xi = np.zeros((5, 4))
+        xi[2, 0] = 1e4
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+            h.evaluate(level, xi)
+        assert f"at level {level} for input row 2: xi=[10000." in str(err.value)
 
     def test_coefficient_positive(self):
         h = Diffusion1D(grids=(9, 19), n_modes=4, sigma2=1.5, kl_grid_n=65)
