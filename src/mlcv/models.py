@@ -480,19 +480,27 @@ class SyntheticLowRank(LevelHierarchy):
 # 1-D lognormal diffusion
 
 
-def _solve_tridiagonal_batch(diag, off, rhs):
+# Doubles per column block of Diffusion1D.evaluate (4 MB): each block's
+# transposed coefficient, diag, off and elimination factors are this size.
+# Whole-batch intermediates would fault in about 1 GB of fresh pages per
+# 65,536-sample solve at m = 255, and the kernel time for that changes from
+# call to call (0.14-0.51 s of a 0.88-1.22 s call on a 2-core VM).
+_BLOCK_DOUBLES = 1 << 19
+
+
+def _solve_tridiagonal_batch(diag, off, rhs, out):
     """Thomas elimination along axis 0 for a batch of symmetric tridiagonal
     systems with a common scalar right-hand side.
 
-    Shapes: diag (m, n) and off (m - 1, n), column j holding system j; the
-    result is the (m, n) C-contiguous solution.  Each step updates one
-    contiguous row of n samples.  Callers must guarantee m >= 2 and diagonal
-    dominance (true for the elliptic systems assembled here), so no pivoting
-    is needed.
+    Shapes: diag and out (m, n), off (m - 1, n), column j holding system j;
+    the solution is written into ``out``.  Each step updates one row of n
+    samples.  Callers must guarantee m >= 2
+    and diagonal dominance (true for the elliptic systems assembled here), so
+    no pivoting is needed.
     """
     m, n = diag.shape
     cp = np.empty((m - 1, n))
-    dp = np.empty((m, n))
+    dp = out
     cp[0] = off[0] / diag[0]
     dp[0] = rhs / diag[0]
     for i in range(1, m):
@@ -502,7 +510,6 @@ def _solve_tridiagonal_batch(diag, off, rhs):
         dp[i] = (rhs - off[i - 1] * dp[i - 1]) / denom
     for i in range(m - 2, -1, -1):
         dp[i] -= cp[i] * dp[i + 1]
-    return dp
 
 
 class Diffusion1D(LevelHierarchy):
@@ -513,7 +520,7 @@ class Diffusion1D(LevelHierarchy):
     KL reference grid).  Discretization is the standard conservative
     second-order finite-difference scheme with harmonic-free midpoint
     coefficients, solved by a node-major Thomas sweep (one contiguous row of
-    samples per step).
+    samples per step) over column blocks of the batch.
 
     ``qoi="integral_of_u"`` returns q = interior solution values and Q =
     trapezoid integral of u.  ``qoi="flux_at_left"`` returns q = the
@@ -614,27 +621,43 @@ class Diffusion1D(LevelHierarchy):
         if self.constant_coefficient:
             return np.ones((z.shape[0], self._grids[level] + 1))
         g = z @ self._mid_modes[level].T
-        return self.mean_coefficient + np.exp(g)
+        np.exp(g, out=g)
+        g += self.mean_coefficient
+        return g
 
     def evaluate(self, level: int, xi) -> LevelOutput:
         self.check_level(level)
         z = self._check_inputs(xi)
         h = self._h[level]
-        a = np.ascontiguousarray(self._coefficient(level, z).T)  # (m + 1, n) at midpoints
-        u = _solve_tridiagonal_batch(a[:-1] + a[1:], -a[1:-1], h * h)
-        if not np.all(np.isfinite(u)):
-            bad = int(np.nonzero(~np.all(np.isfinite(u), axis=0))[0][0])
-            raise NumericalError(
-                f"tridiagonal solve produced non-finite values at level {level} "
-                f"for input row {bad}: xi={z[bad]}"
-            )
-        if self.qoi_kind == "integral_of_u":
-            # transposed so each sample sums contiguously, in numpy's pairwise order
-            return LevelOutput(q=u, qoi=h * np.ascontiguousarray(u.T).sum(axis=1))
-        upad = np.zeros((u.shape[0] + 2, u.shape[1]))
-        upad[1:-1] = u
-        q = -a * np.diff(upad, axis=0) / h
-        return LevelOutput(q=q, qoi=self.qoi(level, q))
+        coef = self._coefficient(level, z)  # (n, m + 1) at midpoints
+        n, m = coef.shape[0], coef.shape[1] - 1
+        q = np.empty((self.output_dim(level), n))
+        qoi = np.empty(n)
+        width = max(1, _BLOCK_DOUBLES // (m + 1))
+        for start in range(0, n, width):
+            cols = slice(start, start + width)
+            a = np.ascontiguousarray(coef[cols].T)  # (m + 1, block)
+            if self.qoi_kind == "integral_of_u":
+                u = q[:, cols]
+            else:
+                upad = np.zeros((m + 2, a.shape[1]))
+                u = upad[1:-1]
+            _solve_tridiagonal_batch(a[:-1] + a[1:], -a[1:-1], h * h, u)
+            finite = np.all(np.isfinite(u), axis=0)
+            if not finite.all():
+                bad = start + int(np.nonzero(~finite)[0][0])
+                raise NumericalError(
+                    f"tridiagonal solve produced non-finite values at level {level} "
+                    f"for input row {bad}: xi={z[bad]}"
+                )
+            if self.qoi_kind == "integral_of_u":
+                # transposed so each sample sums contiguously, in numpy's pairwise order
+                qoi[cols] = h * np.ascontiguousarray(u.T).sum(axis=1)
+            else:
+                q[:, cols] = -a * np.diff(upad, axis=0) / h
+        if self.qoi_kind != "integral_of_u":
+            qoi = self.qoi(level, q)
+        return LevelOutput(q=q, qoi=qoi)
 
     def qoi(self, level: int, q) -> np.ndarray:
         self.check_level(level)

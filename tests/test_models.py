@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mlcv import models as models_module
 from mlcv import (
     PURPOSE_PILOT,
     ConfigError,
@@ -343,6 +344,28 @@ class TestDiffusion1D:
         with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
             h.evaluate(level, xi)
         assert f"at level {level} for input row 2: xi=[10000." in str(err.value)
+
+    @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
+    def test_column_blocks_do_not_change_bits(self, qoi, monkeypatch):
+        h = Diffusion1D(grids=(2, 5, 11), n_modes=4, kl_grid_n=65, qoi=qoi)
+        xi = draw_inputs(5, PURPOSE_PILOT, 0, 0, 10, h.distributions)
+        whole = [h.evaluate(level, xi) for level in range(h.n_levels)]
+        for level, ref in enumerate(whole):
+            # 3 samples per block: blocks of 3, 3, 3 and 1 columns
+            monkeypatch.setattr(models_module, "_BLOCK_DOUBLES", 3 * (h.dofs(level) + 1))
+            out = h.evaluate(level, xi)
+            assert out.q.flags.c_contiguous
+            assert out.q.tobytes() == ref.q.tobytes()
+            assert out.qoi.tobytes() == ref.qoi.tobytes()
+
+    def test_non_finite_solve_names_row_of_later_block(self, monkeypatch):
+        h = Diffusion1D(grids=(9, 19), n_modes=4, kl_grid_n=65)
+        monkeypatch.setattr(models_module, "_BLOCK_DOUBLES", 2 * 10)
+        xi = np.zeros((5, 4))
+        xi[3, 0] = 1e4
+        with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+            h.evaluate(0, xi)
+        assert "at level 0 for input row 3: xi=[10000." in str(err.value)
 
     def test_coefficient_positive(self):
         h = Diffusion1D(grids=(9, 19), n_modes=4, sigma2=1.5, kl_grid_n=65)
