@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -54,7 +55,13 @@ def _save_array(path: Path, a: np.ndarray) -> None:
 def _load_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
     if not path.is_file():
         raise DataError(f"cache file missing: {path}")
-    a = np.load(path, allow_pickle=False)
+    try:
+        a = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise DataError(
+            f"cache file {path} is not a readable array ({exc}): "
+            "re-run the pilot command"
+        ) from None
     if a.shape != shape:
         raise DataError(
             f"cache file {path} has shape {a.shape}, expected {shape}: "
@@ -122,6 +129,12 @@ def _read_meta(cache_dir: Path) -> dict:
     missing = [k for k in ("pilot_key", "n_levels", "n_pilot", "master_seed") if k not in meta]
     if missing:
         raise DataError(f"{path} lacks {', '.join(missing)}: re-run the pilot command")
+    # exact types: JSON gives bool for true/false, which isinstance counts as int
+    bad = [k for k in ("n_levels", "n_pilot", "master_seed") if type(meta[k]) is not int]
+    if type(meta["pilot_key"]) is not str:
+        bad.append("pilot_key")
+    if bad:
+        raise DataError(f"{path} has a malformed {', '.join(bad)}: re-run the pilot command")
     return meta
 
 
@@ -152,7 +165,13 @@ def load_pilot_cache(
         seconds = _read_json(timings_path)
         if not isinstance(seconds, list) or len(seconds) != n_levels:
             raise DataError(f"{timings_path} does not hold one time per level")
-    n = int(meta["n_pilot"])
+        for t in seconds:
+            if type(t) not in (int, float) or not (t >= 0 and math.isfinite(t)):
+                raise DataError(
+                    f"{timings_path} holds {t!r}, not a time in seconds: "
+                    "re-run the pilot command"
+                )
+    n = meta["n_pilot"]
     outputs = [
         (
             _load_array(cache_dir / f"level{ell}_q.npy", (hierarchy.output_dim(ell), n)),
@@ -161,7 +180,7 @@ def load_pilot_cache(
         )
         for ell in range(n_levels)
     ]
-    return _build_pilot(hierarchy, int(meta["master_seed"]), n, outputs)
+    return _build_pilot(hierarchy, meta["master_seed"], n, outputs)
 
 
 def load_setup(

@@ -175,6 +175,10 @@ def normalize_config(raw) -> dict:
         value = _want_number(e, f"epsilon[{i}]")
         if value <= 0:
             _fail(f"epsilon[{i}]", f"must be positive, got {e!r}")
+        tag = _eps_tag(value)
+        earlier = [j for j, v in enumerate(checked) if _eps_tag(v) == tag]
+        if earlier:
+            _fail(f"epsilon[{i}]", f"{e!r} shares report names with epsilon[{earlier[0]}]")
         checked.append(value)
     cfg["epsilon"] = checked
 

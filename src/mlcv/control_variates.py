@@ -13,6 +13,8 @@ and subtracted:
 
 with theta chosen from pilot moments.  The level variance drops by the
 factor 1 - rho^2 / (1 + Ntilde/Nprime), which is what the allocation uses.
+The estimator is the multilevel one of ``mlmc`` with W in place of Y on the
+enabled levels; with no level enabled it is plain MLMC, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,14 +34,14 @@ from .mlmc import (
     LevelStats,
     PilotRun,
     _check_epsilon,
-    _level_y_moments,
     _stream_moments,
+    _telescope,
     allocate_samples,
     counted_cost,
     pair_counts,
 )
 from .models import LevelHierarchy, evaluate_coupled
-from .streams import PURPOSE_MAIN_Y, PURPOSE_ZBAR
+from .streams import PURPOSE_ZBAR
 
 # Default cap on Nprime / Ntilde: past this, extra mean-pinning samples buy
 # almost nothing.
@@ -329,7 +331,7 @@ def allocate_mlcv(
     for st, cfg in zip(level_stats, configs):
         v_eff.append(st.var_y * cfg.mse_factor)
     costs = [st.unit_cost for st in level_stats]
-    counts, degenerate = allocate_samples(v_eff, costs, epsilon, n_min)
+    counts, _ = allocate_samples(v_eff, costs, epsilon, n_min)
     n_prime = tuple(
         math.ceil(cfg.multiplier * n) if cfg.enabled else 0
         for cfg, n in zip(configs, counts)
@@ -338,16 +340,7 @@ def allocate_mlcv(
         epsilon=_check_epsilon(epsilon),
         n_samples=counts,
         n_prime=n_prime,
-        degenerate=degenerate,
     )
-
-
-def _recycle_indices(n_pilot: int, consumed: np.ndarray | None) -> np.ndarray:
-    if consumed is None or consumed.size == 0:
-        return np.arange(n_pilot)
-    mask = np.ones(n_pilot, dtype=bool)
-    mask[consumed] = False
-    return np.nonzero(mask)[0]
 
 
 def _controlled(
@@ -376,8 +369,7 @@ def run_mlcv(
     Per enabled level: the auxiliary mean Zbar comes first from its own
     stream (coarse solves only); the coupled samples then replay the pilot
     pairs not consumed by the basis and top up from the level's main stream.
-    Disabled levels (including level 0) fall back to plain correction means
-    over the same streams a plain multilevel run would use, replaying all
+    Disabled levels (including level 0) are plain MLMC levels, replaying all
     pilot samples.
     """
     n_levels = hierarchy.n_levels
@@ -389,61 +381,22 @@ def run_mlcv(
         raise ConfigError("plan lacks auxiliary counts; use allocate_mlcv")
     seed = pilot.master_seed if master_seed is None else master_seed
 
-    level_means: list[float] = []
-    level_vars: list[float] = []
-    counts: list[LevelEvalCounts] = []
-    zbars: list[float] = []
-    error_terms: list[float] = []
-
-    for ell in range(n_levels):
-        n = plan.n_samples[ell]
-        if n < 1:
-            raise ConfigError(f"plan requests {n} samples at level {ell}")
-        cfg = setup.configs[ell]
-        basis = setup.bases[ell]
-        data = pilot.levels[ell]
-        st = pilot.stats[ell]
-
-        if ell == 0 or not cfg.enabled or basis is None:
-            moments, level_counts = _level_y_moments(hierarchy, ell, n, pilot, seed)
-            counts.append(level_counts)
-            zbars.append(0.0)
-            error_terms.append(st.var_y / n)
-        else:
-            n_prime = plan.n_prime[ell]
-            zbar = estimate_zbar(hierarchy, basis, n_prime, seed)
-            recyclable = _recycle_indices(pilot.n_pilot, basis.selected_pilot_indices)
-            take = recyclable[: min(n, recyclable.size)]
-            w_pilot = data.y[take] - cfg.theta * (setup.pilot_z[ell][take] - zbar)
-            fresh_n = n - take.size
-            moments = _stream_moments(
-                hierarchy,
-                seed,
-                PURPOSE_MAIN_Y,
-                ell,
-                fresh_n,
-                _controlled(hierarchy, basis, cfg.theta, zbar),
-                w_pilot,
-            )
-            counts.append(pair_counts(ell, pilot.n_pilot + fresh_n, n_prime))
-            zbars.append(zbar)
-            error_terms.append((st.var_y / n) * cfg.mse_factor)
-
-        level_means.append(moments.mean)
-        level_vars.append(moments.variance)
-
-    return EstimatorResult(
-        method="mlcv",
-        estimate=float(sum(level_means)),
-        level_estimates=tuple(level_means),
-        n_samples=plan.n_samples,
-        sampling_error=float(sum(error_terms)),
-        total_cost=counted_cost(counts, pilot.stats),
-        eval_counts=tuple(counts),
-        master_seed=seed,
-        sample_variances=tuple(level_vars),
-        zbar_values=tuple(zbars),
-    )
+    controls = {}
+    for ell, (cfg, basis) in enumerate(zip(setup.configs, setup.bases)):
+        if not cfg.enabled or basis is None:
+            continue
+        n_prime = plan.n_prime[ell]
+        zbar = estimate_zbar(hierarchy, basis, n_prime, seed)
+        keep = np.delete(np.arange(pilot.n_pilot), basis.selected_pilot_indices)
+        w_pilot = pilot.levels[ell].y[keep] - cfg.theta * (setup.pilot_z[ell][keep] - zbar)
+        controls[ell] = (
+            _controlled(hierarchy, basis, cfg.theta, zbar),
+            w_pilot,
+            n_prime,
+            zbar,
+            cfg.mse_factor,
+        )
+    return _telescope("mlcv", hierarchy, plan, pilot, seed, controls)
 
 
 def nominal_mlcv_cost(

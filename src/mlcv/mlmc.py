@@ -10,6 +10,8 @@ cost subject to the summed sampling variance staying within epsilon^2 / 2,
 which gives counts proportional to sqrt(V_l / C_l).  Pilot samples are
 replayed at the start of each level's main run so their cost is not paid
 twice; the cost ledger still charges each pilot sample as a coupled pair.
+One level loop runs both estimators: plain MLMC is the control-variate
+estimator of ``control_variates`` with no controlled level.
 """
 
 from __future__ import annotations
@@ -238,10 +240,6 @@ class AllocationPlan:
     epsilon: float
     n_samples: tuple[int, ...]
     n_prime: tuple[int, ...] | None = None
-    degenerate: bool = False
-
-    def sampling_variance(self, variances) -> float:
-        return float(sum(v / n for v, n in zip(variances, self.n_samples)))
 
 
 def _check_epsilon(epsilon: float) -> float:
@@ -422,8 +420,8 @@ def allocate_mlmc(level_stats: list[LevelStats], epsilon: float, n_min: int = N_
     """Standard multilevel plan from pilot variances and declared costs."""
     v = [s.var_y for s in level_stats]
     c = [s.unit_cost for s in level_stats]
-    counts, degenerate = allocate_samples(v, c, epsilon, n_min)
-    return AllocationPlan(epsilon=_check_epsilon(epsilon), n_samples=counts, degenerate=degenerate)
+    counts, _ = allocate_samples(v, c, epsilon, n_min)
+    return AllocationPlan(epsilon=_check_epsilon(epsilon), n_samples=counts)
 
 
 def mc_cost_reference(finest_stats: LevelStats, epsilon: float) -> float:
@@ -537,28 +535,62 @@ def _correction(hierarchy: LevelHierarchy, level: int):
     return y
 
 
-def _level_y_moments(
+def _telescope(
+    method: str,
     hierarchy: LevelHierarchy,
-    level: int,
-    n: int,
+    plan: AllocationPlan,
     pilot: PilotRun,
-    master_seed: int,
-) -> tuple[stats.RunningMoments, LevelEvalCounts]:
-    """Moments of n Y samples at one level: replayed pilot samples first,
-    then fresh draws from the level's main stream.  Returns the moments and
-    the solves they cost, pilot solves included."""
-    reused = pilot.levels[level].y[:n]
-    fresh_n = n - reused.size
-    moments = _stream_moments(
-        hierarchy,
-        master_seed,
-        PURPOSE_MAIN_Y,
-        level,
-        fresh_n,
-        _correction(hierarchy, level),
-        reused,
+    seed: int,
+    controls: dict,
+) -> EstimatorResult:
+    """The multilevel estimator: the sum over levels of mean corrections.
+
+    Each level reduces the first ``n`` replayed pilot samples, then fresh
+    draws from its main stream.  ``controls`` maps a level to
+    ``(values_of, replay, n_prime, zbar, mse_factor)``: the per-batch map and
+    pilot replay of its controlled corrections, the auxiliary coarse solves
+    behind ``zbar``, and the factor shrinking its variance term.  A level
+    without an entry replays its pilot Y and samples ``_correction``, so with
+    no controls this is plain MLMC.  Logged counts include the pilot solves.
+    """
+    n_levels = hierarchy.n_levels
+    if len(plan.n_samples) != n_levels:
+        raise DimensionError(f"plan has {len(plan.n_samples)} levels, hierarchy {n_levels}")
+    if pilot.n_levels != n_levels:
+        raise DimensionError("pilot and hierarchy level counts differ")
+    level_means: list[float] = []
+    level_vars: list[float] = []
+    counts: list[LevelEvalCounts] = []
+    zbars: list[float] = []
+    error_terms: list[float] = []
+    for ell, n in enumerate(plan.n_samples):
+        if n < 1:
+            raise ConfigError(f"plan requests {n} samples at level {ell}")
+        values_of, replay, n_prime, zbar, mse_factor = controls.get(
+            ell, (_correction(hierarchy, ell), pilot.levels[ell].y, 0, 0.0, 1.0)
+        )
+        replay = replay[:n]
+        fresh_n = n - replay.size
+        moments = _stream_moments(
+            hierarchy, seed, PURPOSE_MAIN_Y, ell, fresh_n, values_of, replay
+        )
+        level_means.append(moments.mean)
+        level_vars.append(moments.variance)
+        counts.append(pair_counts(ell, pilot.n_pilot + fresh_n, n_prime))
+        zbars.append(zbar)
+        error_terms.append((pilot.stats[ell].var_y / n) * mse_factor)
+    return EstimatorResult(
+        method=method,
+        estimate=float(sum(level_means)),
+        level_estimates=tuple(level_means),
+        n_samples=plan.n_samples,
+        sampling_error=float(sum(error_terms)),
+        total_cost=counted_cost(counts, pilot.stats),
+        eval_counts=tuple(counts),
+        master_seed=seed,
+        sample_variances=tuple(level_vars),
+        zbar_values=tuple(zbars),
     )
-    return moments, pair_counts(level, pilot.n_pilot + fresh_n)
 
 
 def run_mlmc(
@@ -567,41 +599,15 @@ def run_mlmc(
     pilot: PilotRun,
     master_seed: int | None = None,
 ) -> EstimatorResult:
-    """Telescoping estimate under a plan, replaying cached pilot samples.
+    """Telescoping estimate under a plan, replaying cached pilot samples: the
+    control-variate estimator with no controlled level.
 
     Logged evaluation counts include the pilot solves, so the reported cost
     covers everything actually spent; when every planned count is at least
     the pilot size this equals the plan's nominal cost sum(N_l C_l).
     """
-    if len(plan.n_samples) != hierarchy.n_levels:
-        raise DimensionError(
-            f"plan has {len(plan.n_samples)} levels, hierarchy {hierarchy.n_levels}"
-        )
-    if pilot.n_levels != hierarchy.n_levels:
-        raise DimensionError("pilot and hierarchy level counts differ")
     seed = pilot.master_seed if master_seed is None else master_seed
-    level_means: list[float] = []
-    level_vars: list[float] = []
-    counts: list[LevelEvalCounts] = []
-    for ell, n in enumerate(plan.n_samples):
-        if n < 1:
-            raise ConfigError(f"plan requests {n} samples at level {ell}")
-        moments, level_counts = _level_y_moments(hierarchy, ell, n, pilot, seed)
-        level_means.append(moments.mean)
-        level_vars.append(moments.variance)
-        counts.append(level_counts)
-    sampling_error = plan.sampling_variance([s.var_y for s in pilot.stats])
-    return EstimatorResult(
-        method="mlmc",
-        estimate=float(sum(level_means)),
-        level_estimates=tuple(level_means),
-        n_samples=plan.n_samples,
-        sampling_error=sampling_error,
-        total_cost=counted_cost(counts, pilot.stats),
-        eval_counts=tuple(counts),
-        master_seed=seed,
-        sample_variances=tuple(level_vars),
-    )
+    return _telescope("mlmc", hierarchy, plan, pilot, seed, {})
 
 
 def run_mc(

@@ -112,6 +112,32 @@ class TestPilotCache:
             load_pilot_cache(tmp_path, synthetic, "key-1")
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("n_pilot", "abc"), ("master_seed", None), ("master_seed", "123"), ("n_levels", 3.0)],
+    )
+    def test_malformed_meta_value_rejected(
+        self, tmp_path, synthetic, synthetic_pilot, key, value
+    ):
+        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta[key] = value
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DataError, match=f"malformed {key}: re-run the pilot"):
+            load_pilot_cache(tmp_path, synthetic, "key-1")
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [lambda b: b[: len(b) // 2], lambda b: b[:20], lambda b: b"", lambda b: b"garbage" * 20],
+        ids=["truncated_data", "truncated_header", "empty", "garbage"],
+    )
+    def test_unreadable_array_rejected(self, tmp_path, synthetic, synthetic_pilot, mangle):
+        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
+        path = tmp_path / "level1_q.npy"
+        path.write_bytes(mangle(path.read_bytes()))
+        with pytest.raises(DataError, match="not a readable array.*re-run the pilot"):
+            load_pilot_cache(tmp_path, synthetic, "key-1")
+
+    @pytest.mark.parametrize(
         "name", ["level0_qoi.npy", "level1_qoi.npy", "level1_q.npy", "level2_q.npy"]
     )
     def test_short_sample_axis_rejected(self, tmp_path, synthetic, synthetic_pilot, name):
@@ -150,6 +176,15 @@ class TestPilotCache:
         save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
         (tmp_path / "timings.json").write_text("[0.1,0.2,")
         with pytest.raises(DataError, match="timings.json is not valid JSON"):
+            load_pilot_cache(tmp_path, synthetic, "key-1")
+
+    @pytest.mark.parametrize(
+        "entry", ['"abc"', "null", "true", "-0.5", "NaN", "Infinity"]
+    )
+    def test_bad_timing_entry_rejected(self, tmp_path, synthetic, synthetic_pilot, entry):
+        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
+        (tmp_path / "timings.json").write_text(f"[0.1,{entry},0.2]")
+        with pytest.raises(DataError, match="not a time in seconds"):
             load_pilot_cache(tmp_path, synthetic, "key-1")
 
     def test_timings_default_to_zero(self, tmp_path, synthetic, synthetic_pilot):

@@ -93,6 +93,8 @@ class TestNormalizeConfig:
             (lambda c: c.update(epsilon=[]), "epsilon"),
             (lambda c: c.update(epsilon=[0.1, -0.5]), "epsilon[1]"),
             (lambda c: c.update(epsilon=["small"]), "epsilon[0]"),
+            (lambda c: c.update(epsilon=[0.1, 0.1]), "epsilon[1]: 0.1 shares"),
+            (lambda c: c.update(epsilon=[0.05, 0.1, 0.1000001]), "epsilon[2]"),
             (lambda c: c.update(methods=["mcmc"]), "methods[0]"),
             (lambda c: c.update(methods=["mc", "mc"]), "methods"),
             (lambda c: c.update(rank=None), "rank"),
@@ -383,6 +385,16 @@ class TestReproducibility:
         meta.write_text(meta.read_text()[:12])
         capsys.readouterr()
         assert main(["estimate", path]) == 2
+        assert "re-run the pilot" in capsys.readouterr().err
+
+    def test_malformed_cache_value_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out, methods=["mlmc"]))
+        assert main(["pilot", path]) == 0
+        meta = out / "cache" / "meta.json"
+        meta.write_text(meta.read_text().replace('"n_pilot":30', '"n_pilot":"abc"'))
+        capsys.readouterr()
+        assert main(["compare", path]) == 2
         assert "re-run the pilot" in capsys.readouterr().err
 
     def test_threads_override_keeps_cache_valid(self, tmp_path):

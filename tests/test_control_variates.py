@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -363,10 +364,10 @@ class TestRunMlcv:
         assert result_cv.estimate == result_plain.estimate
         assert result_cv.level_estimates == result_plain.level_estimates
         assert result_cv.total_cost == result_plain.total_cost
-        assert result_cv.sampling_error == pytest.approx(
-            result_plain.sampling_error, rel=1e-14
-        )
         assert result_cv.zbar_values == (0.0, 0.0, 0.0)
+        # the whole result, down to sampling_error, eval_counts, per-level
+        # variances and zbar_values, is the plain estimator's
+        assert dataclasses.replace(result_cv, method="mlmc") == result_plain
 
     def test_recycles_complement_of_basis_pairs(self, synthetic, synthetic_pilot):
         """With the coupled count equal to the recyclable pilot pairs, the

@@ -120,13 +120,14 @@ class TestAllocateMlmc:
         assert plan.n_samples == (8, 2)
         assert plan.epsilon == pytest.approx(math.sqrt(2.0))
         assert plan.n_prime is None
-        assert plan.sampling_variance([4.0, 1.0]) <= 1.0 + 1e-12
+        assert sum(v / n for v, n in zip([4.0, 1.0], plan.n_samples)) <= 1.0 + 1e-12
 
     def test_plan_feasibility_invariant(self, synthetic_pilot):
         for epsilon in (0.5, 0.05, 0.005):
             plan = allocate_mlmc(synthetic_pilot.stats, epsilon)
             v = [s.var_y for s in synthetic_pilot.stats]
-            assert plan.sampling_variance(v) <= epsilon**2 / 2.0 + 1e-12
+            load = sum(vi / n for vi, n in zip(v, plan.n_samples))
+            assert load <= epsilon**2 / 2.0 + 1e-12
 
 
 class TestPilotMlmc:
