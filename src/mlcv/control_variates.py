@@ -26,7 +26,7 @@ import numpy as np
 
 from . import stats
 from .errors import ConfigError, DataError, DimensionError
-from .linalg import LeastSquaresOperator, interpolative_decomposition
+from .linalg import IDFactorization, LeastSquaresOperator, interpolative_decomposition
 from .mlmc import (
     N_MIN,
     AllocationPlan,
@@ -61,8 +61,12 @@ class ReducedBasisPair:
     coarse_basis: np.ndarray
     fine_basis: np.ndarray
     selected_pilot_indices: np.ndarray
-    id_residual: float
+    idf: IDFactorization
     solver: LeastSquaresOperator
+
+    @property
+    def id_residual(self) -> float:
+        return self.idf.residual_norm
 
 
 def build_reduced_basis(
@@ -99,7 +103,7 @@ def build_reduced_basis(
         coarse_basis=coarse,
         fine_basis=fine,
         selected_pilot_indices=sel,
-        id_residual=idf.residual_norm,
+        idf=idf,
         solver=LeastSquaresOperator(coarse),
     )
 

@@ -5,12 +5,15 @@ matrix C with U ~= U[:, selected] @ C, where C restricted to the selected
 columns is exactly the identity.  Pivoting is classic greedy largest-column
 selection (LAPACK geqp3); the stronger rank-revealing variants are not
 needed at the ranks used here, and the residual is reported exactly so
-callers can check the quality themselves.
+callers can check the quality themselves.  Column selection needs only the
+pivoted R factor; C and the residual norm (a full SVD) are computed on first
+access, so only callers that read them pay for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -50,9 +53,8 @@ def _resolve_termination(rank, tol, m: int, n: int) -> tuple[int | None, float |
 
 @dataclass(frozen=True)
 class PivotedQR:
-    """Truncated column-pivoted QR: U[:, permutation] ~= q @ [r11 | r12]."""
+    """Truncated column-pivoted QR: U[:, permutation] ~= Q @ [r11 | r12], Q not formed."""
 
-    q: np.ndarray
     r11: np.ndarray
     r12: np.ndarray
     permutation: np.ndarray
@@ -72,7 +74,7 @@ def pivoted_qr(u, *, rank: int | None = None, tol: float | None = None) -> Pivot
     m, n = a.shape
     rank, tol = _resolve_termination(rank, tol, m, n)
 
-    q_full, r_full, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    r_full, piv = scipy.linalg.qr(a, mode="r", pivoting=True)
     diag = np.abs(np.diag(r_full))
 
     if rank is not None:
@@ -82,7 +84,6 @@ def pivoted_qr(u, *, rank: int | None = None, tol: float | None = None) -> Pivot
         r = int(below[0]) if below.size else diag.size
 
     return PivotedQR(
-        q=np.ascontiguousarray(q_full[:, :r]),
         r11=np.triu(r_full[:r, :r]),
         r12=np.ascontiguousarray(r_full[:r, r:]),
         permutation=np.asarray(piv, dtype=np.int64),
@@ -116,14 +117,27 @@ def solve_T(r11: np.ndarray, r12: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(r11, rcond=_RCOND) @ r12
 
 
-@dataclass(frozen=True)
 class IDFactorization:
     """Column interpolative decomposition U ~= U[:, selected_indices] @ coefficients."""
 
-    selected_indices: np.ndarray
-    coefficients: np.ndarray
-    rank: int
-    residual_norm: float
+    def __init__(self, u: np.ndarray, pqr: PivotedQR):
+        self._u, self._qr = u, pqr
+        self.rank = pqr.rank
+        self.selected_indices = pqr.permutation[: pqr.rank].copy()
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        r, perm = self.rank, self._qr.permutation
+        coeff = np.empty((r, perm.size))
+        coeff[:, perm[:r]] = np.eye(r)
+        coeff[:, perm[r:]] = solve_T(self._qr.r11, self._qr.r12)
+        return coeff
+
+    @cached_property
+    def residual_norm(self) -> float:
+        """Spectral norm of U - U[:, selected] @ C, computed directly."""
+        residual = self._u - self._u[:, self.selected_indices] @ self.coefficients
+        return float(np.linalg.norm(residual, 2))
 
 
 def interpolative_decomposition(
@@ -131,32 +145,11 @@ def interpolative_decomposition(
 ) -> IDFactorization:
     """Column ID with the coefficient block on the selected columns pinned to I.
 
-    ``residual_norm`` is the spectral norm of U - U[:, selected] @ C,
-    computed directly rather than estimated.
+    Runs only the pivoted QR; ``coefficients`` and ``residual_norm`` are
+    computed once each, on first access, from ``u``, which must not change.
     """
     a = _check_matrix(u)
-    n = a.shape[1]
-    pqr = pivoted_qr(a, rank=rank, tol=tol)
-    r = pqr.rank
-    if r == 0:
-        return IDFactorization(
-            selected_indices=np.zeros(0, dtype=np.int64),
-            coefficients=np.zeros((0, n)),
-            rank=0,
-            residual_norm=float(np.linalg.norm(a, 2)),
-        )
-    t = solve_T(pqr.r11, pqr.r12)
-    coeff = np.empty((r, n))
-    coeff[:, pqr.permutation[:r]] = np.eye(r)
-    coeff[:, pqr.permutation[r:]] = t
-    selected = pqr.permutation[:r].copy()
-    residual = a - a[:, selected] @ coeff
-    return IDFactorization(
-        selected_indices=selected,
-        coefficients=coeff,
-        rank=r,
-        residual_norm=float(np.linalg.norm(residual, 2)),
-    )
+    return IDFactorization(a, pivoted_qr(a, rank=rank, tol=tol))
 
 
 class LeastSquaresOperator:

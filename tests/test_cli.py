@@ -404,6 +404,54 @@ class TestReproducibility:
         assert main(["estimate", path, "--threads", "2", "--method", "mlmc"]) == 0
 
 
+class TestSetupOnDemand:
+    """Only the pilot report reads the ID residual; estimate and compare
+    rebuild the bases from the pilot cache by column selection alone."""
+
+    @pytest.mark.parametrize(
+        "termination", [{"rank": 3}, {"rank": None, "id_tol": 1e-6}], ids=["rank", "tol"]
+    )
+    def test_only_pilot_computes_id_residual(
+        self, tmp_path, monkeypatch, eager_id, termination
+    ):
+        from mlcv import linalg
+
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out, **termination))
+        solve_t = linalg.solve_T
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return solve_t(*args)
+
+        monkeypatch.setattr(linalg, "solve_T", counted)
+        assert main(["pilot", path]) == 0
+        monkeypatch.undo()
+        # the coefficients behind each correction level's residual, formed once
+        assert len(solves) == 2
+
+        rows = json.loads((out / "pilot.json").read_text())["levels"]
+        assert rows[0]["id_residual"] == 0.0
+        for row in rows[1:]:
+            snapshots = np.load(out / "cache" / f"level{row['level'] - 1}_q.npy")
+            _, residual = eager_id(
+                snapshots, rank=termination["rank"], tol=termination.get("id_tol")
+            )
+            assert row["id_residual"] == residual
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("estimate/compare formed the ID coefficients or residual")
+
+        monkeypatch.setattr(linalg, "solve_T", forbidden)
+        for name in ("coefficients", "residual_norm"):
+            monkeypatch.setattr(
+                linalg.IDFactorization, name, property(forbidden), raising=False
+            )
+        assert main(["estimate", path]) == 0
+        assert main(["compare", path]) == 0
+
+
 class TestMethodSelection:
     def test_single_method_writes_only_its_files(self, tmp_path):
         out = tmp_path / "out"
