@@ -446,12 +446,13 @@ def _load_study(cfg: dict):
     return out_dir, hierarchy, pilot, setup
 
 
-def _run_method(method, hierarchy, pilot, setup, eps, plans):
+def _run_method(method, hierarchy, pilot, setup, epsilons, plans):
+    """One result per tolerance, from one run of ``method`` over them all."""
     if method == "mlmc":
-        return mlmc.run_mlmc(hierarchy, plans["mlmc"], pilot)
+        return mlmc.run_mlmc(hierarchy, [p["mlmc"] for p in plans], pilot)
     if method == "mlcv":
-        return cv.run_mlcv(hierarchy, plans["mlcv"], pilot, setup)
-    return mlmc.run_mc(hierarchy, eps, pilot)
+        return cv.run_mlcv(hierarchy, [p["mlcv"] for p in plans], pilot, setup)
+    return mlmc.run_mc(hierarchy, epsilons, pilot)
 
 
 def cmd_estimate(cfg: dict, methods) -> int:
@@ -460,10 +461,15 @@ def cmd_estimate(cfg: dict, methods) -> int:
     rates, _ = _try_rates(level_stats)
     by_level = {s.level: s for s in level_stats}
 
-    for eps in cfg["epsilon"]:
-        plan_costs, plans = _plan_block(level_stats, setup, eps)
-        for method in methods:
-            result = _run_method(method, hierarchy, pilot, setup, eps, plans)
+    epsilons = cfg["epsilon"]
+    blocks = [_plan_block(level_stats, setup, eps) for eps in epsilons]
+    plans = [p for _, p in blocks]
+    # every method runs over all tolerances before any report is written
+    by_tolerance = zip(
+        *(_run_method(m, hierarchy, pilot, setup, epsilons, plans) for m in methods)
+    )
+    for eps, (plan_costs, _), tolerance_results in zip(epsilons, blocks, by_tolerance):
+        for method, result in zip(methods, tolerance_results):
             total_cost = mlmc.counted_cost(result.eval_counts, level_stats)
             rows = []
             for i, counts in enumerate(result.eval_counts):
@@ -599,6 +605,8 @@ def main(argv=None) -> int:
             return cmd_pilot(cfg)
         if args.command == "estimate":
             methods = args.method if args.method else cfg["methods"]
+            if len(set(methods)) != len(methods):
+                raise ConfigError(f"option --method: duplicate entries in {methods}")
             return cmd_estimate(cfg, methods)
         return cmd_compare(cfg)
     except (ConfigError, DimensionError, DataError) as exc:

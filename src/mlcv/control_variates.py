@@ -20,6 +20,7 @@ enabled levels; with no level enabled it is plain MLMC, bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from .mlmc import (
     LevelStats,
     PilotRun,
     _check_epsilon,
+    _one_or_many,
     _stream_moments,
     _telescope,
     allocate_samples,
@@ -135,24 +137,31 @@ def sample_z(
 def estimate_zbar(
     hierarchy: LevelHierarchy,
     basis: ReducedBasisPair,
-    n_prime: int,
+    n_prime: int | Sequence[int],
     master_seed: int,
-) -> float:
-    """Mean of ``n_prime`` fresh surrogate corrections.
+) -> float | list[float]:
+    """Mean of ``n_prime`` fresh surrogate corrections, for one count or
+    each count of a sequence (one walk of the stream serves them all).
 
     Uses the level's dedicated auxiliary stream and only coarse solves, so
-    the whole batch costs n_prime coarse evaluations.
+    each mean costs n_prime coarse evaluations.
     """
-    if n_prime < 1:
-        raise ConfigError(f"n_prime must be positive, got {n_prime}")
+    counts, single = _one_or_many(n_prime)
+    for n in counts:
+        if n < 1:
+            raise ConfigError(f"n_prime must be positive, got {n}")
 
     def z(xi):
         coarse = hierarchy.evaluate(basis.level - 1, xi)
         return sample_z(hierarchy, basis, coarse.q, coarse.qoi)
 
-    return _stream_moments(
-        hierarchy, master_seed, PURPOSE_ZBAR, basis.level, n_prime, z
-    ).mean
+    means = [
+        m.mean
+        for m in _stream_moments(
+            hierarchy, master_seed, PURPOSE_ZBAR, basis.level, counts, z
+        )
+    ]
+    return means[0] if single else means
 
 
 def theta_star(cov_yz: float, var_z: float, ratio: float) -> float:
@@ -347,41 +356,49 @@ def allocate_mlcv(
     )
 
 
-def _controlled(
-    hierarchy: LevelHierarchy, basis: ReducedBasisPair, theta: float, zbar: float
-):
-    """Per-batch map from inputs to controlled corrections
-    W = Y - theta (Z - Zbar)."""
+def _coupled_yz(hierarchy: LevelHierarchy, basis: ReducedBasisPair):
+    """Per-batch map from inputs to the level's correction Y and surrogate
+    correction Z."""
 
-    def w(xi):
+    def yz(xi):
         fine, coarse = evaluate_coupled(hierarchy, basis.level, xi)
-        y = fine.qoi - coarse.qoi
-        return y - theta * (sample_z(hierarchy, basis, coarse.q, coarse.qoi) - zbar)
+        return fine.qoi - coarse.qoi, sample_z(hierarchy, basis, coarse.q, coarse.qoi)
 
-    return w
+    return yz
+
+
+def _controlled(theta: float, zbar: float):
+    """Map from a batch's (Y, Z) to controlled corrections
+    W = Y - theta (Z - Zbar)."""
+    return lambda yz: yz[0] - theta * (yz[1] - zbar)
 
 
 def run_mlcv(
     hierarchy: LevelHierarchy,
-    plan: AllocationPlan,
+    plans: AllocationPlan | Sequence[AllocationPlan],
     pilot: PilotRun,
     setup: CVSetup,
     master_seed: int | None = None,
-) -> EstimatorResult:
-    """Control-variate estimate: sum over levels of mean(Y - theta (Z - Zbar)).
+) -> EstimatorResult | list[EstimatorResult]:
+    """Control-variate estimate under each plan of ``plans``: sum over levels
+    of mean(Y - theta (Z - Zbar)).
 
-    Per enabled level: the auxiliary mean Zbar comes first from its own
-    stream (coarse solves only); the coupled samples then replay the pilot
-    pairs not consumed by the basis and top up from the level's main stream.
-    Disabled levels (including level 0) are plain MLMC levels, replaying all
-    pilot samples.
+    Per enabled level: the auxiliary means Zbar, one per plan, come first
+    from its own stream (coarse solves only); the coupled samples then
+    replay the pilot pairs not consumed by the basis and top up from the
+    level's main stream.  Disabled levels (including level 0) are plain MLMC
+    levels, replaying all pilot samples.  Each stream is walked once for all
+    plans, and every result equals that of its plan run alone, bit for bit.
+    A sequence of plans gives a list of results in the same order; a single
+    plan gives its one result.
     """
+    plans, single = _one_or_many(plans)
     n_levels = hierarchy.n_levels
-    if len(plan.n_samples) != n_levels or pilot.n_levels != n_levels:
+    if pilot.n_levels != n_levels or any(len(p.n_samples) != n_levels for p in plans):
         raise DimensionError("plan, pilot, and hierarchy level counts must agree")
     if len(setup.configs) != n_levels:
         raise DimensionError("setup level count does not match hierarchy")
-    if plan.n_prime is None:
+    if any(plan.n_prime is None for plan in plans):
         raise ConfigError("plan lacks auxiliary counts; use allocate_mlcv")
     seed = pilot.master_seed if master_seed is None else master_seed
 
@@ -389,18 +406,20 @@ def run_mlcv(
     for ell, (cfg, basis) in enumerate(zip(setup.configs, setup.bases)):
         if not cfg.enabled or basis is None:
             continue
-        n_prime = plan.n_prime[ell]
-        zbar = estimate_zbar(hierarchy, basis, n_prime, seed)
+        n_primes = [plan.n_prime[ell] for plan in plans]
+        zbars = estimate_zbar(hierarchy, basis, n_primes, seed)
         keep = np.delete(np.arange(pilot.n_pilot), basis.selected_pilot_indices)
-        w_pilot = pilot.levels[ell].y[keep] - cfg.theta * (setup.pilot_z[ell][keep] - zbar)
+        y, z = pilot.levels[ell].y[keep], setup.pilot_z[ell][keep]
         controls[ell] = (
-            _controlled(hierarchy, basis, cfg.theta, zbar),
-            w_pilot,
-            n_prime,
-            zbar,
+            _coupled_yz(hierarchy, basis),
+            [
+                (_controlled(cfg.theta, zbar), y - cfg.theta * (z - zbar), n_prime, zbar)
+                for n_prime, zbar in zip(n_primes, zbars)
+            ],
             cfg.mse_factor,
         )
-    return _telescope("mlcv", hierarchy, plan, pilot, seed, controls)
+    results = _telescope("mlcv", hierarchy, plans, pilot, seed, controls)
+    return results[0] if single else results
 
 
 def nominal_mlcv_cost(

@@ -17,7 +17,9 @@ estimator of ``control_variates`` with no controlled level.
 from __future__ import annotations
 
 import math
+import numbers
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -495,9 +497,22 @@ def pair_counts(level: int, n: int, aux: int = 0) -> LevelEvalCounts:
 
 # Fresh draws are evaluated in fixed-size batches so runs with sample counts
 # in the millions keep bounded memory.  Per-sample stream addressing makes the
-# drawn inputs independent of the batch split; the fixed size keeps the
-# reduction order, and hence the result, reproducible.
+# drawn inputs independent of the batch split, but model outputs are not: they
+# depend on batch width in the last bits (a 65,536-row batch and its prefixes
+# differ by up to 3.6e-15 in ``SyntheticLowRank`` outputs and 8.3e-11 in
+# ``sample_z``; see ``LevelHierarchy``).  The batch boundaries, like the
+# reduction order they fix, are therefore part of the result, so a run that
+# ends inside a batch evaluates its own prefix of the batch instead of slicing
+# the values of the whole batch.
 _BATCH = 1 << 16
+
+
+def _one_or_many(items) -> tuple[tuple, bool]:
+    """``(runs, single)``: a plan, tolerance or count gives one run and
+    ``single`` set; a sequence gives one run per entry."""
+    if isinstance(items, (AllocationPlan, numbers.Real)):
+        return (items,), True
+    return tuple(items), False
 
 
 def _stream_moments(
@@ -505,21 +520,48 @@ def _stream_moments(
     master_seed: int,
     purpose: str,
     level: int,
-    n: int,
+    counts,
     values_of,
-    replay=None,
-) -> stats.RunningMoments:
-    """Moments of ``values_of(xi)`` over stream indices 0..n-1 of the
-    (seed, purpose, level) stream, drawn in ``_BATCH`` slices and reduced
-    after the optional replayed samples ``replay``."""
-    moments = stats.RunningMoments()
-    if replay is not None and replay.size:
-        moments.update(replay)
-    for start in range(0, n, _BATCH):
-        b = min(_BATCH, n - start)
+    replays=(),
+    finishes=(),
+) -> list[stats.RunningMoments]:
+    """Moments of one run per count ``n`` in ``counts``, each over stream
+    indices 0..n-1 of the (seed, purpose, level) stream.
+
+    The stream is walked once, in ``_BATCH`` slices, up to the largest
+    count.  Each slice is drawn once; ``values_of`` maps it once, and every
+    run covering the whole slice reduces that.  A run whose count ends
+    inside the slice maps its own prefix, the batch it would see alone (see
+    ``_BATCH``).  Run ``k`` first reduces its replayed samples
+    ``replays[k]``, if given, and then ``finishes[k](values)`` in place of
+    ``values`` when ``finishes`` is given.
+    """
+    runs = [stats.RunningMoments() for _ in counts]
+    for moments, replay in zip(runs, replays):
+        if replay.size:
+            moments.update(replay)
+    finishes = finishes or [None] * len(runs)
+
+    def reduce(moments, finish, values):
+        moments.update(values if finish is None else finish(values))
+
+    n_max = max(counts, default=0)
+    for start in range(0, n_max, _BATCH):
+        b = min(_BATCH, n_max - start)
         xi = draw_inputs(master_seed, purpose, level, start, b, hierarchy.distributions)
-        moments.update(values_of(xi))
-    return moments
+        full = None
+        for moments, n, finish in zip(runs, counts, finishes):
+            if n <= start:
+                continue
+            if n - start < b:
+                reduce(moments, finish, values_of(xi[: n - start]))
+                continue
+            if full is None:
+                full = values_of(xi)
+            reduce(moments, finish, full)
+        # freed before the next draw, so memory is reused as with one run
+        del full
+    return runs
 
 
 def _correction(hierarchy: LevelHierarchy, level: int):
@@ -538,116 +580,144 @@ def _correction(hierarchy: LevelHierarchy, level: int):
 def _telescope(
     method: str,
     hierarchy: LevelHierarchy,
-    plan: AllocationPlan,
+    plans: Sequence[AllocationPlan],
     pilot: PilotRun,
     seed: int,
     controls: dict,
-) -> EstimatorResult:
-    """The multilevel estimator: the sum over levels of mean corrections.
+) -> list[EstimatorResult]:
+    """The multilevel estimator, one result per plan in ``plans``: the sum
+    over levels of mean corrections.
 
     Each level reduces the first ``n`` replayed pilot samples, then fresh
-    draws from its main stream.  ``controls`` maps a level to
-    ``(values_of, replay, n_prime, zbar, mse_factor)``: the per-batch map and
-    pilot replay of its controlled corrections, the auxiliary coarse solves
-    behind ``zbar``, and the factor shrinking its variance term.  A level
-    without an entry replays its pilot Y and samples ``_correction``, so with
-    no controls this is plain MLMC.  Logged counts include the pilot solves.
+    draws from its main stream; the stream is walked once for all plans.
+    ``controls`` maps a level to ``(values_of, runs, mse_factor)``: the
+    per-batch map of its controlled level, one ``(finish, replay, n_prime,
+    zbar)`` per plan (the map from batch values to controlled corrections,
+    their pilot replay, and the auxiliary coarse solves behind ``zbar``),
+    and the factor shrinking its variance term.  A level without an entry
+    replays its pilot Y and samples ``_correction``, so with no controls
+    this is plain MLMC.  Logged counts include the pilot solves.
     """
     n_levels = hierarchy.n_levels
-    if len(plan.n_samples) != n_levels:
-        raise DimensionError(f"plan has {len(plan.n_samples)} levels, hierarchy {n_levels}")
     if pilot.n_levels != n_levels:
         raise DimensionError("pilot and hierarchy level counts differ")
-    level_means: list[float] = []
-    level_vars: list[float] = []
-    counts: list[LevelEvalCounts] = []
-    zbars: list[float] = []
-    error_terms: list[float] = []
-    for ell, n in enumerate(plan.n_samples):
-        if n < 1:
-            raise ConfigError(f"plan requests {n} samples at level {ell}")
-        values_of, replay, n_prime, zbar, mse_factor = controls.get(
-            ell, (_correction(hierarchy, ell), pilot.levels[ell].y, 0, 0.0, 1.0)
+    if not plans:
+        return []
+    for plan in plans:
+        if len(plan.n_samples) != n_levels:
+            raise DimensionError(
+                f"plan has {len(plan.n_samples)} levels, hierarchy {n_levels}"
+            )
+        for ell, n in enumerate(plan.n_samples):
+            if n < 1:
+                raise ConfigError(f"plan requests {n} samples at level {ell}")
+    # per plan, one (moments, counts, zbar, error term) per level
+    levels = [[] for _ in plans]
+    for ell in range(n_levels):
+        ns = [plan.n_samples[ell] for plan in plans]
+        values_of, runs, mse_factor = controls.get(
+            ell,
+            (_correction(hierarchy, ell), [(None, pilot.levels[ell].y, 0, 0.0)] * len(ns), 1.0),
         )
-        replay = replay[:n]
-        fresh_n = n - replay.size
+        finishes, replays, n_primes, zbars = zip(*runs)
+        replays = [replay[:n] for replay, n in zip(replays, ns)]
+        fresh = [n - replay.size for replay, n in zip(replays, ns)]
         moments = _stream_moments(
-            hierarchy, seed, PURPOSE_MAIN_Y, ell, fresh_n, values_of, replay
+            hierarchy, seed, PURPOSE_MAIN_Y, ell, fresh, values_of, replays, finishes
         )
-        level_means.append(moments.mean)
-        level_vars.append(moments.variance)
-        counts.append(pair_counts(ell, pilot.n_pilot + fresh_n, n_prime))
-        zbars.append(zbar)
-        error_terms.append((pilot.stats[ell].var_y / n) * mse_factor)
-    return EstimatorResult(
-        method=method,
-        estimate=float(sum(level_means)),
-        level_estimates=tuple(level_means),
-        n_samples=plan.n_samples,
-        sampling_error=float(sum(error_terms)),
-        total_cost=counted_cost(counts, pilot.stats),
-        eval_counts=tuple(counts),
-        master_seed=seed,
-        sample_variances=tuple(level_vars),
-        zbar_values=tuple(zbars),
-    )
+        for row, m, f, n, n_prime, zbar in zip(levels, moments, fresh, ns, n_primes, zbars):
+            counts = pair_counts(ell, pilot.n_pilot + f, n_prime)
+            row.append((m, counts, zbar, (pilot.stats[ell].var_y / n) * mse_factor))
+    results = []
+    for plan, row in zip(plans, levels):
+        moments, counts, zbars, error_terms = zip(*row)
+        level_means = [m.mean for m in moments]
+        results.append(
+            EstimatorResult(
+                method=method,
+                estimate=float(sum(level_means)),
+                level_estimates=tuple(level_means),
+                n_samples=plan.n_samples,
+                sampling_error=float(sum(error_terms)),
+                total_cost=counted_cost(counts, pilot.stats),
+                eval_counts=counts,
+                master_seed=seed,
+                sample_variances=tuple(m.variance for m in moments),
+                zbar_values=zbars,
+            )
+        )
+    return results
 
 
 def run_mlmc(
     hierarchy: LevelHierarchy,
-    plan: AllocationPlan,
+    plans: AllocationPlan | Sequence[AllocationPlan],
     pilot: PilotRun,
     master_seed: int | None = None,
-) -> EstimatorResult:
-    """Telescoping estimate under a plan, replaying cached pilot samples: the
-    control-variate estimator with no controlled level.
+) -> EstimatorResult | list[EstimatorResult]:
+    """Telescoping estimate under each plan of ``plans``, replaying cached
+    pilot samples: the control-variate estimator with no controlled level.
 
-    Logged evaluation counts include the pilot solves, so the reported cost
-    covers everything actually spent; when every planned count is at least
-    the pilot size this equals the plan's nominal cost sum(N_l C_l).
+    Each level's stream is walked once for all plans, and every result
+    equals that of its plan run alone, bit for bit.  A sequence of plans
+    gives a list of results in the same order; a single plan gives its one
+    result.  Logged evaluation counts include the pilot solves, so the
+    reported cost covers everything actually spent; when every planned count
+    is at least the pilot size this equals the plan's nominal cost
+    sum(N_l C_l).
     """
+    plans, single = _one_or_many(plans)
     seed = pilot.master_seed if master_seed is None else master_seed
-    return _telescope("mlmc", hierarchy, plan, pilot, seed, {})
+    results = _telescope("mlmc", hierarchy, plans, pilot, seed, {})
+    return results[0] if single else results
 
 
 def run_mc(
     hierarchy: LevelHierarchy,
-    epsilon: float,
+    epsilons: float | Sequence[float],
     pilot: PilotRun,
     master_seed: int | None = None,
-) -> EstimatorResult:
-    """Plain Monte Carlo on the finest level, sized from the pilot variance.
+) -> EstimatorResult | list[EstimatorResult]:
+    """Plain Monte Carlo on the finest level, sized from the pilot variance,
+    at each tolerance of ``epsilons`` (one tolerance gives one result).
 
     Draws fresh finest-level samples (no coupling, no pilot replay) so the
-    cost is exactly N fine solves.
+    cost is exactly N fine solves; the stream is walked once for all
+    tolerances, and each result equals that of its tolerance run alone.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilons, single = _one_or_many(epsilons)
+    epsilons = [_check_epsilon(eps) for eps in epsilons]
     seed = pilot.master_seed if master_seed is None else master_seed
     finest = hierarchy.finest_level
     var_q = pilot.stats[finest].var_q
     if var_q <= 0:
         raise DataError("plain MC needs a positive finest-level pilot variance")
-    n = max(math.ceil(2.0 * var_q / epsilon**2), N_MIN)
-    moments = _stream_moments(
+    ns = [max(math.ceil(2.0 * var_q / eps**2), N_MIN) for eps in epsilons]
+    runs = _stream_moments(
         hierarchy,
         seed,
         PURPOSE_MAIN_Y,
         finest,
-        n,
+        ns,
         lambda xi: hierarchy.evaluate(finest, xi).qoi,
     )
-    counts = (LevelEvalCounts(level=finest, fine_evals=n, coarse_evals=0),)
-    return EstimatorResult(
-        method="mc",
-        estimate=moments.mean,
-        level_estimates=(moments.mean,),
-        n_samples=(n,),
-        sampling_error=var_q / n,
-        total_cost=counted_cost(counts, pilot.stats),
-        eval_counts=counts,
-        master_seed=seed,
-        sample_variances=(moments.variance,),
-    )
+    results = []
+    for n, moments in zip(ns, runs):
+        counts = (LevelEvalCounts(level=finest, fine_evals=n, coarse_evals=0),)
+        results.append(
+            EstimatorResult(
+                method="mc",
+                estimate=moments.mean,
+                level_estimates=(moments.mean,),
+                n_samples=(n,),
+                sampling_error=var_q / n,
+                total_cost=counted_cost(counts, pilot.stats),
+                eval_counts=counts,
+                master_seed=seed,
+                sample_variances=(moments.variance,),
+            )
+        )
+    return results[0] if single else results
 
 
 def mc_oracle_mean(
@@ -666,12 +736,12 @@ def mc_oracle_mean(
         raise ConfigError(f"oracle sample count must be positive, got {n}")
     ell = hierarchy.finest_level if level is None else level
     hierarchy.check_level(ell)
-    moments = _stream_moments(
+    (moments,) = _stream_moments(
         hierarchy,
         master_seed,
         PURPOSE_ORACLE,
         ell,
-        n,
+        [n],
         lambda xi: hierarchy.evaluate(ell, xi).qoi,
     )
     return moments.mean

@@ -215,6 +215,16 @@ class LevelHierarchy(abc.ABC):
     scalar quantity of interest must be a fixed function of the output
     vector alone (``qoi`` below), so it can be applied to reconstructed
     output vectors as well.
+
+    Outputs may depend on the number of input rows in their last bits,
+    because BLAS picks its kernel by matrix shape: evaluating a 65,536-row
+    batch and slicing the result differs from evaluating the prefix alone.
+    Measured on the ``wide_pilot`` benchmark model, ``SyntheticLowRank``
+    quantities of interest (about 20 in size) differed by up to 3.6e-15 and
+    the surrogate corrections of ``control_variates.sample_z`` by up to
+    8.3e-11; ``Diffusion1D`` on the ``fine_mc`` grids showed no difference.
+    The estimators therefore fix the batch boundaries (``mlmc._BATCH``) and
+    never slice a batch's values for a shorter run.
     """
 
     @property

@@ -484,6 +484,38 @@ class TestMethodSelection:
         # one plan per (epsilon, method) for the two tolerances
         assert sorted(calls) == ["allocate_mlcv"] * 2 + ["allocate_mlmc"] * 2
 
+    def test_repeated_method_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["pilot", path]) == 0
+        assert main(["estimate", path, "--method", "mlmc", "--method", "mlmc"]) == 2
+        assert "duplicate entries in ['mlmc', 'mlmc']" in capsys.readouterr().err
+        assert not list(out.glob("report_*"))
+
+    def test_two_tolerances_match_each_run_alone(self, tmp_path, capsys):
+        epsilons = [0.05, 0.1]
+        methods = ["mc", "mlmc", "mlcv"]
+        path = write_config(tmp_path, base_config(tmp_path / "both", epsilon=epsilons))
+        assert main(["pilot", path]) == 0
+        capsys.readouterr()
+        assert main(["estimate", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1:3] for line in lines] == [
+            [f"method={m}", f"eps={e:.6g}"] for e in epsilons for m in methods
+        ]
+        for eps in epsilons:
+            out = tmp_path / f"alone_{eps}"
+            alone = write_config(
+                tmp_path, base_config(out, epsilon=[eps]), name=f"alone_{eps}.json"
+            )
+            assert main(["pilot", alone]) == 0
+            assert main(["estimate", alone]) == 0
+            for method in methods:
+                joint = read_report(tmp_path / "both", method, f"{eps:.6g}")
+                single = read_report(out, method, f"{eps:.6g}")
+                for key in ("estimate", "sampling_error", "total_cost", "levels"):
+                    assert joint[key] == single[key], (method, eps, key)
+
     def test_unknown_method_rejected_by_parser(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path / "out"))
         with pytest.raises(SystemExit):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -505,3 +506,112 @@ class TestMcOracleMean:
     def test_validation(self, synthetic):
         with pytest.raises(ConfigError):
             mc_oracle_mean(synthetic, 0, 1)
+
+
+def _assert_same_result(joint, alone):
+    """Every field of two estimator results equal, floats bit for bit."""
+    for f in dataclasses.fields(alone):
+        assert repr(getattr(joint, f.name)) == repr(getattr(alone, f.name)), f.name
+
+
+class BatchWidthHierarchy(ScaledHierarchy):
+    """Outputs shifted by an amount that grows with the batch width, as BLAS
+    kernel choice shifts the last bits of real models' outputs."""
+
+    def __init__(self, parent):
+        super().__init__(parent, 1.0)
+
+    def evaluate(self, level, xi):
+        out = self._parent.evaluate(level, xi)
+        return LevelOutput(q=out.q, qoi=out.qoi + (level + 1) * 1e-9 * len(xi))
+
+
+class TestOnePassOverPlans:
+    """Several plans run at once give, field by field, the results of each
+    plan run alone: the shared walk over each level's stream changes no bit.
+
+    With ``_BATCH`` at 16 the fresh counts below end on a batch boundary
+    (48, 32, 16), inside a batch (10, 5, 1, 7), at zero (plans that fit in
+    the replayed pilot samples), and past the last batch of the tightest
+    plan (35 fresh samples at level 2 against its 5).  The plans are not
+    sorted by epsilon.  ``BatchWidthHierarchy`` fails the comparison unless
+    each run evaluates the batches it would see alone.
+    """
+
+    BATCH = 16
+    # (epsilon, n_samples, n_prime); replayed pilot samples are 40 for MLMC
+    # and 40 - rank for controlled levels
+    PLANS = (
+        (0.1, (50, 30, 75), (0, 20, 50)),
+        (0.05, (88, 72, 45), (0, 32, 16)),
+        (0.2, (40, 41, 9), (0, 1, 7)),
+    )
+
+    @pytest.fixture(params=["synthetic", "diffusion", "batch_width"])
+    def study(self, request, synthetic, synthetic_pilot, diffusion_small):
+        if request.param == "synthetic":
+            return synthetic, synthetic_pilot
+        if request.param == "diffusion":
+            return diffusion_small, pilot_mlmc(diffusion_small, 40, 5)
+        h = BatchWidthHierarchy(synthetic)
+        return h, pilot_mlmc(h, 40, 123)
+
+    @pytest.fixture
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(mlmc_module, "_BATCH", self.BATCH)
+
+    def plans(self, with_n_prime):
+        return [
+            AllocationPlan(eps, n, n_prime if with_n_prime else None)
+            for eps, n, n_prime in self.PLANS
+        ]
+
+    def test_run_mlmc(self, study, small_batches):
+        h, pilot = study
+        plans = self.plans(with_n_prime=False)
+        joint = run_mlmc(h, plans, pilot)
+        assert len(joint) == len(plans)
+        for result, plan in zip(joint, plans):
+            _assert_same_result(result, run_mlmc(h, [plan], pilot)[0])
+            _assert_same_result(result, run_mlmc(h, plan, pilot))
+
+    def test_run_mlcv(self, study, small_batches):
+        h, pilot = study
+        setup = prepare_control_variates(h, pilot, rank=3)
+        assert any(c.enabled for c in setup.configs)
+        plans = self.plans(with_n_prime=True)
+        joint = run_mlcv(h, plans, pilot, setup)
+        for result, plan in zip(joint, plans):
+            _assert_same_result(result, run_mlcv(h, [plan], pilot, setup)[0])
+        assert any(z != 0.0 for r in joint for z in r.zbar_values)
+
+    def test_estimate_zbar(self, study, small_batches):
+        h, pilot = study
+        basis = prepare_control_variates(h, pilot, rank=3).bases[1]
+        counts = [20, 32, 1, 50]
+        joint = estimate_zbar(h, basis, counts, 9)
+        alone = [estimate_zbar(h, basis, n, 9) for n in counts]
+        assert repr(joint) == repr(alone)
+
+    def test_run_mc(self, study, small_batches):
+        h, pilot = study
+        var_q = pilot.stats[-1].var_q
+        # tolerances whose sample counts are exactly these
+        counts = (10, 48, 75)
+        epsilons = [math.sqrt(2.0 * var_q / n) * (1.0 + 1e-9) for n in counts]
+        joint = run_mc(h, epsilons, pilot)
+        assert [r.n_samples for r in joint] == [(n,) for n in counts]
+        for result, eps in zip(joint, epsilons):
+            _assert_same_result(result, run_mc(h, eps, pilot))
+
+    def test_checks_cover_every_plan(self, synthetic, synthetic_pilot):
+        good = AllocationPlan(0.1, (50, 30, 75), (0, 20, 50))
+        with pytest.raises(ConfigError):
+            run_mlmc(synthetic, [good, AllocationPlan(0.2, (50, 0, 75))], synthetic_pilot)
+        with pytest.raises(DimensionError):
+            run_mlmc(synthetic, [good, AllocationPlan(0.2, (50, 30))], synthetic_pilot)
+        setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
+        with pytest.raises(ConfigError):
+            run_mlcv(synthetic, [good, AllocationPlan(0.2, (50, 30, 75))], synthetic_pilot, setup)
+        with pytest.raises(ConfigError):
+            run_mc(synthetic, [0.1, -0.2], synthetic_pilot)
