@@ -42,7 +42,7 @@ from .mlmc import (
     counted_cost,
     pair_counts,
 )
-from .models import LevelHierarchy, evaluate_coupled
+from .models import LevelHierarchy
 from .streams import PURPOSE_ZBAR
 
 # Default cap on Nprime / Ntilde: past this, extra mean-pinning samples buy
@@ -361,7 +361,8 @@ def _coupled_yz(hierarchy: LevelHierarchy, basis: ReducedBasisPair):
     correction Z."""
 
     def yz(xi):
-        fine, coarse = evaluate_coupled(hierarchy, basis.level, xi)
+        fine = hierarchy.evaluate(basis.level, xi)
+        coarse = hierarchy.evaluate(basis.level - 1, xi)
         return fine.qoi - coarse.qoi, sample_z(hierarchy, basis, coarse.q, coarse.qoi)
 
     return yz

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import stats
 from .errors import ConfigError, DataError, DimensionError
-from .models import LevelHierarchy, evaluate_coupled
+from .models import LevelHierarchy
 from .streams import PURPOSE_MAIN_Y, PURPOSE_ORACLE, PURPOSE_PILOT, draw_inputs
 
 # Minimum per-level sample count: variance estimates need at least two
@@ -571,8 +571,7 @@ def _correction(hierarchy: LevelHierarchy, level: int):
         return lambda xi: hierarchy.evaluate(0, xi).qoi
 
     def y(xi):
-        fine, coarse = evaluate_coupled(hierarchy, level, xi)
-        return fine.qoi - coarse.qoi
+        return hierarchy.evaluate(level, xi).qoi - hierarchy.evaluate(level - 1, xi).qoi
 
     return y
 

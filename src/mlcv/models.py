@@ -209,12 +209,20 @@ class LevelOutput:
 class LevelHierarchy(abc.ABC):
     """Coupled multilevel model.
 
+    A model's constructor sets ``input_dim``, ``cost_gamma`` and the
+    per-level tables ``_dofs`` and ``_output_dims``, and the model implements
+    two maps: ``_solve`` from checked inputs to the output matrix, and
+    ``_output_map`` from an output matrix to the scalar quantities of
+    interest.  Everything else is derived here: level and input checks,
+    ``cost = dofs ** cost_gamma``, standard Gaussian inputs, ``evaluate`` and
+    ``qoi``.  Because ``evaluate`` computes its quantities of interest through
+    ``qoi``, the quantity of interest is one function of the output vector
+    alone, and applying it to reconstructed output vectors rounds exactly as
+    it does for solved ones.
+
     Implementations must be deterministic: evaluating the same level at the
     same input matrix twice returns identical arrays.  Levels are indexed
-    0..finest_level with strictly increasing degrees of freedom, and the
-    scalar quantity of interest must be a fixed function of the output
-    vector alone (``qoi`` below), so it can be applied to reconstructed
-    output vectors as well.
+    0..finest_level with strictly increasing degrees of freedom.
 
     Outputs may depend on the number of input rows in their last bits,
     because BLAS picks its kernel by matrix shape: evaluating a 65,536-row
@@ -222,47 +230,69 @@ class LevelHierarchy(abc.ABC):
     Measured on the ``wide_pilot`` benchmark model, ``SyntheticLowRank``
     quantities of interest (about 20 in size) differed by up to 3.6e-15 and
     the surrogate corrections of ``control_variates.sample_z`` by up to
-    8.3e-11; ``Diffusion1D`` on the ``fine_mc`` grids showed no difference.
-    The estimators therefore fix the batch boundaries (``mlmc._BATCH``) and
-    never slice a batch's values for a shorter run.
+    8.3e-11.  ``Diffusion1D`` on the ``fine_mc`` grids showed no difference
+    for prefixes of two rows or more, but a one-row batch differed from the
+    same row evaluated in a wider batch by up to 1.3e-13 relative in ``q``
+    at m = 255.  The estimators therefore fix the batch boundaries
+    (``mlmc._BATCH``) and never slice a batch's values for a shorter run.
     """
 
-    @property
+    input_dim: int
+    cost_gamma: float
+    _dofs: tuple[int, ...]
+    _output_dims: tuple[int, ...]
+
     @abc.abstractmethod
-    def finest_level(self) -> int: ...
+    def _solve(self, level: int, z: np.ndarray) -> np.ndarray:
+        """Output matrix (output_dim(level), n) for checked inputs z of shape
+        (n, input_dim)."""
+
+    @abc.abstractmethod
+    def _output_map(self, level: int, q: np.ndarray) -> np.ndarray:
+        """Quantity of interest of each column of a checked output matrix."""
 
     @property
-    @abc.abstractmethod
-    def input_dim(self) -> int: ...
-
-    @property
-    @abc.abstractmethod
-    def distributions(self) -> tuple[DistributionTag, ...]: ...
-
-    @abc.abstractmethod
-    def dofs(self, level: int) -> int:
-        """Resolution measure used for cost laws and rate fits."""
-
-    @abc.abstractmethod
-    def output_dim(self, level: int) -> int: ...
-
-    @abc.abstractmethod
-    def cost(self, level: int) -> float:
-        """Declared cost of one single-level solve."""
-
-    @abc.abstractmethod
-    def evaluate(self, level: int, xi) -> LevelOutput: ...
-
-    @abc.abstractmethod
-    def qoi(self, level: int, q) -> np.ndarray:
-        """Apply the scalar output map to columns of a level-``level`` output
-        matrix."""
-
-    # shared helpers ------------------------------------------------------
+    def finest_level(self) -> int:
+        return len(self._dofs) - 1
 
     @property
     def n_levels(self) -> int:
-        return self.finest_level + 1
+        return len(self._dofs)
+
+    @property
+    def distributions(self) -> tuple[DistributionTag, ...]:
+        return (standard_gaussian(),) * self.input_dim
+
+    def dofs(self, level: int) -> int:
+        """Resolution measure used for cost laws and rate fits."""
+        self.check_level(level)
+        return self._dofs[level]
+
+    def output_dim(self, level: int) -> int:
+        self.check_level(level)
+        return self._output_dims[level]
+
+    def cost(self, level: int) -> float:
+        """Declared cost of one single-level solve."""
+        return float(self.dofs(level)) ** self.cost_gamma
+
+    def evaluate(self, level: int, xi) -> LevelOutput:
+        self.check_level(level)
+        q = self._solve(level, self._check_inputs(xi))
+        return LevelOutput(q, self.qoi(level, q))
+
+    def qoi(self, level: int, q) -> np.ndarray:
+        """Apply the scalar output map to columns of a level-``level`` output
+        matrix."""
+        qm = np.asarray(q, dtype=np.float64)
+        if qm.ndim == 1:
+            qm = qm[:, None]
+        if qm.shape[0] != self.output_dim(level):
+            raise DimensionError(
+                f"level {level} output has {self.output_dim(level)} entries, "
+                f"got {qm.shape[0]}"
+            )
+        return self._output_map(level, qm)
 
     def check_level(self, level: int) -> None:
         if not 0 <= level <= self.finest_level:
@@ -283,16 +313,6 @@ class LevelHierarchy(abc.ABC):
         return z
 
 
-def evaluate_coupled(hierarchy: LevelHierarchy, level: int, xi) -> tuple[LevelOutput, LevelOutput]:
-    """Evaluate levels ``level`` and ``level - 1`` at the same inputs."""
-    hierarchy.check_level(level)
-    if level < 1:
-        raise DimensionError("coupled evaluation needs level >= 1")
-    fine = hierarchy.evaluate(level, xi)
-    coarse = hierarchy.evaluate(level - 1, xi)
-    return fine, coarse
-
-
 class LevelSubset(LevelHierarchy):
     """Re-index a subset of another hierarchy's levels as levels 0..k.
 
@@ -306,46 +326,29 @@ class LevelSubset(LevelHierarchy):
             raise ConfigError("level subset must keep at least one level")
         if any(b <= a for a, b in zip(sel, sel[1:])):
             raise ConfigError(f"level subset must be strictly increasing, got {sel}")
-        for v in sel:
-            parent.check_level(v)
         self._parent = parent
         self._levels = tuple(sel)
+        self.input_dim = parent.input_dim
+        self._dofs = tuple(parent.dofs(v) for v in sel)
+        self._output_dims = tuple(parent.output_dim(v) for v in sel)
 
     @property
     def parent_levels(self) -> tuple[int, ...]:
         return self._levels
 
     @property
-    def finest_level(self) -> int:
-        return len(self._levels) - 1
-
-    @property
-    def input_dim(self) -> int:
-        return self._parent.input_dim
-
-    @property
     def distributions(self) -> tuple[DistributionTag, ...]:
         return self._parent.distributions
-
-    def dofs(self, level: int) -> int:
-        self.check_level(level)
-        return self._parent.dofs(self._levels[level])
-
-    def output_dim(self, level: int) -> int:
-        self.check_level(level)
-        return self._parent.output_dim(self._levels[level])
 
     def cost(self, level: int) -> float:
         self.check_level(level)
         return self._parent.cost(self._levels[level])
 
-    def evaluate(self, level: int, xi) -> LevelOutput:
-        self.check_level(level)
-        return self._parent.evaluate(self._levels[level], xi)
+    def _solve(self, level: int, z: np.ndarray) -> np.ndarray:
+        return self._parent._solve(self._levels[level], z)
 
-    def qoi(self, level: int, q) -> np.ndarray:
-        self.check_level(level)
-        return self._parent.qoi(self._levels[level], q)
+    def _output_map(self, level: int, q: np.ndarray) -> np.ndarray:
+        return self._parent._output_map(self._levels[level], q)
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +392,19 @@ class SyntheticLowRank(LevelHierarchy):
             raise ConfigError(f"cost_gamma must be positive, got {cost_gamma}")
         if not np.isfinite(delta) or delta < 0:
             raise ConfigError(f"delta must be non-negative, got {delta}")
+        if coeff_seed < 0:
+            raise ConfigError(f"coeff_seed must be non-negative, got {coeff_seed}")
 
         self.r_true = int(r_true)
         self.m0 = int(m0)
         self.refine = int(refine)
-        self._num_levels = int(num_levels)
         self.cost_gamma = float(cost_gamma)
-        self._input_dim = int(input_dim)
+        self.input_dim = int(input_dim)
         self.delta = float(delta)
         self.coeff_seed = int(coeff_seed)
 
         rng = np.random.default_rng(coeff_seed)
-        d = self._input_dim
+        d = self.input_dim
         r = self.r_true
         # profile phases and nonlinear-map coefficients are frozen at
         # construction so the model is a fixed function of its inputs
@@ -416,41 +420,17 @@ class SyntheticLowRank(LevelHierarchy):
         self._pert_weights = rng.uniform(-1.0, 1.0, size=d)
         self._pert_phase = rng.uniform(0.0, 2.0 * np.pi, size=num_levels)
 
-        self._m = [self.m0 * self.refine**ell for ell in range(num_levels)]
+        self._dofs = self._output_dims = tuple(
+            self.m0 * self.refine**ell for ell in range(num_levels)
+        )
         self._a = []
         self._pert_profile = []
-        for ell in range(num_levels):
-            x = (np.arange(self._m[ell]) + 0.5) / self._m[ell]
+        for ell, m in enumerate(self._dofs):
+            x = (np.arange(m) + 0.5) / m
             freq = (np.arange(r) + 1.5) * np.pi
             self._a.append(1.0 + 0.9 * np.sin(np.outer(x, freq) + self._phase[None, :]))
             omega = (4 * ell + 9) * np.pi
             self._pert_profile.append(np.sin(omega * x + self._pert_phase[ell]))
-
-        self._dists = tuple(standard_gaussian() for _ in range(d))
-
-    @property
-    def finest_level(self) -> int:
-        return self._num_levels - 1
-
-    @property
-    def input_dim(self) -> int:
-        return self._input_dim
-
-    @property
-    def distributions(self) -> tuple[DistributionTag, ...]:
-        return self._dists
-
-    def dofs(self, level: int) -> int:
-        self.check_level(level)
-        return self._m[level]
-
-    def output_dim(self, level: int) -> int:
-        self.check_level(level)
-        return self._m[level]
-
-    def cost(self, level: int) -> float:
-        self.check_level(level)
-        return float(self._m[level]) ** self.cost_gamma
 
     def _gmap(self, z: np.ndarray) -> np.ndarray:
         g = np.empty((z.shape[0], self.r_true))
@@ -463,27 +443,16 @@ class SyntheticLowRank(LevelHierarchy):
             )
         return g
 
-    def evaluate(self, level: int, xi) -> LevelOutput:
-        self.check_level(level)
-        z = self._check_inputs(xi)
-        g = self._gmap(z)
-        q = self._a[level] @ g.T
+    def _solve(self, level: int, z: np.ndarray) -> np.ndarray:
+        q = self._a[level] @ self._gmap(z).T
         if self.delta > 0.0:
-            w = 1.0 + 0.5 * np.tanh(z @ self._pert_weights / np.sqrt(self._input_dim))
+            w = 1.0 + 0.5 * np.tanh(z @ self._pert_weights / np.sqrt(self.input_dim))
             scale = self.delta * float(self.refine) ** (-level)
             q = q + scale * self._pert_profile[level][:, None] * w[None, :]
-        return LevelOutput(q=q, qoi=q.mean(axis=0))
+        return q
 
-    def qoi(self, level: int, q) -> np.ndarray:
-        self.check_level(level)
-        qm = np.asarray(q, dtype=np.float64)
-        if qm.ndim == 1:
-            qm = qm[:, None]
-        if qm.shape[0] != self._m[level]:
-            raise DimensionError(
-                f"level {level} output has {self._m[level]} entries, got {qm.shape[0]}"
-            )
-        return qm.mean(axis=0)
+    def _output_map(self, level: int, q: np.ndarray) -> np.ndarray:
+        return q.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +509,13 @@ class Diffusion1D(LevelHierarchy):
     ``constant_coefficient=True`` is a verification hook forcing a = 1, for
     which u(x) = x(1 - x)/2 exactly.
 
+    Known defect, kept because fixing it moves every output: G has pointwise
+    variance ``sigma2**2``, not ``sigma2``.  ``kl_decompose`` returns kernel
+    eigenvalues that already carry ``sigma2``, and the modes are scaled by
+    ``field.sigma = sqrt(sigma2)`` on top.  For ``sigma2=0.5,
+    corr_length=0.3`` and 3 modes, sum(lambda phi^2) at x = 0.5 is 0.499 but
+    G's variance there is 0.250.
+
     The non-smooth exponential kernel leaves small kinks in the Nystrom mode
     extension at the KL grid scale; with deep hierarchies choose kl_grid_n
     well above the finest grid so those kinks stay below the finest level
@@ -570,10 +546,10 @@ class Diffusion1D(LevelHierarchy):
         if kl_grid_n < max(2, n_modes):
             raise ConfigError(f"kl_grid_n too small: {kl_grid_n}")
 
-        self._grids = tuple(int(m) for m in grids)
-        if len(self._grids) < 1 or any(m < 2 for m in self._grids):
+        self._dofs = tuple(int(m) for m in grids)
+        if len(self._dofs) < 1 or any(m < 2 for m in self._dofs):
             raise ConfigError(f"grids must list interior node counts >= 2, got {grids}")
-        for mc, mf in zip(self._grids, self._grids[1:]):
+        for mc, mf in zip(self._dofs, self._dofs[1:]):
             if mf <= mc:
                 raise ConfigError(f"grids must be strictly increasing, got {grids}")
             if (mf + 1) % (mc + 1) != 0:
@@ -586,7 +562,9 @@ class Diffusion1D(LevelHierarchy):
         self.qoi_kind = qoi
         self.cost_gamma = float(cost_gamma)
         self.constant_coefficient = bool(constant_coefficient)
-        self._n_modes = int(n_modes)
+        self.input_dim = int(n_modes)
+        # q holds the m interior values of u, or the m + 1 midpoint fluxes
+        self._output_dims = tuple(m + (qoi == "flux_at_left") for m in self._dofs)
 
         self.field = kl_decompose(kernel, np.linspace(0.0, 1.0, kl_grid_n), n_modes)
         scale = self.field.sigma * np.sqrt(self.field.eigenvalues)
@@ -594,55 +572,25 @@ class Diffusion1D(LevelHierarchy):
         # per level: mesh width and the scaled KL modes at cell midpoints,
         # evaluated by Nystrom extension so the field is the same smooth
         # function of x on every level
-        self._h = [1.0 / (m + 1) for m in self._grids]
+        self._h = [1.0 / (m + 1) for m in self._dofs]
         self._mid_modes = []
-        for m, h in zip(self._grids, self._h):
+        for m, h in zip(self._dofs, self._h):
             mid = (np.arange(m + 1) + 0.5) * h
             self._mid_modes.append(kl_modes_at(self.field, mid) * scale[None, :])
 
-        self._dists = tuple(standard_gaussian() for _ in range(self._n_modes))
-
-    @property
-    def finest_level(self) -> int:
-        return len(self._grids) - 1
-
-    @property
-    def input_dim(self) -> int:
-        return self._n_modes
-
-    @property
-    def distributions(self) -> tuple[DistributionTag, ...]:
-        return self._dists
-
-    def dofs(self, level: int) -> int:
-        self.check_level(level)
-        return self._grids[level]
-
-    def output_dim(self, level: int) -> int:
-        self.check_level(level)
-        m = self._grids[level]
-        return m if self.qoi_kind == "integral_of_u" else m + 1
-
-    def cost(self, level: int) -> float:
-        self.check_level(level)
-        return float(self._grids[level]) ** self.cost_gamma
-
     def _coefficient(self, level: int, z: np.ndarray) -> np.ndarray:
         if self.constant_coefficient:
-            return np.ones((z.shape[0], self._grids[level] + 1))
+            return np.ones((z.shape[0], self._dofs[level] + 1))
         g = z @ self._mid_modes[level].T
         np.exp(g, out=g)
         g += self.mean_coefficient
         return g
 
-    def evaluate(self, level: int, xi) -> LevelOutput:
-        self.check_level(level)
-        z = self._check_inputs(xi)
+    def _solve(self, level: int, z: np.ndarray) -> np.ndarray:
         h = self._h[level]
         coef = self._coefficient(level, z)  # (n, m + 1) at midpoints
         n, m = coef.shape[0], coef.shape[1] - 1
-        q = np.empty((self.output_dim(level), n))
-        qoi = np.empty(n)
+        q = np.empty((self._output_dims[level], n))
         width = max(1, _BLOCK_DOUBLES // (m + 1))
         for start in range(0, n, width):
             cols = slice(start, start + width)
@@ -660,25 +608,11 @@ class Diffusion1D(LevelHierarchy):
                     f"tridiagonal solve produced non-finite values at level {level} "
                     f"for input row {bad}: xi={z[bad]}"
                 )
-            if self.qoi_kind == "integral_of_u":
-                # transposed so each sample sums contiguously, in numpy's pairwise order
-                qoi[cols] = h * np.ascontiguousarray(u.T).sum(axis=1)
-            else:
+            if self.qoi_kind == "flux_at_left":
                 q[:, cols] = -a * np.diff(upad, axis=0) / h
-        if self.qoi_kind != "integral_of_u":
-            qoi = self.qoi(level, q)
-        return LevelOutput(q=q, qoi=qoi)
+        return q
 
-    def qoi(self, level: int, q) -> np.ndarray:
-        self.check_level(level)
-        qm = np.asarray(q, dtype=np.float64)
-        if qm.ndim == 1:
-            qm = qm[:, None]
-        if qm.shape[0] != self.output_dim(level):
-            raise DimensionError(
-                f"level {level} output has {self.output_dim(level)} entries, "
-                f"got {qm.shape[0]}"
-            )
+    def _output_map(self, level: int, q: np.ndarray) -> np.ndarray:
         if self.qoi_kind == "integral_of_u":
-            return self._h[level] * qm.sum(axis=0)
-        return 1.5 * qm[0] - 0.5 * qm[1]
+            return self._h[level] * q.sum(axis=0)
+        return 1.5 * q[0] - 0.5 * q[1]

@@ -178,6 +178,12 @@ class TestExitCodes:
         path = write_config(tmp_path, {"schema": 1})
         assert main(["pilot", path]) == 2
 
+    def test_negative_coeff_seed(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out")
+        cfg["model"]["coeff_seed"] = -1
+        assert main(["pilot", write_config(tmp_path, cfg)]) == 2
+        assert "coeff_seed must be non-negative, got -1" in capsys.readouterr().err
+
     def test_estimate_before_pilot(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path / "out"))
         assert main(["estimate", path]) == 2

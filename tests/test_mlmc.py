@@ -21,7 +21,6 @@ from mlcv import (
     Diffusion1D,
     DimensionError,
     LevelHierarchy,
-    LevelOutput,
     LevelStats,
     SyntheticLowRank,
     allocate_mlmc,
@@ -160,7 +159,7 @@ class TestPilotMlmc:
             synthetic_pilot.master_seed, PURPOSE_PILOT, 0, 0, n, synthetic.distributions
         )
         for level in (1, 2):
-            fine, coarse = mlmc_module.evaluate_coupled(synthetic, level, xi)
+            fine, coarse = synthetic.evaluate(level, xi), synthetic.evaluate(level - 1, xi)
             prev = synthetic_pilot.levels[level - 1]
             assert np.array_equal(coarse.qoi, prev.qoi)
             assert np.array_equal(coarse.q, prev.q)
@@ -279,40 +278,22 @@ class TestBiasCheck:
 
 
 class ScaledHierarchy(LevelHierarchy):
-    """Wrapper multiplying every output by a constant; used to probe estimator
-    linearity."""
+    """A parent model's tables and solve, with its quantity of interest
+    multiplied by a constant; used to probe estimator linearity."""
 
     def __init__(self, parent, factor):
         self._parent = parent
         self._factor = factor
+        self.input_dim = parent.input_dim
+        self.cost_gamma = parent.cost_gamma
+        self._dofs = parent._dofs
+        self._output_dims = parent._output_dims
 
-    @property
-    def finest_level(self):
-        return self._parent.finest_level
+    def _solve(self, level, z):
+        return self._parent._solve(level, z)
 
-    @property
-    def input_dim(self):
-        return self._parent.input_dim
-
-    @property
-    def distributions(self):
-        return self._parent.distributions
-
-    def dofs(self, level):
-        return self._parent.dofs(level)
-
-    def output_dim(self, level):
-        return self._parent.output_dim(level)
-
-    def cost(self, level):
-        return self._parent.cost(level)
-
-    def evaluate(self, level, xi):
-        out = self._parent.evaluate(level, xi)
-        return LevelOutput(q=2.0 * out.q, qoi=self._factor * out.qoi)
-
-    def qoi(self, level, q):
-        return self._factor * self._parent.qoi(level, q)
+    def _output_map(self, level, q):
+        return self._factor * self._parent._output_map(level, q)
 
 
 class TestRunMlmc:
@@ -349,8 +330,8 @@ class TestRunMlmc:
                 if level == 0:
                     fresh = synthetic.evaluate(0, xi).qoi
                 else:
-                    fine, coarse = mlmc_module.evaluate_coupled(synthetic, level, xi)
-                    fresh = fine.qoi - coarse.qoi
+                    fine = synthetic.evaluate(level, xi)
+                    fresh = fine.qoi - synthetic.evaluate(level - 1, xi).qoi
                 expected = np.concatenate([reused, fresh]).mean()
             else:
                 expected = reused.mean()
@@ -515,15 +496,15 @@ def _assert_same_result(joint, alone):
 
 
 class BatchWidthHierarchy(ScaledHierarchy):
-    """Outputs shifted by an amount that grows with the batch width, as BLAS
-    kernel choice shifts the last bits of real models' outputs."""
+    """Quantities of interest shifted by an amount that grows with the batch
+    width, as BLAS kernel choice shifts the last bits of real models'
+    outputs."""
 
     def __init__(self, parent):
         super().__init__(parent, 1.0)
 
-    def evaluate(self, level, xi):
-        out = self._parent.evaluate(level, xi)
-        return LevelOutput(q=out.q, qoi=out.qoi + (level + 1) * 1e-9 * len(xi))
+    def _output_map(self, level, q):
+        return super()._output_map(level, q) + (level + 1) * 1e-9 * q.shape[1]
 
 
 class TestOnePassOverPlans:

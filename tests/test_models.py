@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,6 @@ from mlcv import (
     SquaredExponentialKernel,
     SyntheticLowRank,
     draw_inputs,
-    evaluate_coupled,
     kl_decompose,
     kl_modes_at,
     make_kernel,
@@ -248,7 +250,7 @@ class TestSyntheticLowRank:
         xi = draw_inputs(13, PURPOSE_PILOT, 0, 0, 100, synthetic.distributions)
         v = []
         for level in (1, 2):
-            fine, coarse = evaluate_coupled(synthetic, level, xi)
+            fine, coarse = synthetic.evaluate(level, xi), synthetic.evaluate(level - 1, xi)
             v.append(np.var(fine.qoi - coarse.qoi, ddof=1))
         assert v[1] < v[0]
 
@@ -263,6 +265,8 @@ class TestSyntheticLowRank:
             SyntheticLowRank(refine=1)
         with pytest.raises(ConfigError):
             SyntheticLowRank(delta=-0.1)
+        with pytest.raises(ConfigError):
+            SyntheticLowRank(coeff_seed=-1)
 
 
 class TestDiffusion1D:
@@ -328,7 +332,8 @@ class TestDiffusion1D:
                 u = _thomas_reference(a[j].tolist(), step)
                 if qoi == "integral_of_u":
                     q = u
-                    qoi_j = step * np.sum(np.array(q))
+                    # summed in node order, as the QoI sums down the rows of q
+                    qoi_j = step * functools.reduce(operator.add, q)
                 else:
                     upad = [0.0] + u + [0.0]
                     q = [-a[j, k] * (upad[k + 1] - upad[k]) / step for k in range(len(u) + 1)]
@@ -376,7 +381,7 @@ class TestDiffusion1D:
     def test_coupled_at_zero_xi_is_deterministic_difference(self):
         h = Diffusion1D(grids=(7, 15), n_modes=3, kl_grid_n=65)
         xi = np.zeros((1, 3))
-        fine, coarse = evaluate_coupled(h, 1, xi)
+        fine, coarse = h.evaluate(1, xi), h.evaluate(0, xi)
         y = fine.qoi[0] - coarse.qoi[0]
         alt = h.evaluate(1, xi).qoi[0] - h.evaluate(0, xi).qoi[0]
         assert y == alt
@@ -385,7 +390,7 @@ class TestDiffusion1D:
     def test_deterministic_model_zero_correction_variance(self):
         h = Diffusion1D(grids=(7, 15), constant_coefficient=True, n_modes=2, kl_grid_n=33)
         xi = draw_inputs(5, PURPOSE_PILOT, 0, 0, 20, h.distributions)
-        fine, coarse = evaluate_coupled(h, 1, xi)
+        fine, coarse = h.evaluate(1, xi), h.evaluate(0, xi)
         y = fine.qoi - coarse.qoi
         assert np.var(y) == 0.0
 
@@ -394,7 +399,7 @@ class TestDiffusion1D:
         xi = draw_inputs(6, PURPOSE_PILOT, 0, 0, 200, h.distributions)
         v = []
         for level in (1, 2):
-            fine, coarse = evaluate_coupled(h, level, xi)
+            fine, coarse = h.evaluate(level, xi), h.evaluate(level - 1, xi)
             v.append(np.var(fine.qoi - coarse.qoi, ddof=1))
         assert v[1] < v[0]
 
@@ -402,15 +407,19 @@ class TestDiffusion1D:
         xi = draw_inputs(8, PURPOSE_PILOT, 0, 0, 4, diffusion_small.distributions)
         total = diffusion_small.evaluate(0, xi).qoi.copy()
         for level in (1, 2):
-            fine, coarse = evaluate_coupled(diffusion_small, level, xi)
+            fine = diffusion_small.evaluate(level, xi)
+            coarse = diffusion_small.evaluate(level - 1, xi)
             total += fine.qoi - coarse.qoi
         direct = diffusion_small.evaluate(2, xi).qoi
         assert np.allclose(total, direct, rtol=1e-12)
 
     def test_coupling_shares_inputs_bitwise(self, diffusion_small):
+        """A coupled pair's coarse half is a plain evaluation at the shared
+        inputs: solving the fine level first leaves no state behind."""
         xi = draw_inputs(9, PURPOSE_PILOT, 0, 0, 6, diffusion_small.distributions)
-        _, coarse = evaluate_coupled(diffusion_small, 1, xi)
         direct = diffusion_small.evaluate(0, xi)
+        diffusion_small.evaluate(1, xi)
+        coarse = diffusion_small.evaluate(0, xi)
         assert np.array_equal(coarse.q, direct.q)
         assert np.array_equal(coarse.qoi, direct.qoi)
 
@@ -431,8 +440,23 @@ class TestDiffusion1D:
             diffusion_small.evaluate(5, np.zeros((1, 4)))
         with pytest.raises(DimensionError):
             diffusion_small.evaluate(0, np.zeros((1, 3)))
-        with pytest.raises(DimensionError):
-            evaluate_coupled(diffusion_small, 0, np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("model", ["synthetic", "integral_of_u", "flux_at_left", "subset"])
+def test_evaluate_qoi_is_qoi_of_outputs_bitwise(model, synthetic):
+    """``evaluate``'s quantities of interest are ``qoi`` applied to its
+    outputs, bit for bit, so reconstructed outputs round as solved ones do."""
+    grids = (15, 31, 63, 127, 255)
+    if model == "synthetic":
+        h = synthetic
+    elif model == "subset":
+        h = LevelSubset(Diffusion1D(grids=grids, n_modes=6), [0, 2, 4])
+    else:
+        h = Diffusion1D(grids=grids, n_modes=6, qoi=model)
+    xi = draw_inputs(21, PURPOSE_PILOT, 0, 0, 200, h.distributions)
+    for level in range(h.n_levels):
+        out = h.evaluate(level, xi)
+        assert out.qoi.tobytes() == h.qoi(level, out.q).tobytes()
 
 
 class TestLevelSubset:
@@ -445,7 +469,7 @@ class TestLevelSubset:
         assert sub.output_dim(1) == diffusion_small.output_dim(2)
         xi = draw_inputs(10, PURPOSE_PILOT, 0, 0, 3, sub.distributions)
         assert np.array_equal(sub.evaluate(1, xi).q, diffusion_small.evaluate(2, xi).q)
-        fine, coarse = evaluate_coupled(sub, 1, xi)
+        fine, coarse = sub.evaluate(1, xi), sub.evaluate(0, xi)
         assert np.array_equal(fine.q, diffusion_small.evaluate(2, xi).q)
         assert np.array_equal(coarse.q, diffusion_small.evaluate(0, xi).q)
 
