@@ -247,7 +247,20 @@ class AllocationPlan:
 def _check_epsilon(epsilon: float) -> float:
     if not np.isfinite(epsilon) or epsilon <= 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    return float(epsilon)
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon * epsilon < math.inf:
+        raise ConfigError(
+            f"epsilon {epsilon} is out of range: its square must be positive and finite"
+        )
+    return epsilon
+
+
+def _ceil_count(value: float, epsilon: float) -> int:
+    """A planned sample count rounded up; a tolerance so tight that the count
+    is not finite is a configuration error, not an overflow."""
+    if not math.isfinite(value):
+        raise ConfigError(f"epsilon {epsilon} is out of range: it plans {value} samples")
+    return math.ceil(value)
 
 
 def allocate_samples(
@@ -277,7 +290,7 @@ def allocate_samples(
     if total == 0.0:
         return tuple([n_min] * v.size), True
     raw = (2.0 / epsilon**2) * total * np.sqrt(v / c)
-    counts = [max(n_min, math.ceil(r)) for r in raw]
+    counts = [max(n_min, _ceil_count(r, epsilon)) for r in raw]
     budget = epsilon**2 / 2.0
     _trim_counts(counts, v, c, budget, n_min)
     if max(counts) <= _EXCHANGE_COUNT_CAP:
@@ -431,7 +444,7 @@ def mc_cost_reference(finest_stats: LevelStats, epsilon: float) -> float:
     budget: N = ceil(2 V[Q_L] / epsilon^2) fine solves (at least one, so a
     deterministic output prices one evaluation)."""
     epsilon = _check_epsilon(epsilon)
-    n = math.ceil(2.0 * finest_stats.var_q / epsilon**2)
+    n = _ceil_count(2.0 * finest_stats.var_q / epsilon**2, epsilon)
     return max(n, 1) * finest_stats.cost_fine
 
 
@@ -691,7 +704,7 @@ def run_mc(
     var_q = pilot.stats[finest].var_q
     if var_q <= 0:
         raise DataError("plain MC needs a positive finest-level pilot variance")
-    ns = [max(math.ceil(2.0 * var_q / eps**2), N_MIN) for eps in epsilons]
+    ns = [max(_ceil_count(2.0 * var_q / eps**2, eps), N_MIN) for eps in epsilons]
     runs = _stream_moments(
         hierarchy,
         seed,

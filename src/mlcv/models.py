@@ -230,10 +230,12 @@ class LevelHierarchy(abc.ABC):
     Measured on the ``wide_pilot`` benchmark model, ``SyntheticLowRank``
     quantities of interest (about 20 in size) differed by up to 3.6e-15 and
     the surrogate corrections of ``control_variates.sample_z`` by up to
-    8.3e-11.  ``Diffusion1D`` on the ``fine_mc`` grids showed no difference
-    for prefixes of two rows or more, but a one-row batch differed from the
-    same row evaluated in a wider batch by up to 1.3e-13 relative in ``q``
-    at m = 255.  The estimators therefore fix the batch boundaries
+    8.3e-11.  ``Diffusion1D`` forms its coefficient in row pieces of at
+    least two rows, because a one-row product takes BLAS's matrix-vector
+    path: on the ``fine_mc`` grids its outputs showed no difference for
+    prefixes of two rows or more, but a one-row batch differed from the same
+    row evaluated in a wider batch by up to 1.3e-13 relative in ``q`` at
+    m = 255.  The estimators therefore fix the batch boundaries
     (``mlmc._BATCH``) and never slice a batch's values for a shorter run.
     """
 
@@ -459,12 +461,31 @@ class SyntheticLowRank(LevelHierarchy):
 # 1-D lognormal diffusion
 
 
-# Doubles per column block of Diffusion1D.evaluate (4 MB): each block's
-# transposed coefficient, diag, off and elimination factors are this size.
-# Whole-batch intermediates would fault in about 1 GB of fresh pages per
-# 65,536-sample solve at m = 255, and the kernel time for that changes from
-# call to call (0.14-0.51 s of a 0.88-1.22 s call on a 2-core VM).
+# Doubles per column block of Diffusion1D._solve (4 MB).  Each block's
+# node-major coefficient, diag, off and elimination factors are this size, so
+# the solve's working memory is a few blocks beside its output, whatever the
+# batch size.
 _BLOCK_DOUBLES = 1 << 19
+
+# Doubles per row slab of a block's coefficient (256 KB).  Each slab is formed
+# row-major, as one product with the KL modes, and copied into the node-major
+# block; a slab and its transposed copy (512 KB together) fit in a core's L2,
+# so the transpose does not go out to memory as a whole-block one would.
+_SLAB_DOUBLES = 1 << 15
+
+
+def _splits(n: int, width: int) -> list[tuple[int, int]]:
+    """Consecutive (start, stop) pieces covering 0..n, each ``width`` rows
+    (at least 2) but the last, which takes a one-row remainder into itself.
+
+    A one-row coefficient product takes BLAS's matrix-vector path, which
+    rounds differently from the same row in a wider product, so no piece of
+    a batch of two rows or more has one row.
+    """
+    starts = list(range(0, n, max(2, width)))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def _solve_tridiagonal_batch(diag, off, rhs, out):
@@ -499,7 +520,9 @@ class Diffusion1D(LevelHierarchy):
     KL reference grid).  Discretization is the standard conservative
     second-order finite-difference scheme with harmonic-free midpoint
     coefficients, solved by a node-major Thomas sweep (one contiguous row of
-    samples per step) over column blocks of the batch.
+    samples per step) over column blocks of the batch.  Each block's
+    coefficient is filled from row slabs small enough to transpose in cache,
+    so the solve's working memory is a few blocks whatever the batch size.
 
     ``qoi="integral_of_u"`` returns q = interior solution values and Q =
     trapezoid integral of u.  ``qoi="flux_at_left"`` returns q = the
@@ -588,13 +611,13 @@ class Diffusion1D(LevelHierarchy):
 
     def _solve(self, level: int, z: np.ndarray) -> np.ndarray:
         h = self._h[level]
-        coef = self._coefficient(level, z)  # (n, m + 1) at midpoints
-        n, m = coef.shape[0], coef.shape[1] - 1
+        n, m = z.shape[0], self._dofs[level]
         q = np.empty((self._output_dims[level], n))
-        width = max(1, _BLOCK_DOUBLES // (m + 1))
-        for start in range(0, n, width):
-            cols = slice(start, start + width)
-            a = np.ascontiguousarray(coef[cols].T)  # (m + 1, block)
+        for start, stop in _splits(n, _BLOCK_DOUBLES // (m + 1)):
+            cols = slice(start, stop)
+            a = np.empty((m + 1, stop - start))  # coefficient at the midpoints
+            for s0, s1 in _splits(stop - start, _SLAB_DOUBLES // (m + 1)):
+                a[:, s0:s1] = self._coefficient(level, z[start + s0 : start + s1]).T
             if self.qoi_kind == "integral_of_u":
                 u = q[:, cols]
             else:

@@ -92,6 +92,11 @@ class TestAllocateSamples:
             allocate_samples([1.0], [1.0], 0.0)
         with pytest.raises(ConfigError):
             allocate_samples([1.0], [1.0], -1.0)
+        # a square that underflows to 0 or overflows, and a finite square
+        # that plans infinitely many samples
+        for eps in (1e-300, 1e160, 1e-160):
+            with pytest.raises(ConfigError, match="out of range"):
+                allocate_samples([1.0], [1.0], eps)
         with pytest.raises(DimensionError):
             allocate_samples([1.0, 2.0], [1.0], 0.1)
         with pytest.raises(DataError):
@@ -448,6 +453,12 @@ class TestMcCostReference:
         s = make_stats(0, 0.0, 5.0, var_q=0.0)
         assert mc_cost_reference(s, 0.1) == 5.0
 
+    @pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e300])
+    def test_extreme_epsilon_rejected(self, eps):
+        s = make_stats(0, 0.0, 5.0, var_q=1.0)
+        with pytest.raises(ConfigError, match="out of range"):
+            mc_cost_reference(s, eps)
+
 
 class TestMcOracleMean:
     def test_matches_manual_oracle_stream(self, synthetic):
@@ -596,3 +607,5 @@ class TestOnePassOverPlans:
             run_mlcv(synthetic, [good, AllocationPlan(0.2, (50, 30, 75))], synthetic_pilot, setup)
         with pytest.raises(ConfigError):
             run_mc(synthetic, [0.1, -0.2], synthetic_pilot)
+        with pytest.raises(ConfigError, match="out of range"):
+            run_mc(synthetic, [0.1, 1e-160], synthetic_pilot)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,33 @@ def _thomas_reference(a, h):
     for i in range(m - 2, -1, -1):
         dp[i] = dp[i] - cp[i] * dp[i + 1]
     return dp
+
+
+def _whole_batch_solve(h, level, xi):
+    """A Diffusion1D solve as one block: the whole batch's coefficient,
+    transposed to node-major, then one Thomas sweep."""
+    step = 1.0 / (h.dofs(level) + 1)
+    a = np.ascontiguousarray(h._coefficient(level, xi).T)
+    upad = np.zeros((a.shape[0] + 1, a.shape[1]))
+    models_module._solve_tridiagonal_batch(a[:-1] + a[1:], -a[1:-1], step * step, upad[1:-1])
+    if h.qoi_kind == "integral_of_u":
+        q = upad[1:-1]
+    else:
+        q = -a * np.diff(upad, axis=0) / step
+    return q, h.qoi(level, q)
+
+
+@pytest.mark.parametrize("width", range(5))
+def test_splits_cover_in_order_without_one_row_pieces(width):
+    assert models_module._splits(0, width) == []
+    for n in range(1, 40):
+        pieces = models_module._splits(n, width)
+        bounds = [0] + [stop for _, stop in pieces]
+        assert [start for start, _ in pieces] == bounds[:-1]
+        assert bounds[-1] == n
+        sizes = [stop - start for start, stop in pieces]
+        assert sizes == [1] if n == 1 else 2 <= min(sizes)
+        assert max(sizes) <= max(2, width) + 1
 
 
 class TestKernels:
@@ -353,15 +381,37 @@ class TestDiffusion1D:
     @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
     def test_column_blocks_do_not_change_bits(self, qoi, monkeypatch):
         h = Diffusion1D(grids=(2, 5, 11), n_modes=4, kl_grid_n=65, qoi=qoi)
-        xi = draw_inputs(5, PURPOSE_PILOT, 0, 0, 10, h.distributions)
-        whole = [h.evaluate(level, xi) for level in range(h.n_levels)]
-        for level, ref in enumerate(whole):
-            # 3 samples per block: blocks of 3, 3, 3 and 1 columns
-            monkeypatch.setattr(models_module, "_BLOCK_DOUBLES", 3 * (h.dofs(level) + 1))
-            out = h.evaluate(level, xi)
-            assert out.q.flags.c_contiguous
-            assert out.q.tobytes() == ref.q.tobytes()
-            assert out.qoi.tobytes() == ref.qoi.tobytes()
+        for n in (1, 2, 3, 6, 11, 16):
+            xi = draw_inputs(5, PURPOSE_PILOT, 0, 0, n, h.distributions)
+            for level in range(h.n_levels):
+                ref_q, ref_qoi = _whole_batch_solve(h, level, xi)
+                # blocks of 5 columns filled from slabs of 2 rows: 11 samples
+                # give blocks of 5 and 6 columns, and the block of 5 slabs of
+                # 2 and 3 rows, so both splits fold a one-row remainder
+                width = h.dofs(level) + 1
+                monkeypatch.setattr(models_module, "_BLOCK_DOUBLES", 5 * width)
+                monkeypatch.setattr(models_module, "_SLAB_DOUBLES", 2 * width)
+                out = h.evaluate(level, xi)
+                assert out.q.flags.c_contiguous
+                assert out.q.tobytes() == ref_q.tobytes(), (n, level)
+                assert out.qoi.tobytes() == ref_qoi.tobytes(), (n, level)
+
+    @pytest.mark.parametrize("n", [8192, 65536])
+    @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
+    def test_solve_memory_is_a_few_blocks(self, qoi, n):
+        h = Diffusion1D(grids=(255,), n_modes=8, kl_grid_n=513, qoi=qoi)
+        xi = draw_inputs(12, PURPOSE_PILOT, 0, 0, n, h.distributions)
+        tracemalloc.start()
+        try:
+            out = h.evaluate(0, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's coefficient, diag, off and elimination factors are live
+        # at once, and flux_at_left adds its padded solution; a block's
+        # worth of slack covers the small temporaries
+        blocks = 5 if qoi == "integral_of_u" else 6
+        assert peak - out.q.nbytes - out.qoi.nbytes < blocks * models_module._BLOCK_DOUBLES * 8
 
     def test_non_finite_solve_names_row_of_later_block(self, monkeypatch):
         h = Diffusion1D(grids=(9, 19), n_modes=4, kl_grid_n=65)
