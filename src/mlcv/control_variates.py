@@ -114,24 +114,16 @@ def sample_z(
     hierarchy: LevelHierarchy,
     basis: ReducedBasisPair,
     coarse_q: np.ndarray,
-    coarse_qoi: np.ndarray | None = None,
+    coarse_qoi: np.ndarray,
 ) -> np.ndarray:
-    """Surrogate corrections Z for coarse output columns.
+    """Surrogate corrections Z for the columns of a coarse output matrix.
 
     Fits each column of ``coarse_q`` in the coarse basis, reconstructs the
     fine output with the fine basis, applies the scalar output map, and
-    subtracts the coarse quantity of interest (recomputed here unless
-    passed in).
+    subtracts the matching coarse quantity of interest ``coarse_qoi``.
     """
-    qc = np.asarray(coarse_q, dtype=np.float64)
-    if qc.ndim == 1:
-        qc = qc[:, None]
-    coeff = basis.solver.solve(qc)
-    q_id = basis.fine_basis @ coeff
-    qoi_id = hierarchy.qoi(basis.level, q_id)
-    if coarse_qoi is None:
-        coarse_qoi = hierarchy.qoi(basis.level - 1, qc)
-    return qoi_id - np.asarray(coarse_qoi, dtype=np.float64)
+    q_id = basis.fine_basis @ basis.solver.solve(coarse_q)
+    return hierarchy.qoi(basis.level, q_id) - coarse_qoi
 
 
 def estimate_zbar(
@@ -238,9 +230,7 @@ class CVSetup:
     def consumed_pairs(self, level: int) -> int:
         """Pilot pairs withheld from recycling at a level (basis columns of
         enabled levels)."""
-        cfg = self.configs[level]
-        basis = self.bases[level]
-        return basis.rank if (cfg.enabled and basis is not None) else 0
+        return self.bases[level].rank if self.configs[level].enabled else 0
 
     def id_residual(self, level: int) -> float:
         """Spectral-norm ID residual of the level's basis (0.0 without one)."""
@@ -305,13 +295,11 @@ def prepare_control_variates(
         enabled = multiplier > 0.0 and not degenerate
         var_z = stats.sample_variance(z)
         cov = stats.sample_covariance(y, z)
-        theta = (
-            theta_star(cov, var_z, 1.0 / multiplier) if enabled and var_z > 0 else 0.0
-        )
+        theta = theta_star(cov, var_z, 1.0 / multiplier) if enabled else 0.0
         configs.append(
             CVLevelConfig(
                 level=ell,
-                enabled=enabled and var_z > 0,
+                enabled=enabled,
                 rank=basis.rank,
                 rho2=rho2,
                 rho2_degenerate=degenerate,
@@ -405,7 +393,7 @@ def run_mlcv(
 
     controls = {}
     for ell, (cfg, basis) in enumerate(zip(setup.configs, setup.bases)):
-        if not cfg.enabled or basis is None:
+        if not cfg.enabled:
             continue
         n_primes = [plan.n_prime[ell] for plan in plans]
         zbars = estimate_zbar(hierarchy, basis, n_primes, seed)

@@ -165,17 +165,14 @@ class LeastSquaresOperator:
         self._pinv = np.linalg.pinv(self._a, rcond=_RCOND)
 
     def solve(self, b) -> np.ndarray:
-        """Coefficients c minimizing ||a c - b||; accepts a vector or a
-        matrix whose columns are independent right-hand sides."""
+        """Coefficients c minimizing ||a c - b|| for each column of the
+        matrix ``b``, one independent right-hand side per column."""
         bv = np.asarray(b, dtype=np.float64)
-        single = bv.ndim == 1
-        if single:
-            bv = bv[:, None]
         if bv.ndim != 2 or bv.shape[0] != self._a.shape[0]:
             raise DimensionError(
-                f"right-hand side rows {bv.shape} do not match matrix {self._a.shape}"
+                f"right-hand side must be a matrix of {self._a.shape[0]} rows, "
+                f"got shape {bv.shape}"
             )
         if not np.all(np.isfinite(bv)):
             raise DataError("right-hand side contains non-finite entries")
-        c = self._pinv @ bv
-        return c[:, 0] if single else c
+        return self._pinv @ bv

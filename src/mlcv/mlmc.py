@@ -134,7 +134,7 @@ def pilot_mlmc(hierarchy: LevelHierarchy, n_pilot: int, master_seed: int) -> Pil
     """
     if n_pilot < N_MIN:
         raise ConfigError(f"n_pilot must be at least {N_MIN}, got {n_pilot}")
-    xi = draw_inputs(master_seed, PURPOSE_PILOT, 0, 0, n_pilot, hierarchy.distributions)
+    xi = draw_inputs(master_seed, PURPOSE_PILOT, 0, 0, n_pilot, hierarchy.input_dim)
     outputs = []
     for ell in range(hierarchy.n_levels):
         t0 = time.perf_counter()
@@ -255,11 +255,19 @@ def _check_epsilon(epsilon: float) -> float:
     return epsilon
 
 
+# Largest planned sample count.  Above it a float no longer holds every count
+# exactly, and no run of that size would finish.
+_MAX_COUNT = 2**53
+
+
 def _ceil_count(value: float, epsilon: float) -> int:
     """A planned sample count rounded up; a tolerance so tight that the count
-    is not finite is a configuration error, not an overflow."""
-    if not math.isfinite(value):
-        raise ConfigError(f"epsilon {epsilon} is out of range: it plans {value} samples")
+    is not finite or exceeds ``_MAX_COUNT`` is a configuration error."""
+    if not value <= _MAX_COUNT:
+        raise ConfigError(
+            f"epsilon {epsilon} is out of range: it plans {value:.3g} samples, "
+            f"more than 2**53"
+        )
     return math.ceil(value)
 
 
@@ -561,7 +569,7 @@ def _stream_moments(
     n_max = max(counts, default=0)
     for start in range(0, n_max, _BATCH):
         b = min(_BATCH, n_max - start)
-        xi = draw_inputs(master_seed, purpose, level, start, b, hierarchy.distributions)
+        xi = draw_inputs(master_seed, purpose, level, start, b, hierarchy.input_dim)
         full = None
         for moments, n, finish in zip(runs, counts, finishes):
             if n <= start:

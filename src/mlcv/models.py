@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, NumericalError
-from .streams import DistributionTag, standard_gaussian
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +98,6 @@ class KLField:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     sigma: float
-    mean: float = 0.0
-
-    @property
-    def n_modes(self) -> int:
-        return self.eigenvalues.size
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -115,7 +109,7 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def kl_decompose(kernel, grid, n_modes: int, mean: float = 0.0) -> KLField:
+def kl_decompose(kernel, grid, n_modes: int) -> KLField:
     """Nystrom discretization of the kernel eigenproblem on ``grid``.
 
     The kernel matrix is weighted by trapezoid quadrature, symmetrized, and
@@ -151,9 +145,7 @@ def kl_decompose(kernel, grid, n_modes: int, mean: float = 0.0) -> KLField:
             phi[:, i] = -col
 
     sigma = float(np.sqrt(kernel.sigma2)) if hasattr(kernel, "sigma2") else 1.0
-    return KLField(
-        grid=x, kernel=kernel, eigenvalues=lam, eigenvectors=phi, sigma=sigma, mean=mean
-    )
+    return KLField(grid=x, kernel=kernel, eigenvalues=lam, eigenvectors=phi, sigma=sigma)
 
 
 def kl_modes_at(field: KLField, points) -> np.ndarray:
@@ -174,23 +166,6 @@ def kl_modes_at(field: KLField, points) -> np.ndarray:
     usable = lam > 1e-12 * max(lam[0] if lam.size else 0.0, 1e-300)
     out[:, usable] = raw[:, usable] / lam[usable]
     return out
-
-
-def sample_field(field: KLField, xi) -> np.ndarray:
-    """Field realizations mean + sigma * sum_i sqrt(lambda_i) phi_i xi_i.
-
-    ``xi`` may be a single coefficient vector (n_modes,) giving one field
-    sample (n_grid,), or a batch (k, n_modes) giving (k, n_grid).
-    """
-    z = np.asarray(xi, dtype=np.float64)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
-    if z.ndim != 2 or z.shape[1] != field.n_modes:
-        raise DimensionError(f"xi must have {field.n_modes} columns, got shape {np.shape(xi)}")
-    modes = field.eigenvectors * np.sqrt(field.eigenvalues)[None, :]
-    vals = field.mean + field.sigma * (z @ modes.T)
-    return vals[0] if single else vals
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +189,15 @@ class LevelHierarchy(abc.ABC):
     two maps: ``_solve`` from checked inputs to the output matrix, and
     ``_output_map`` from an output matrix to the scalar quantities of
     interest.  Everything else is derived here: level and input checks,
-    ``cost = dofs ** cost_gamma``, standard Gaussian inputs, ``evaluate`` and
-    ``qoi``.  Because ``evaluate`` computes its quantities of interest through
-    ``qoi``, the quantity of interest is one function of the output vector
-    alone, and applying it to reconstructed output vectors rounds exactly as
-    it does for solved ones.
+    ``cost = dofs ** cost_gamma``, ``evaluate`` and ``qoi``.  Because
+    ``evaluate`` computes its quantities of interest through ``qoi``, the
+    quantity of interest is one function of the output vector alone, and
+    applying it to reconstructed output vectors rounds exactly as it does
+    for solved ones.
+
+    Inputs are standard Gaussian (n, input_dim) matrices from
+    ``streams.draw_inputs(..., hierarchy.input_dim)`` and outputs are
+    (output_dim, n) matrices; a vector is rejected, not read as one sample.
 
     Implementations must be deterministic: evaluating the same level at the
     same input matrix twice returns identical arrays.  Levels are indexed
@@ -261,10 +240,6 @@ class LevelHierarchy(abc.ABC):
     def n_levels(self) -> int:
         return len(self._dofs)
 
-    @property
-    def distributions(self) -> tuple[DistributionTag, ...]:
-        return (standard_gaussian(),) * self.input_dim
-
     def dofs(self, level: int) -> int:
         """Resolution measure used for cost laws and rate fits."""
         self.check_level(level)
@@ -287,12 +262,10 @@ class LevelHierarchy(abc.ABC):
         """Apply the scalar output map to columns of a level-``level`` output
         matrix."""
         qm = np.asarray(q, dtype=np.float64)
-        if qm.ndim == 1:
-            qm = qm[:, None]
-        if qm.shape[0] != self.output_dim(level):
+        if qm.ndim != 2 or qm.shape[0] != self.output_dim(level):
             raise DimensionError(
-                f"level {level} output has {self.output_dim(level)} entries, "
-                f"got {qm.shape[0]}"
+                f"level {level} output must have {self.output_dim(level)} rows, "
+                f"got shape {qm.shape}"
             )
         return self._output_map(level, qm)
 
@@ -304,8 +277,6 @@ class LevelHierarchy(abc.ABC):
 
     def _check_inputs(self, xi) -> np.ndarray:
         z = np.asarray(xi, dtype=np.float64)
-        if z.ndim == 1:
-            z = z[None, :]
         if z.ndim != 2 or z.shape[1] != self.input_dim:
             raise DimensionError(
                 f"inputs must have {self.input_dim} columns, got shape {np.shape(xi)}"
@@ -319,7 +290,9 @@ class LevelSubset(LevelHierarchy):
     """Re-index a subset of another hierarchy's levels as levels 0..k.
 
     Useful for dropping intermediate levels; couplings then skip across the
-    removed resolutions.
+    removed resolutions.  The subset takes its parent's ``input_dim`` and
+    ``cost_gamma``, so it draws the same inputs and declares the same cost
+    per kept level.
     """
 
     def __init__(self, parent: LevelHierarchy, levels):
@@ -331,20 +304,9 @@ class LevelSubset(LevelHierarchy):
         self._parent = parent
         self._levels = tuple(sel)
         self.input_dim = parent.input_dim
+        self.cost_gamma = parent.cost_gamma
         self._dofs = tuple(parent.dofs(v) for v in sel)
         self._output_dims = tuple(parent.output_dim(v) for v in sel)
-
-    @property
-    def parent_levels(self) -> tuple[int, ...]:
-        return self._levels
-
-    @property
-    def distributions(self) -> tuple[DistributionTag, ...]:
-        return self._parent.distributions
-
-    def cost(self, level: int) -> float:
-        self.check_level(level)
-        return self._parent.cost(self._levels[level])
 
     def _solve(self, level: int, z: np.ndarray) -> np.ndarray:
         return self._parent._solve(self._levels[level], z)

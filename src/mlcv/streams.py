@@ -6,14 +6,13 @@ into the state of a counter-based generator, so replaying a key reproduces
 the sample bit for bit, independent of how many other samples were drawn, in
 which order, or from how many workers.
 
-Gaussian variates are produced by applying the inverse normal CDF to one
-uniform draw each; no rejection steps, so every variate consumes exactly one
-counter increment and streams stay aligned across purposes.
+Every input is a standard Gaussian: the inverse normal CDF of one uniform
+draw each, with no rejection steps, so every variate consumes exactly one
+counter increment and streams stay aligned across purposes.  Models that need
+another law transform these inputs themselves.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -37,25 +36,6 @@ _PURPOSE_CODES = {
 _BLOCK = 1024
 
 _INV_53 = 1.0 / (1 << 53)
-
-
-@dataclass(frozen=True)
-class DistributionTag:
-    """Per-coordinate marginal distribution label."""
-
-    kind: str
-    low: float = 0.0
-    high: float = 1.0
-
-
-def standard_gaussian() -> DistributionTag:
-    return DistributionTag("standard_gaussian")
-
-
-def uniform(low: float, high: float) -> DistributionTag:
-    if not (np.isfinite(low) and np.isfinite(high) and low < high):
-        raise ConfigError(f"uniform bounds must be finite with low < high, got ({low}, {high})")
-    return DistributionTag("uniform", float(low), float(high))
 
 
 def _check_key_fields(master_seed: int, purpose: str, level: int, sample_index: int) -> None:
@@ -82,27 +62,11 @@ def _block_uniforms(master_seed: int, purpose: str, level: int, block: int, dim:
     return (raw.astype(np.float64) + 0.5) * _INV_53
 
 
-def _transform(u: np.ndarray, tags: tuple[DistributionTag, ...]) -> np.ndarray:
-    out = np.empty_like(u)
-    for j, tag in enumerate(tags):
-        if tag.kind == "standard_gaussian":
-            out[:, j] = ndtri(u[:, j])
-        elif tag.kind == "uniform":
-            out[:, j] = tag.low + (tag.high - tag.low) * u[:, j]
-        else:
-            raise ConfigError(f"unsupported distribution tag {tag.kind!r}")
-    return out
-
-
 def draw_inputs(
-    master_seed: int,
-    purpose: str,
-    level: int,
-    start: int,
-    count: int,
-    tags: tuple[DistributionTag, ...],
+    master_seed: int, purpose: str, level: int, start: int, count: int, dim: int
 ) -> np.ndarray:
-    """Input matrix of shape (count, len(tags)) for sample_index start..start+count-1.
+    """Standard Gaussian input matrix of shape (count, dim) for sample_index
+    start..start+count-1.
 
     Values depend only on the per-sample keys, so any partition of an index
     range into calls returns the same rows.
@@ -110,10 +74,8 @@ def draw_inputs(
     _check_key_fields(master_seed, purpose, level, start)
     if count < 0:
         raise ConfigError(f"count must be non-negative, got {count}")
-    tags = tuple(tags)
-    if not tags:
-        raise ConfigError("at least one distribution tag is required")
-    dim = len(tags)
+    if dim < 1:
+        raise ConfigError(f"input dimension must be positive, got {dim}")
     out = np.empty((count, dim))
     filled = 0
     index = start
@@ -124,4 +86,4 @@ def draw_inputs(
         out[filled : filled + take] = u[offset : offset + take]
         filled += take
         index += take
-    return _transform(out, tags)
+    return ndtri(out, out=out)

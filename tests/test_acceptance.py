@@ -279,7 +279,7 @@ class TestCriterion07ThetaGridOptimality:
         model, pilot, setup = synthetic_study
         basis = setup.bases[1]
         cfg = setup.configs[1]
-        xi_big = draw_inputs(171717, PURPOSE_ORACLE, 1, 0, 400_000, model.distributions)
+        xi_big = draw_inputs(171717, PURPOSE_ORACLE, 1, 0, 400_000, model.input_dim)
         truth = float((model.evaluate(1, xi_big).qoi - model.evaluate(0, xi_big).qoi).mean())
         grid = np.array([0.25, 0.5, 1.0, 1.5, 2.0]) * cfg.theta
         n_tilde = 30
@@ -288,7 +288,7 @@ class TestCriterion07ThetaGridOptimality:
         errors = np.zeros((reps, grid.size))
         for rep in range(reps):
             seed = 515_000 + rep
-            xi = draw_inputs(seed, PURPOSE_MAIN_Y, 1, 0, n_tilde, model.distributions)
+            xi = draw_inputs(seed, PURPOSE_MAIN_Y, 1, 0, n_tilde, model.input_dim)
             fine = model.evaluate(1, xi)
             coarse = model.evaluate(0, xi)
             y = fine.qoi - coarse.qoi

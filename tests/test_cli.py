@@ -184,7 +184,7 @@ class TestExitCodes:
         assert main(["pilot", write_config(tmp_path, cfg)]) == 2
         assert "coeff_seed must be non-negative, got -1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e160, 1e300])
+    @pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e-100, 1e160, 1e300])
     def test_extreme_epsilon(self, tmp_path, capsys, eps):
         cfg = base_config(tmp_path / "out", epsilon=[eps])
         assert main(["pilot", write_config(tmp_path, cfg)]) == 2

@@ -115,7 +115,7 @@ class TestBuildReducedBasis:
             0,
             0,
             synthetic_pilot.n_pilot,
-            synthetic.distributions,
+            synthetic.input_dim,
         )
         assert np.array_equal(synthetic.evaluate(0, xi[sel]).q, basis.coarse_basis)
         assert np.array_equal(synthetic.evaluate(1, xi[sel]).q, basis.fine_basis)
@@ -149,14 +149,14 @@ class TestSampleZ:
         basis = build_reduced_basis(synthetic, 1, synthetic_pilot, rank=3)
         coarse = synthetic_pilot.levels[0]
         for k, idx in enumerate(basis.selected_pilot_indices):
-            z = sample_z(synthetic, basis, coarse.q[:, idx])
+            z = sample_z(synthetic, basis, coarse.q[:, [idx]], coarse.qoi[[idx]])
             y = synthetic_pilot.levels[1].y[idx]
             assert z[0] == pytest.approx(y, rel=1e-9, abs=1e-12)
 
     def test_reproduces_y_on_exact_low_rank_model(self, synthetic_exact):
         pilot = pilot_mlmc(synthetic_exact, 40, 123)
         basis = build_reduced_basis(synthetic_exact, 1, pilot, rank=3)
-        xi = draw_inputs(99, PURPOSE_ZBAR, 1, 0, 50, synthetic_exact.distributions)
+        xi = draw_inputs(99, PURPOSE_ZBAR, 1, 0, 50, synthetic_exact.input_dim)
         fine = synthetic_exact.evaluate(1, xi)
         coarse = synthetic_exact.evaluate(0, xi)
         z = sample_z(synthetic_exact, basis, coarse.q, coarse.qoi)
@@ -168,7 +168,7 @@ class TestSampleZ:
         coarse = synthetic_pilot.levels[0]
         batch = sample_z(synthetic, basis, coarse.q[:, :6], coarse.qoi[:6])
         for j in range(6):
-            single = sample_z(synthetic, basis, coarse.q[:, j])
+            single = sample_z(synthetic, basis, coarse.q[:, [j]], coarse.qoi[[j]])
             assert single[0] == pytest.approx(batch[j], rel=1e-10, abs=1e-13)
 
     def test_high_correlation_with_y(self, synthetic, synthetic_pilot):
@@ -180,13 +180,29 @@ class TestSampleZ:
         assert rho2 >= 0.99
 
 
+@pytest.mark.parametrize("call", ["evaluate", "qoi", "sample_z", "solve"])
+def test_vector_argument_raises_dimension_error(call, synthetic, synthetic_pilot):
+    """Inputs, outputs and right-hand sides are matrices: a vector, even one
+    of the right length, is rejected rather than read as one column."""
+    basis = build_reduced_basis(synthetic, 1, synthetic_pilot, rank=3)
+    coarse = synthetic_pilot.levels[0]
+    calls = {
+        "evaluate": lambda: synthetic.evaluate(0, np.zeros(synthetic.input_dim)),
+        "qoi": lambda: synthetic.qoi(0, coarse.q[:, 0]),
+        "sample_z": lambda: sample_z(synthetic, basis, coarse.q[:, 0], coarse.qoi[:1]),
+        "solve": lambda: basis.solver.solve(coarse.q[:, 0]),
+    }
+    with pytest.raises(DimensionError):
+        calls[call]()
+
+
 class TestEstimateZbar:
     def test_deterministic_and_matches_manual_stream(self, synthetic, synthetic_pilot):
         basis = build_reduced_basis(synthetic, 1, synthetic_pilot, rank=3)
         a = estimate_zbar(synthetic, basis, 37, 123)
         b = estimate_zbar(synthetic, basis, 37, 123)
         assert a == b
-        xi = draw_inputs(123, PURPOSE_ZBAR, 1, 0, 37, synthetic.distributions)
+        xi = draw_inputs(123, PURPOSE_ZBAR, 1, 0, 37, synthetic.input_dim)
         coarse = synthetic.evaluate(0, xi)
         manual = sample_z(synthetic, basis, coarse.q, coarse.qoi).mean()
         assert a == pytest.approx(manual, rel=1e-12)
@@ -194,7 +210,7 @@ class TestEstimateZbar:
     def test_single_sample(self, synthetic, synthetic_pilot):
         basis = build_reduced_basis(synthetic, 1, synthetic_pilot, rank=3)
         zbar = estimate_zbar(synthetic, basis, 1, 123)
-        xi = draw_inputs(123, PURPOSE_ZBAR, 1, 0, 1, synthetic.distributions)
+        xi = draw_inputs(123, PURPOSE_ZBAR, 1, 0, 1, synthetic.input_dim)
         coarse = synthetic.evaluate(0, xi)
         assert zbar == sample_z(synthetic, basis, coarse.q, coarse.qoi)[0]
 
@@ -205,7 +221,7 @@ class TestEstimateZbar:
         zbar = estimate_zbar(synthetic_exact, basis, n_prime, 321)
         # coupled reference: same inputs at both levels so the error scales
         # with the small correction variance rather than the QoI variance
-        xi = draw_inputs(5, PURPOSE_ORACLE, 1, 0, 100_000, synthetic_exact.distributions)
+        xi = draw_inputs(5, PURPOSE_ORACLE, 1, 0, 100_000, synthetic_exact.input_dim)
         y = synthetic_exact.evaluate(1, xi).qoi - synthetic_exact.evaluate(0, xi).qoi
         coarse = pilot.levels[0]
         z = sample_z(synthetic_exact, basis, coarse.q, coarse.qoi)

@@ -234,26 +234,26 @@ class TestPinnedBytes:
 
 class TestLeastSquares:
     def test_orthonormal_basis_projects(self, rng):
-        q = rng.normal(size=6)
+        q = rng.normal(size=(6, 1))
         c = LeastSquaresOperator(np.eye(6)[:, :3]).solve(q)
         assert np.allclose(c, q[:3], atol=1e-14)
 
     def test_exact_representability(self, rng):
         a = rng.normal(size=(20, 5))
-        c_true = rng.normal(size=5)
+        c_true = rng.normal(size=(5, 1))
         q = a @ c_true
         c = LeastSquaresOperator(a).solve(q)
         assert np.linalg.norm(a @ c - q) <= 1e-10 * np.linalg.norm(q)
 
     def test_matches_normal_equations_oracle(self, rng):
         a = rng.normal(size=(20, 5))
-        q = rng.normal(size=20)
+        q = rng.normal(size=(20, 1))
         oracle = np.linalg.solve(a.T @ a, a.T @ q)
         assert LeastSquaresOperator(a).solve(q) == pytest.approx(oracle, rel=1e-8)
 
     def test_residual_orthogonal_to_span(self, rng):
         a = rng.normal(size=(30, 4))
-        q = rng.normal(size=30)
+        q = rng.normal(size=(30, 1))
         c = LeastSquaresOperator(a).solve(q)
         lhs = np.linalg.norm(a.T @ (a @ c - q))
         assert lhs <= 1e-8 * np.linalg.norm(a) * np.linalg.norm(q)
@@ -261,17 +261,17 @@ class TestLeastSquares:
     def test_operator_reuse_and_matrix_rhs(self, rng):
         a = rng.normal(size=(15, 4))
         op = LeastSquaresOperator(a)
-        assert op.solve(np.zeros(15)).shape == (4,)
-        q1 = rng.normal(size=15)
+        assert op.solve(np.zeros((15, 1))).shape == (4, 1)
+        q1 = rng.normal(size=(15, 1))
         assert np.array_equal(op.solve(q1), op.solve(q1))
         batch = rng.normal(size=(15, 3))
         cols = op.solve(batch)
         for j in range(3):
-            single = LeastSquaresOperator(a).solve(batch[:, j])
-            assert cols[:, j] == pytest.approx(single, rel=1e-10)
+            single = LeastSquaresOperator(a).solve(batch[:, [j]])
+            assert cols[:, [j]] == pytest.approx(single, rel=1e-10)
 
     def test_rank_deficient_minimum_norm(self, rng):
-        col = rng.normal(size=10)
+        col = rng.normal(size=(10, 1))
         a = np.column_stack([col, col])
         q = 3.0 * col
         c = LeastSquaresOperator(a).solve(q)
@@ -280,7 +280,7 @@ class TestLeastSquares:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            LeastSquaresOperator(rng.normal(size=(5, 2))).solve(rng.normal(size=4))
+            LeastSquaresOperator(rng.normal(size=(5, 2))).solve(rng.normal(size=(4, 1)))
 
 
 class TestSingularValues:

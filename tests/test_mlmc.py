@@ -92,11 +92,12 @@ class TestAllocateSamples:
             allocate_samples([1.0], [1.0], 0.0)
         with pytest.raises(ConfigError):
             allocate_samples([1.0], [1.0], -1.0)
-        # a square that underflows to 0 or overflows, and a finite square
-        # that plans infinitely many samples
-        for eps in (1e-300, 1e160, 1e-160):
+        # a square that underflows to 0 or overflows, a finite square that
+        # plans infinitely many samples, and a finite plan above 2**53
+        for eps in (1e-300, 1e160, 1e-160, 1e-100, 2.0**-26 * (1 - 2.0**-52)):
             with pytest.raises(ConfigError, match="out of range"):
                 allocate_samples([1.0], [1.0], eps)
+        assert allocate_samples([1.0], [1.0], 2.0**-26)[0] == (2**53,)
         with pytest.raises(DimensionError):
             allocate_samples([1.0, 2.0], [1.0], 0.1)
         with pytest.raises(DataError):
@@ -161,7 +162,7 @@ class TestPilotMlmc:
         as its coarse half; that is why the pilot solves each level once."""
         n = synthetic_pilot.n_pilot
         xi = draw_inputs(
-            synthetic_pilot.master_seed, PURPOSE_PILOT, 0, 0, n, synthetic.distributions
+            synthetic_pilot.master_seed, PURPOSE_PILOT, 0, 0, n, synthetic.input_dim
         )
         for level in (1, 2):
             fine, coarse = synthetic.evaluate(level, xi), synthetic.evaluate(level - 1, xi)
@@ -330,7 +331,7 @@ class TestRunMlmc:
                     level,
                     0,
                     fresh_n,
-                    synthetic.distributions,
+                    synthetic.input_dim,
                 )
                 if level == 0:
                     fresh = synthetic.evaluate(0, xi).qoi
@@ -420,7 +421,7 @@ class TestRunMc:
         result = run_mc(synthetic, 0.3, synthetic_pilot)
         n = result.n_samples[0]
         xi = draw_inputs(
-            synthetic_pilot.master_seed, PURPOSE_MAIN_Y, 2, 0, n, synthetic.distributions
+            synthetic_pilot.master_seed, PURPOSE_MAIN_Y, 2, 0, n, synthetic.input_dim
         )
         manual = synthetic.evaluate(2, xi).qoi.mean()
         assert result.estimate == pytest.approx(manual, rel=1e-12)
@@ -453,7 +454,7 @@ class TestMcCostReference:
         s = make_stats(0, 0.0, 5.0, var_q=0.0)
         assert mc_cost_reference(s, 0.1) == 5.0
 
-    @pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e300])
+    @pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e-100, 1e300])
     def test_extreme_epsilon_rejected(self, eps):
         s = make_stats(0, 0.0, 5.0, var_q=1.0)
         with pytest.raises(ConfigError, match="out of range"):
@@ -463,14 +464,14 @@ class TestMcCostReference:
 class TestMcOracleMean:
     def test_matches_manual_oracle_stream(self, synthetic):
         val = mc_oracle_mean(synthetic, 500, 77)
-        xi = draw_inputs(77, PURPOSE_ORACLE, 2, 0, 500, synthetic.distributions)
+        xi = draw_inputs(77, PURPOSE_ORACLE, 2, 0, 500, synthetic.input_dim)
         assert val == pytest.approx(synthetic.evaluate(2, xi).qoi.mean(), rel=1e-12)
 
     def test_level_override(self, synthetic):
         v2 = mc_oracle_mean(synthetic, 200, 5)
         v0 = mc_oracle_mean(synthetic, 200, 5, level=0)
         assert v0 != v2
-        xi = draw_inputs(5, PURPOSE_ORACLE, 0, 0, 200, synthetic.distributions)
+        xi = draw_inputs(5, PURPOSE_ORACLE, 0, 0, 200, synthetic.input_dim)
         assert v0 == pytest.approx(synthetic.evaluate(0, xi).qoi.mean(), rel=1e-12)
 
     def test_batch_split_independence(self, synthetic, synthetic_pilot, monkeypatch):

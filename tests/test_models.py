@@ -24,9 +24,7 @@ from mlcv import (
     kl_decompose,
     kl_modes_at,
     make_kernel,
-    sample_field,
     trapezoid_weights,
-    uniform,
 )
 
 
@@ -196,47 +194,6 @@ class TestKlModesAt:
         assert np.allclose(vals, neighbor_mean, atol=2e-2)
 
 
-class TestSampleField:
-    def test_zero_xi_returns_mean(self):
-        grid = np.linspace(0.0, 1.0, 32)
-        field = kl_decompose(ExponentialKernel(1.0, 0.3), grid, 5, mean=2.5)
-        vals = sample_field(field, np.zeros(5))
-        assert np.array_equal(vals, np.full(32, 2.5))
-
-    def test_single_mode_unit_xi(self):
-        grid = np.linspace(0.0, 1.0, 32)
-        field = kl_decompose(ExponentialKernel(4.0, 0.3), grid, 1, mean=1.0)
-        vals = sample_field(field, np.ones(1))
-        expected = 1.0 + field.sigma * np.sqrt(field.eigenvalues[0]) * field.eigenvectors[:, 0]
-        assert np.allclose(vals, expected, atol=1e-14)
-
-    def test_pointwise_variance_uniform_xi(self):
-        grid = np.linspace(0.0, 1.0, 17)
-        field = kl_decompose(SquaredExponentialKernel(0.8, 0.2), grid, 4)
-        tags = tuple(uniform(-1.0, 1.0) for _ in range(4))
-        xi = draw_inputs(51, PURPOSE_PILOT, 0, 0, 100_000, tags)
-        vals = sample_field(field, xi)
-        empirical = vals.var(axis=0, ddof=1)
-        analytic = (
-            field.sigma**2 * (field.eigenvectors**2 * field.eigenvalues[None, :]).sum(axis=1) / 3.0
-        )
-        assert np.allclose(empirical, analytic, rtol=0.05)
-
-    def test_batch_matches_single(self):
-        grid = np.linspace(0.0, 1.0, 16)
-        field = kl_decompose(ExponentialKernel(1.0, 0.3), grid, 3)
-        xi = np.array([[0.3, -1.2, 0.7], [1.0, 0.0, -0.4]])
-        batch = sample_field(field, xi)
-        assert np.allclose(batch[0], sample_field(field, xi[0]), rtol=1e-12)
-        assert np.allclose(batch[1], sample_field(field, xi[1]), rtol=1e-12)
-
-    def test_dimension_mismatch(self):
-        grid = np.linspace(0.0, 1.0, 16)
-        field = kl_decompose(ExponentialKernel(1.0, 0.3), grid, 3)
-        with pytest.raises(DimensionError):
-            sample_field(field, np.zeros(4))
-
-
 class TestSyntheticLowRank:
     def test_shapes_and_costs(self, synthetic, synthetic_pilot):
         assert synthetic.finest_level == 2
@@ -246,7 +203,7 @@ class TestSyntheticLowRank:
         assert [synthetic.cost(k) for k in range(3)] == [8.0, 16.0, 32.0]
         assert synthetic_pilot.stats[0].unit_cost == 8.0
         assert synthetic_pilot.stats[2].unit_cost == 48.0
-        assert len(synthetic.distributions) == 4
+        assert synthetic.input_dim == 4
 
     def test_cost_gamma_exponent(self):
         h = SyntheticLowRank(r_true=2, m0=4, num_levels=2, input_dim=3, cost_gamma=2.0)
@@ -254,28 +211,28 @@ class TestSyntheticLowRank:
         assert h.cost(1) == 64.0
 
     def test_deterministic_in_xi(self, synthetic):
-        xi = draw_inputs(7, PURPOSE_PILOT, 0, 0, 5, synthetic.distributions)
+        xi = draw_inputs(7, PURPOSE_PILOT, 0, 0, 5, synthetic.input_dim)
         a = synthetic.evaluate(1, xi)
         b = synthetic.evaluate(1, xi)
         assert np.array_equal(a.q, b.q)
         assert np.array_equal(a.qoi, b.qoi)
 
     def test_qoi_is_mean_of_entries(self, synthetic):
-        xi = draw_inputs(7, PURPOSE_PILOT, 0, 0, 3, synthetic.distributions)
+        xi = draw_inputs(7, PURPOSE_PILOT, 0, 0, 3, synthetic.input_dim)
         out = synthetic.evaluate(2, xi)
         assert out.q.shape == (32, 3)
         assert out.qoi == pytest.approx(out.q.mean(axis=0), rel=1e-15)
         assert synthetic.qoi(2, out.q) == pytest.approx(out.qoi, rel=1e-15)
 
     def test_exact_rank_when_unperturbed(self, synthetic_exact):
-        xi = draw_inputs(11, PURPOSE_PILOT, 0, 0, 200, synthetic_exact.distributions)
+        xi = draw_inputs(11, PURPOSE_PILOT, 0, 0, 200, synthetic_exact.input_dim)
         data = synthetic_exact.evaluate(1, xi).q
         s = np.linalg.svd(data, compute_uv=False)
         numerical_rank = int(np.sum(s > 1e-8 * s[0]))
         assert numerical_rank == synthetic_exact.r_true == 3
 
     def test_correction_variance_decays(self, synthetic):
-        xi = draw_inputs(13, PURPOSE_PILOT, 0, 0, 100, synthetic.distributions)
+        xi = draw_inputs(13, PURPOSE_PILOT, 0, 0, 100, synthetic.input_dim)
         v = []
         for level in (1, 2):
             fine, coarse = synthetic.evaluate(level, xi), synthetic.evaluate(level - 1, xi)
@@ -332,7 +289,7 @@ class TestDiffusion1D:
         """Solution of each sampled system has a tiny residual against the
         directly assembled tridiagonal matrix."""
         h = Diffusion1D(grids=(9, 19), n_modes=4, kl_grid_n=65)
-        xi = draw_inputs(3, PURPOSE_PILOT, 0, 0, 5, h.distributions)
+        xi = draw_inputs(3, PURPOSE_PILOT, 0, 0, 5, h.input_dim)
         out = h.evaluate(1, xi)
         m = 19
         step = 1.0 / (m + 1)
@@ -349,7 +306,7 @@ class TestDiffusion1D:
     @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
     def test_solver_matches_scalar_reference_bitwise(self, qoi):
         h = Diffusion1D(grids=(2, 5, 11, 23, 47, 95, 191), n_modes=4, kl_grid_n=65, qoi=qoi)
-        xi = draw_inputs(11, PURPOSE_PILOT, 0, 0, 4, h.distributions)
+        xi = draw_inputs(11, PURPOSE_PILOT, 0, 0, 4, h.input_dim)
         for level in range(h.n_levels):
             out = h.evaluate(level, xi)
             assert out.q.shape == (h.output_dim(level), 4)
@@ -382,7 +339,7 @@ class TestDiffusion1D:
     def test_column_blocks_do_not_change_bits(self, qoi, monkeypatch):
         h = Diffusion1D(grids=(2, 5, 11), n_modes=4, kl_grid_n=65, qoi=qoi)
         for n in (1, 2, 3, 6, 11, 16):
-            xi = draw_inputs(5, PURPOSE_PILOT, 0, 0, n, h.distributions)
+            xi = draw_inputs(5, PURPOSE_PILOT, 0, 0, n, h.input_dim)
             for level in range(h.n_levels):
                 ref_q, ref_qoi = _whole_batch_solve(h, level, xi)
                 # blocks of 5 columns filled from slabs of 2 rows: 11 samples
@@ -400,7 +357,7 @@ class TestDiffusion1D:
     @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
     def test_solve_memory_is_a_few_blocks(self, qoi, n):
         h = Diffusion1D(grids=(255,), n_modes=8, kl_grid_n=513, qoi=qoi)
-        xi = draw_inputs(12, PURPOSE_PILOT, 0, 0, n, h.distributions)
+        xi = draw_inputs(12, PURPOSE_PILOT, 0, 0, n, h.input_dim)
         tracemalloc.start()
         try:
             out = h.evaluate(0, xi)
@@ -424,7 +381,7 @@ class TestDiffusion1D:
 
     def test_coefficient_positive(self):
         h = Diffusion1D(grids=(9, 19), n_modes=4, sigma2=1.5, kl_grid_n=65)
-        xi = draw_inputs(4, PURPOSE_PILOT, 0, 0, 50, h.distributions)
+        xi = draw_inputs(4, PURPOSE_PILOT, 0, 0, 50, h.input_dim)
         a = h._coefficient(1, xi)
         assert np.all(a > 0.1)
 
@@ -439,14 +396,14 @@ class TestDiffusion1D:
 
     def test_deterministic_model_zero_correction_variance(self):
         h = Diffusion1D(grids=(7, 15), constant_coefficient=True, n_modes=2, kl_grid_n=33)
-        xi = draw_inputs(5, PURPOSE_PILOT, 0, 0, 20, h.distributions)
+        xi = draw_inputs(5, PURPOSE_PILOT, 0, 0, 20, h.input_dim)
         fine, coarse = h.evaluate(1, xi), h.evaluate(0, xi)
         y = fine.qoi - coarse.qoi
         assert np.var(y) == 0.0
 
     def test_correction_variance_decays(self):
         h = Diffusion1D(grids=(7, 15, 31), n_modes=6, kl_grid_n=129)
-        xi = draw_inputs(6, PURPOSE_PILOT, 0, 0, 200, h.distributions)
+        xi = draw_inputs(6, PURPOSE_PILOT, 0, 0, 200, h.input_dim)
         v = []
         for level in (1, 2):
             fine, coarse = h.evaluate(level, xi), h.evaluate(level - 1, xi)
@@ -454,7 +411,7 @@ class TestDiffusion1D:
         assert v[1] < v[0]
 
     def test_telescoping_pathwise(self, diffusion_small):
-        xi = draw_inputs(8, PURPOSE_PILOT, 0, 0, 4, diffusion_small.distributions)
+        xi = draw_inputs(8, PURPOSE_PILOT, 0, 0, 4, diffusion_small.input_dim)
         total = diffusion_small.evaluate(0, xi).qoi.copy()
         for level in (1, 2):
             fine = diffusion_small.evaluate(level, xi)
@@ -466,7 +423,7 @@ class TestDiffusion1D:
     def test_coupling_shares_inputs_bitwise(self, diffusion_small):
         """A coupled pair's coarse half is a plain evaluation at the shared
         inputs: solving the fine level first leaves no state behind."""
-        xi = draw_inputs(9, PURPOSE_PILOT, 0, 0, 6, diffusion_small.distributions)
+        xi = draw_inputs(9, PURPOSE_PILOT, 0, 0, 6, diffusion_small.input_dim)
         direct = diffusion_small.evaluate(0, xi)
         diffusion_small.evaluate(1, xi)
         coarse = diffusion_small.evaluate(0, xi)
@@ -503,7 +460,7 @@ def test_evaluate_qoi_is_qoi_of_outputs_bitwise(model, synthetic):
         h = LevelSubset(Diffusion1D(grids=grids, n_modes=6), [0, 2, 4])
     else:
         h = Diffusion1D(grids=grids, n_modes=6, qoi=model)
-    xi = draw_inputs(21, PURPOSE_PILOT, 0, 0, 200, h.distributions)
+    xi = draw_inputs(21, PURPOSE_PILOT, 0, 0, 200, h.input_dim)
     for level in range(h.n_levels):
         out = h.evaluate(level, xi)
         assert out.qoi.tobytes() == h.qoi(level, out.q).tobytes()
@@ -513,11 +470,11 @@ class TestLevelSubset:
     def test_reindexing_and_delegation(self, diffusion_small):
         sub = LevelSubset(diffusion_small, [0, 2])
         assert sub.finest_level == 1
-        assert sub.parent_levels == (0, 2)
+        assert sub.input_dim == diffusion_small.input_dim
         assert sub.dofs(1) == diffusion_small.dofs(2)
-        assert sub.cost(0) == diffusion_small.cost(0)
+        assert [sub.cost(0), sub.cost(1)] == [diffusion_small.cost(0), diffusion_small.cost(2)]
         assert sub.output_dim(1) == diffusion_small.output_dim(2)
-        xi = draw_inputs(10, PURPOSE_PILOT, 0, 0, 3, sub.distributions)
+        xi = draw_inputs(10, PURPOSE_PILOT, 0, 0, 3, sub.input_dim)
         assert np.array_equal(sub.evaluate(1, xi).q, diffusion_small.evaluate(2, xi).q)
         fine, coarse = sub.evaluate(1, xi), sub.evaluate(0, xi)
         assert np.array_equal(fine.q, diffusion_small.evaluate(2, xi).q)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from mlcv import (
     PURPOSE_ORACLE,
@@ -21,10 +22,12 @@ from mlcv import (
     rho_squared,
     sample_covariance,
     sample_variance,
-    uniform,
 )
 
-UNIF01 = (uniform(0.0, 1.0),)
+
+def _uniforms(seed, n, purpose=PURPOSE_PILOT):
+    """n uniforms on (0, 1): the normal CDF of a Gaussian input stream."""
+    return ndtr(draw_inputs(seed, purpose, 0, 0, n, 1)[:, 0])
 
 
 class TestMcMean:
@@ -35,7 +38,7 @@ class TestMcMean:
         assert mc_mean([1.0, 2.0, 3.0, 4.0]) == 2.5
 
     def test_uniform_mean_near_half(self):
-        vals = draw_inputs(1, PURPOSE_PILOT, 0, 0, 10_000, UNIF01)[:, 0]
+        vals = _uniforms(1, 10_000)
         assert abs(mc_mean(vals) - 0.5) < 0.01
 
     def test_matches_numpy_oracle(self, rng):
@@ -59,7 +62,7 @@ class TestSampleVariance:
         assert sample_variance([0.0, 2.0]) == 2.0
 
     def test_uniform_variance(self):
-        vals = draw_inputs(2, PURPOSE_PILOT, 0, 0, 100_000, UNIF01)[:, 0]
+        vals = _uniforms(2, 100_000)
         assert abs(sample_variance(vals) - 1.0 / 12.0) < 0.002
 
     def test_matches_numpy_oracle(self, rng):
@@ -89,8 +92,8 @@ class TestSampleCovariance:
         assert sample_covariance(y, -y) == pytest.approx(-sample_variance(y), rel=1e-12)
 
     def test_independent_near_zero(self):
-        y = draw_inputs(3, PURPOSE_PILOT, 0, 0, 100_000, UNIF01)[:, 0]
-        z = draw_inputs(3, PURPOSE_ORACLE, 0, 0, 100_000, UNIF01)[:, 0]
+        y = _uniforms(3, 100_000)
+        z = _uniforms(3, 100_000, PURPOSE_ORACLE)
         assert abs(sample_covariance(y, z)) < 0.002
 
     def test_matches_numpy_oracle(self, rng):
@@ -111,8 +114,8 @@ class TestRhoSquared:
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_independent_near_zero(self):
-        y = draw_inputs(4, PURPOSE_PILOT, 0, 0, 100_000, UNIF01)[:, 0]
-        z = draw_inputs(4, PURPOSE_ORACLE, 0, 0, 100_000, UNIF01)[:, 0]
+        y = _uniforms(4, 100_000)
+        z = _uniforms(4, 100_000, PURPOSE_ORACLE)
         value, degenerate = rho_squared(y, z)
         assert not degenerate
         assert value <= 0.001
