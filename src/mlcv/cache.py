@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from pathlib import Path
 
@@ -31,7 +30,6 @@ from .models import LevelHierarchy
 CACHE_SCHEMA = 2
 
 _META = "meta.json"
-_TIMINGS = "timings.json"
 
 
 def canonical_json(obj) -> str:
@@ -79,7 +77,6 @@ def save_pilot_cache(cache_dir: Path, pilot: PilotRun, pilot_key: str) -> None:
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     (cache_dir / _META).unlink(missing_ok=True)
-    (cache_dir / _TIMINGS).unlink(missing_ok=True)
     for old in cache_dir.glob("*.npy"):
         old.unlink()
     for data in pilot.levels:
@@ -97,30 +94,18 @@ def save_pilot_cache(cache_dir: Path, pilot: PilotRun, pilot_key: str) -> None:
     os.replace(tmp, cache_dir / _META)
 
 
-def save_measured_timings(cache_dir: Path, pilot: PilotRun) -> None:
-    """Persist measured seconds per solve, one number per level (measured
-    cost mode only; these values are timing data, not reproducible from
-    config and seed)."""
-    seconds = [s.seconds_fine for s in pilot.stats]
-    _write_text(Path(cache_dir) / _TIMINGS, canonical_json(seconds))
-
-
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise DataError(
-            f"{path} is not valid JSON ({exc}): re-run the pilot command"
-        ) from None
-
-
 def _read_meta(cache_dir: Path) -> dict:
     path = cache_dir / _META
     if not path.is_file():
         raise DataError(
             f"no pilot cache at {cache_dir}: run the pilot command first"
         )
-    meta = _read_json(path)
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(
+            f"{path} is not valid JSON ({exc}): re-run the pilot command"
+        ) from None
     schema = meta.get("schema") if isinstance(meta, dict) else None
     if schema != CACHE_SCHEMA:
         raise DataError(
@@ -145,7 +130,7 @@ def load_pilot_cache(
     array's shape against the pilot size and the hierarchy.
 
     Corrections and statistics are recomputed from the arrays by the same
-    builder the live pilot uses; measured timings are restored when present.
+    builder the live pilot uses.
     """
     cache_dir = Path(cache_dir)
     meta = _read_meta(cache_dir)
@@ -159,24 +144,11 @@ def load_pilot_cache(
         raise DataError(
             f"pilot cache has {meta['n_levels']} levels, hierarchy {n_levels}"
         )
-    timings_path = cache_dir / _TIMINGS
-    seconds = [0.0] * n_levels
-    if timings_path.is_file():
-        seconds = _read_json(timings_path)
-        if not isinstance(seconds, list) or len(seconds) != n_levels:
-            raise DataError(f"{timings_path} does not hold one time per level")
-        for t in seconds:
-            if type(t) not in (int, float) or not (t >= 0 and math.isfinite(t)):
-                raise DataError(
-                    f"{timings_path} holds {t!r}, not a time in seconds: "
-                    "re-run the pilot command"
-                )
     n = meta["n_pilot"]
     outputs = [
         (
             _load_array(cache_dir / f"level{ell}_q.npy", (hierarchy.output_dim(ell), n)),
             _load_array(cache_dir / f"level{ell}_qoi.npy", (n,)),
-            float(seconds[ell]),
         )
         for ell in range(n_levels)
     ]

@@ -12,8 +12,8 @@ Three subcommands share one JSON config file:
                 estimator, and its control-variate variant per epsilon.
 
 Everything randomized is keyed by the master seed, so any command rerun with
-the same config and seed writes byte-identical files (measured cost mode is
-the documented exception: wall-clock timings are not functions of the seed).
+the same config and seed writes byte-identical files; costs are the declared
+per-level unit costs, never wall-clock time.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -228,9 +228,11 @@ def normalize_config(raw) -> dict:
         _fail("master_seed", f"must be non-negative, got {seed}")
     cfg["master_seed"] = seed
 
+    # only the declared cost law is accepted; the key stays in the config so
+    # that config hashes and pilot keys keep their bytes
     cost_mode = raw.get("cost_mode", "declared")
-    if cost_mode not in ("declared", "measured"):
-        _fail("cost_mode", f"expected 'declared' or 'measured', got {cost_mode!r}")
+    if cost_mode != "declared":
+        _fail("cost_mode", f"expected 'declared', got {cost_mode!r}")
     cfg["cost_mode"] = cost_mode
 
     out_dir = raw.get("out_dir", "runs")
@@ -308,12 +310,6 @@ def _eps_tag(eps: float) -> str:
     return f"{eps:.6g}"
 
 
-def _select_stats(pilot, cost_mode: str):
-    if cost_mode == "measured":
-        return mlmc.with_measured_costs(pilot)
-    return pilot.stats
-
-
 def _try_rates(level_stats):
     """Rate fits, or (None, reason) when the hierarchy cannot support them
     (single level, or degenerate variances as on deterministic models)."""
@@ -383,10 +379,8 @@ def cmd_pilot(cfg: dict) -> int:
 
     key = cache.config_sha(pilot_key_payload(cfg))
     cache.save_pilot_cache(out_dir / "cache", pilot, key)
-    if cfg["cost_mode"] == "measured":
-        cache.save_measured_timings(out_dir / "cache", pilot)
 
-    level_stats = _select_stats(pilot, cfg["cost_mode"])
+    level_stats = pilot.stats
     rates, rates_note = _try_rates(level_stats)
 
     rows = []
@@ -409,9 +403,6 @@ def cmd_pilot(cfg: dict) -> int:
             "theta": c.theta,
             "id_residual": setup.id_residual(c.level),
         }
-        if cfg["cost_mode"] == "measured":
-            row["seconds_fine"] = st.seconds_fine
-            row["seconds_coarse"] = st.seconds_coarse
         rows.append(row)
 
     plans = [_plan_block(level_stats, setup, eps)[0] for eps in cfg["epsilon"]]
@@ -457,7 +448,7 @@ def _run_method(method, hierarchy, pilot, setup, epsilons, plans):
 
 def cmd_estimate(cfg: dict, methods) -> int:
     out_dir, hierarchy, pilot, setup = _load_study(cfg)
-    level_stats = _select_stats(pilot, cfg["cost_mode"])
+    level_stats = pilot.stats
     rates, _ = _try_rates(level_stats)
     by_level = {s.level: s for s in level_stats}
 
@@ -470,7 +461,7 @@ def cmd_estimate(cfg: dict, methods) -> int:
     )
     for eps, (plan_costs, _), tolerance_results in zip(epsilons, blocks, by_tolerance):
         for method, result in zip(methods, tolerance_results):
-            total_cost = mlmc.counted_cost(result.eval_counts, level_stats)
+            total_cost = result.total_cost
             rows = []
             for i, counts in enumerate(result.eval_counts):
                 st = by_level[counts.level]
@@ -529,7 +520,7 @@ def cmd_estimate(cfg: dict, methods) -> int:
 
 def cmd_compare(cfg: dict) -> int:
     out_dir, hierarchy, pilot, setup = _load_study(cfg)
-    level_stats = _select_stats(pilot, cfg["cost_mode"])
+    level_stats = pilot.stats
     rows = []
     for eps in sorted(cfg["epsilon"], reverse=True):
         block, _ = _plan_block(level_stats, setup, eps)

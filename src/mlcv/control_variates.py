@@ -415,8 +415,8 @@ def nominal_mlcv_cost(
     level_stats: list[LevelStats], plan: AllocationPlan, setup: CVSetup
 ) -> float:
     """Plan-implied cost of a control-variate run: coupled samples plus basis
-    pairs at each correction level, plus the auxiliary coarse solves.  Cost
-    units follow the given statistics (declared or measured)."""
+    pairs at each correction level, plus the auxiliary coarse solves, at the
+    declared unit costs of ``level_stats``."""
     if plan.n_prime is None:
         raise ConfigError("plan lacks auxiliary counts; use allocate_mlcv")
     counts = [

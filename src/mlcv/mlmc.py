@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,8 +47,6 @@ class LevelStats:
     cost_coarse: float
     dofs: int
     output_dim: int
-    seconds_fine: float = 0.0
-    seconds_coarse: float = 0.0
 
     @property
     def unit_cost(self) -> float:
@@ -95,14 +92,14 @@ class PilotRun:
 def _build_pilot(
     hierarchy: LevelHierarchy, master_seed: int, n_pilot: int, outputs
 ) -> PilotRun:
-    """Assemble a PilotRun from per-level ``(q, qoi, seconds)`` at the shared
-    pilot inputs, ``seconds`` being the mean wall time of one solve.
+    """Assemble a PilotRun from per-level ``(q, qoi)`` at the shared pilot
+    inputs.
 
     The live pilot and the cache loader both build here, so their levels and
     statistics cannot drift apart.
     """
     run = PilotRun(master_seed=master_seed, n_pilot=n_pilot, levels=[])
-    for ell, (q, qoi, seconds) in enumerate(outputs):
+    for ell, (q, qoi) in enumerate(outputs):
         y = qoi - run.levels[ell - 1].qoi if ell > 0 else qoi
         run.levels.append(PilotLevel(level=ell, q=q, qoi=qoi, y=y))
         run.stats.append(
@@ -117,8 +114,6 @@ def _build_pilot(
                 cost_coarse=hierarchy.cost(ell - 1) if ell > 0 else 0.0,
                 dofs=hierarchy.dofs(ell),
                 output_dim=hierarchy.output_dim(ell),
-                seconds_fine=seconds,
-                seconds_coarse=run.stats[ell - 1].seconds_fine if ell > 0 else 0.0,
             )
         )
     return run
@@ -135,28 +130,8 @@ def pilot_mlmc(hierarchy: LevelHierarchy, n_pilot: int, master_seed: int) -> Pil
     if n_pilot < N_MIN:
         raise ConfigError(f"n_pilot must be at least {N_MIN}, got {n_pilot}")
     xi = draw_inputs(master_seed, PURPOSE_PILOT, 0, 0, n_pilot, hierarchy.input_dim)
-    outputs = []
-    for ell in range(hierarchy.n_levels):
-        t0 = time.perf_counter()
-        out = hierarchy.evaluate(ell, xi)
-        outputs.append((out.q, out.qoi, (time.perf_counter() - t0) / n_pilot))
-    return _build_pilot(hierarchy, master_seed, n_pilot, outputs)
-
-
-def with_measured_costs(pilot: PilotRun) -> list[LevelStats]:
-    """Pilot statistics with declared costs replaced by measured mean wall
-    seconds per solve, fine and coarse separately."""
-    out = []
-    for s in pilot.stats:
-        if s.seconds_fine <= 0.0 or (s.level > 0 and s.seconds_coarse <= 0.0):
-            raise DataError(
-                f"level {s.level} lacks measured timings; re-run the pilot "
-                "with measured cost mode"
-            )
-        out.append(
-            replace(s, cost_fine=s.seconds_fine, cost_coarse=s.seconds_coarse)
-        )
-    return out
+    outputs = [hierarchy.evaluate(ell, xi) for ell in range(hierarchy.n_levels)]
+    return _build_pilot(hierarchy, master_seed, n_pilot, [(o.q, o.qoi) for o in outputs])
 
 
 @dataclass(frozen=True)
@@ -425,8 +400,10 @@ def _exchange_once(counts, v, c, budget, n_min) -> bool:
             if need <= 0.0:
                 continue
             # financing rates only fall as counts rise, so need / best_rate
-            # is a lower bound on the price of any raise
-            if need / best_rate >= depth * c[d]:
+            # is a lower bound on the price of any raise.  Python floats give
+            # numpy's quotient bit for bit, +inf when a subnormal rate makes
+            # it overflow, but without numpy's overflow warning.
+            if float(need) / float(best_rate) >= depth * c[d]:
                 continue
             plan, price = _buy_budget(need, d, counts, v, c)
             if plan is None:
@@ -492,10 +469,10 @@ class EstimatorResult:
 def counted_cost(counts, level_stats: list[LevelStats]) -> float:
     """Cost of logged per-level solve counts under a cost table.
 
-    ``level_stats`` is indexed by level and carries either declared or
-    measured unit costs.  Fine solves and then coarse plus auxiliary solves
-    are added level by level, so the total is the exact count-times-cost
-    ledger that the reports and the cost-identity check recompute.
+    ``level_stats`` is indexed by level and carries the declared unit costs.
+    Fine solves and then coarse plus auxiliary solves are added level by
+    level, so the total is the exact count-times-cost ledger that the reports
+    and the cost-identity check recompute.
     """
     total = 0.0
     for c in counts:

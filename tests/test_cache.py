@@ -18,9 +18,7 @@ from mlcv import (
     pilot_mlmc,
     prepare_control_variates,
     sample_z,
-    save_measured_timings,
     save_pilot_cache,
-    with_measured_costs,
 )
 
 
@@ -152,45 +150,6 @@ class TestPilotCache:
         np.save(tmp_path / "level1_q.npy", synthetic_pilot.levels[2].q)
         with pytest.raises(DataError, match="shape"):
             load_pilot_cache(tmp_path, synthetic, "key-1")
-
-    def test_timings_restored(self, tmp_path, synthetic):
-        pilot = pilot_mlmc(synthetic, 10, 7)
-        save_pilot_cache(tmp_path, pilot, "key-1")
-        save_measured_timings(tmp_path, pilot)
-        loaded = load_pilot_cache(tmp_path, synthetic, "key-1")
-        for orig, back in zip(pilot.stats, loaded.stats):
-            assert back.seconds_fine == orig.seconds_fine
-            assert back.seconds_coarse == orig.seconds_coarse
-        for prev, cur in zip(loaded.stats, loaded.stats[1:]):
-            assert cur.seconds_coarse == prev.seconds_fine
-        measured = with_measured_costs(loaded)
-        assert measured[0].cost_fine == loaded.stats[0].seconds_fine
-
-    def test_timings_length_mismatch_rejected(self, tmp_path, synthetic, synthetic_pilot):
-        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
-        (tmp_path / "timings.json").write_text("[0.1,0.2]\n")
-        with pytest.raises(DataError, match="one time per level"):
-            load_pilot_cache(tmp_path, synthetic, "key-1")
-
-    def test_malformed_timings_rejected(self, tmp_path, synthetic, synthetic_pilot):
-        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
-        (tmp_path / "timings.json").write_text("[0.1,0.2,")
-        with pytest.raises(DataError, match="timings.json is not valid JSON"):
-            load_pilot_cache(tmp_path, synthetic, "key-1")
-
-    @pytest.mark.parametrize(
-        "entry", ['"abc"', "null", "true", "-0.5", "NaN", "Infinity"]
-    )
-    def test_bad_timing_entry_rejected(self, tmp_path, synthetic, synthetic_pilot, entry):
-        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
-        (tmp_path / "timings.json").write_text(f"[0.1,{entry},0.2]")
-        with pytest.raises(DataError, match="not a time in seconds"):
-            load_pilot_cache(tmp_path, synthetic, "key-1")
-
-    def test_timings_default_to_zero(self, tmp_path, synthetic, synthetic_pilot):
-        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
-        loaded = load_pilot_cache(tmp_path, synthetic, "key-1")
-        assert all(s.seconds_fine == 0.0 for s in loaded.stats)
 
 
 class TestLoadSetup:

@@ -107,6 +107,7 @@ class TestNormalizeConfig:
             (lambda c: c.update(master_seed=-1), "master_seed"),
             (lambda c: c.update(master_seed=True), "master_seed"),
             (lambda c: c.update(cost_mode="guessed"), "cost_mode"),
+            (lambda c: c.update(cost_mode="measured"), "cost_mode: expected 'declared'"),
             (lambda c: c.update(out_dir=""), "out_dir"),
             (lambda c: c.update(threads=0), "threads"),
         ],
@@ -575,18 +576,6 @@ class TestSpecialModes:
         ml = read_report(out, "mlmc", "0.1")
         assert len(ml["levels"]) == 1
         assert mc["levels"][0]["dofs"] == ml["levels"][0]["dofs"]
-
-    def test_measured_cost_mode(self, tmp_path):
-        out = tmp_path / "out"
-        cfg = base_config(out, epsilon=[0.1], cost_mode="measured", n_pilot=20)
-        path = write_config(tmp_path, cfg)
-        assert main(["pilot", path]) == 0
-        assert (out / "cache" / "timings.json").is_file()
-        pilot = json.loads((out / "pilot.json").read_text())
-        for row in pilot["levels"]:
-            assert row["seconds_fine"] > 0.0
-            assert row["cost_fine"] == row["seconds_fine"]
-        assert main(["estimate", path, "--method", "mlmc"]) == 0
 
     def test_id_tol_study(self, tmp_path):
         out = tmp_path / "out"

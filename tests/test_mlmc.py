@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlcv import (
@@ -40,7 +41,6 @@ from mlcv import (
     run_mlcv,
     run_mlmc,
     sample_variance,
-    with_measured_costs,
 )
 from mlcv import mlmc as mlmc_module
 
@@ -111,9 +111,13 @@ class TestAllocateSamples:
         c=st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=6, max_size=6),
         epsilon=st.floats(min_value=0.01, max_value=10.0),
     )
+    # a subnormal variance makes the exchange's price bound overflow to +inf
+    @example(v=[0.5, 1e-310], c=[1.0] * 6, epsilon=0.1)
     def test_property_budget_met(self, v, c, epsilon):
         c = c[: len(v)]
-        counts, _ = allocate_samples(v, c, epsilon)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts, _ = allocate_samples(v, c, epsilon)
         assert all(n >= N_MIN for n in counts)
         budget = sum(vi / ni for vi, ni in zip(v, counts))
         assert budget <= epsilon**2 / 2.0 + 1e-12
@@ -204,20 +208,6 @@ class TestPilotMlmc:
     def test_n_pilot_validation(self, synthetic):
         with pytest.raises(ConfigError):
             pilot_mlmc(synthetic, 1, 0)
-
-    def test_measured_timings_recorded(self, synthetic_pilot):
-        measured = with_measured_costs(synthetic_pilot)
-        assert all(s.cost_fine > 0 for s in measured)
-        assert all(s.cost_coarse > 0 for s in measured if s.level > 0)
-        assert measured[0].cost_coarse == 0.0
-        for prev, cur in zip(synthetic_pilot.stats, synthetic_pilot.stats[1:]):
-            assert cur.seconds_coarse == prev.seconds_fine
-
-    def test_measured_costs_require_timings(self):
-        stats = [make_stats(0, 1.0, 1.0), make_stats(1, 1.0, 2.0, 1.0)]
-        fake = mlmc_module.PilotRun(master_seed=0, n_pilot=2, levels=[], stats=stats)
-        with pytest.raises(DataError):
-            with_measured_costs(fake)
 
 
 class TestFitRates:
