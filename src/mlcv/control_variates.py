@@ -29,7 +29,6 @@ from . import stats
 from .errors import ConfigError, DataError, DimensionError
 from .linalg import IDFactorization, LeastSquaresOperator, interpolative_decomposition
 from .mlmc import (
-    N_MIN,
     AllocationPlan,
     EstimatorResult,
     LevelStats,
@@ -133,7 +132,8 @@ def estimate_zbar(
     master_seed: int,
 ) -> float | list[float]:
     """Mean of ``n_prime`` fresh surrogate corrections, for one count or
-    each count of a sequence (one walk of the stream serves them all).
+    each count of a sequence (one walk of the stream serves them all; only
+    the largest count is sure to match its lone walk bit for bit).
 
     Uses the level's dedicated auxiliary stream and only coarse solves, so
     each mean costs n_prime coarse evaluations.
@@ -318,7 +318,6 @@ def allocate_mlcv(
     level_stats: list[LevelStats],
     configs: list[CVLevelConfig],
     epsilon: float,
-    n_min: int = N_MIN,
 ) -> AllocationPlan:
     """Coupled-sample plan under control variates.
 
@@ -332,7 +331,7 @@ def allocate_mlcv(
     for st, cfg in zip(level_stats, configs):
         v_eff.append(st.var_y * cfg.mse_factor)
     costs = [st.unit_cost for st in level_stats]
-    counts, _ = allocate_samples(v_eff, costs, epsilon, n_min)
+    counts = allocate_samples(v_eff, costs, epsilon)
     n_prime = tuple(
         math.ceil(cfg.multiplier * n) if cfg.enabled else 0
         for cfg, n in zip(configs, counts)
@@ -377,9 +376,10 @@ def run_mlcv(
     replay the pilot pairs not consumed by the basis and top up from the
     level's main stream.  Disabled levels (including level 0) are plain MLMC
     levels, replaying all pilot samples.  Each stream is walked once for all
-    plans, and every result equals that of its plan run alone, bit for bit.
-    A sequence of plans gives a list of results in the same order; a single
-    plan gives its one result.
+    plans; at each level only the plan with the largest count is sure to
+    match its lone run bit for bit (see ``mlmc._BATCH``).  A sequence of
+    plans gives a list of results in the same order; a single plan gives
+    its one result.
     """
     plans, single = _one_or_many(plans)
     n_levels = hierarchy.n_levels

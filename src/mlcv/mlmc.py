@@ -246,9 +246,7 @@ def _ceil_count(value: float, epsilon: float) -> int:
     return math.ceil(value)
 
 
-def allocate_samples(
-    variances, unit_costs, epsilon: float, n_min: int = N_MIN
-) -> tuple[tuple[int, ...], bool]:
+def allocate_samples(variances, unit_costs, epsilon: float) -> tuple[int, ...]:
     """Cost-optimal integer counts for a summed-variance budget epsilon^2 / 2.
 
     Lagrange stationarity of sum(N_l C_l) + mu * sum(V_l / N_l) gives
@@ -258,9 +256,8 @@ def allocate_samples(
     integer plan, so a deterministic refinement walks the excess off: slack
     levels are trimmed down, and single-sample reductions of an expensive
     level are bought by raising cheaper levels whenever that shrinks total
-    cost.  The budget constraint is never violated.  Returns
-    (counts, degenerate_flag); the flag is set when every variance is zero
-    and the floor is the whole answer.
+    cost.  The budget constraint is never violated.  No count falls below
+    ``N_MIN``, which is the whole plan when every variance is zero.
     """
     epsilon = _check_epsilon(epsilon)
     v = np.asarray(variances, dtype=np.float64)
@@ -271,17 +268,17 @@ def allocate_samples(
         raise DataError("variances must be >= 0 and unit costs > 0")
     total = float(np.sum(np.sqrt(v * c)))
     if total == 0.0:
-        return tuple([n_min] * v.size), True
+        return (N_MIN,) * v.size
     raw = (2.0 / epsilon**2) * total * np.sqrt(v / c)
-    counts = [max(n_min, _ceil_count(r, epsilon)) for r in raw]
+    counts = [max(N_MIN, _ceil_count(r, epsilon)) for r in raw]
     budget = epsilon**2 / 2.0
-    _trim_counts(counts, v, c, budget, n_min)
+    _trim_counts(counts, v, c, budget)
     if max(counts) <= _EXCHANGE_COUNT_CAP:
         for _ in range(_MAX_EXCHANGES):
-            if not _exchange_once(counts, v, c, budget, n_min):
+            if not _exchange_once(counts, v, c, budget):
                 break
-            _trim_counts(counts, v, c, budget, n_min)
-    return tuple(counts), False
+            _trim_counts(counts, v, c, budget)
+    return tuple(counts)
 
 
 # The exchange polish matters only while single samples are a visible
@@ -292,7 +289,7 @@ _MAX_EXCHANGES = 60
 _MAX_BUY_STEPS = 200
 
 
-def _trim_counts(counts, v, c, budget, n_min) -> None:
+def _trim_counts(counts, v, c, budget) -> None:
     """Lower counts in place wherever the budget has slack, most expensive
     level first, jumping each level straight to its lowest feasible value."""
     order = sorted(range(len(counts)), key=lambda k: (-c[k], k))
@@ -300,12 +297,12 @@ def _trim_counts(counts, v, c, budget, n_min) -> None:
     while changed:
         changed = False
         for k in order:
-            if counts[k] <= n_min:
+            if counts[k] <= N_MIN:
                 continue
             slack = budget - float(np.sum(v / counts))
             if slack <= 0.0:
                 continue
-            lowest = max(n_min, math.ceil(v[k] / (v[k] / counts[k] + slack)))
+            lowest = max(N_MIN, math.ceil(v[k] / (v[k] / counts[k] + slack)))
             while lowest < counts[k]:
                 load = float(np.sum(v / counts)) - v[k] / counts[k] + v[k] / lowest
                 if load <= budget:
@@ -372,7 +369,7 @@ def _buy_budget(need, d, counts, v, c):
 _MAX_EXCHANGE_DEPTH = 64
 
 
-def _exchange_once(counts, v, c, budget, n_min) -> bool:
+def _exchange_once(counts, v, c, budget) -> bool:
     """Apply the first cost-reducing exchange: take ``k`` samples off some
     level, paid for by raising other levels within the budget.  Depths up to
     ``_MAX_EXCHANGE_DEPTH`` are scanned because a single-sample reduction can
@@ -381,7 +378,7 @@ def _exchange_once(counts, v, c, budget, n_min) -> bool:
     order = sorted(range(len(counts)), key=lambda k: (-c[k], k))
     load = float(np.sum(v / counts))
     for d in order:
-        if counts[d] <= n_min or v[d] == 0.0:
+        if counts[d] <= N_MIN or v[d] == 0.0:
             continue
         best_rate = max(
             (
@@ -393,7 +390,7 @@ def _exchange_once(counts, v, c, budget, n_min) -> bool:
         )
         if best_rate <= 0.0:
             continue
-        depth_cap = min(counts[d] - n_min, _MAX_EXCHANGE_DEPTH)
+        depth_cap = min(counts[d] - N_MIN, _MAX_EXCHANGE_DEPTH)
         for depth in range(1, depth_cap + 1):
             lowered = counts[d] - depth
             need = load - v[d] / counts[d] + v[d] / lowered - budget
@@ -416,11 +413,11 @@ def _exchange_once(counts, v, c, budget, n_min) -> bool:
     return False
 
 
-def allocate_mlmc(level_stats: list[LevelStats], epsilon: float, n_min: int = N_MIN) -> AllocationPlan:
+def allocate_mlmc(level_stats: list[LevelStats], epsilon: float) -> AllocationPlan:
     """Standard multilevel plan from pilot variances and declared costs."""
     v = [s.var_y for s in level_stats]
     c = [s.unit_cost for s in level_stats]
-    counts, _ = allocate_samples(v, c, epsilon, n_min)
+    counts = allocate_samples(v, c, epsilon)
     return AllocationPlan(epsilon=_check_epsilon(epsilon), n_samples=counts)
 
 
@@ -499,9 +496,9 @@ def pair_counts(level: int, n: int, aux: int = 0) -> LevelEvalCounts:
 # depend on batch width in the last bits (a 65,536-row batch and its prefixes
 # differ by up to 3.6e-15 in ``SyntheticLowRank`` outputs and 8.3e-11 in
 # ``sample_z``; see ``LevelHierarchy``).  The batch boundaries, like the
-# reduction order they fix, are therefore part of the result, so a run that
-# ends inside a batch evaluates its own prefix of the batch instead of slicing
-# the values of the whole batch.
+# reduction order they fix, are therefore part of the result.  Each batch is
+# evaluated once, at the width of the longest run, and a shorter run reduces
+# a prefix of its values, so only the longest run keeps its lone-run bits.
 _BATCH = 1 << 16
 
 
@@ -527,36 +524,27 @@ def _stream_moments(
     indices 0..n-1 of the (seed, purpose, level) stream.
 
     The stream is walked once, in ``_BATCH`` slices, up to the largest
-    count.  Each slice is drawn once; ``values_of`` maps it once, and every
-    run covering the whole slice reduces that.  A run whose count ends
-    inside the slice maps its own prefix, the batch it would see alone (see
+    count.  Each slice is drawn and mapped by ``values_of`` once, and every
+    run that reaches into it reduces its prefix of those values (see
     ``_BATCH``).  Run ``k`` first reduces its replayed samples
     ``replays[k]``, if given, and then ``finishes[k](values)`` in place of
-    ``values`` when ``finishes`` is given.
+    ``values`` when ``finishes`` is given (a finish is elementwise, so it
+    commutes with taking the prefix).
     """
     runs = [stats.RunningMoments() for _ in counts]
     for moments, replay in zip(runs, replays):
         if replay.size:
             moments.update(replay)
     finishes = finishes or [None] * len(runs)
-
-    def reduce(moments, finish, values):
-        moments.update(values if finish is None else finish(values))
-
     n_max = max(counts, default=0)
     for start in range(0, n_max, _BATCH):
         b = min(_BATCH, n_max - start)
-        xi = draw_inputs(master_seed, purpose, level, start, b, hierarchy.input_dim)
-        full = None
+        full = values_of(
+            draw_inputs(master_seed, purpose, level, start, b, hierarchy.input_dim)
+        )
         for moments, n, finish in zip(runs, counts, finishes):
-            if n <= start:
-                continue
-            if n - start < b:
-                reduce(moments, finish, values_of(xi[: n - start]))
-                continue
-            if full is None:
-                full = values_of(xi)
-            reduce(moments, finish, full)
+            if n > start:
+                moments.update((full if finish is None else finish(full))[: n - start])
         # freed before the next draw, so memory is reused as with one run
         del full
     return runs
@@ -655,13 +643,13 @@ def run_mlmc(
     """Telescoping estimate under each plan of ``plans``, replaying cached
     pilot samples: the control-variate estimator with no controlled level.
 
-    Each level's stream is walked once for all plans, and every result
-    equals that of its plan run alone, bit for bit.  A sequence of plans
-    gives a list of results in the same order; a single plan gives its one
-    result.  Logged evaluation counts include the pilot solves, so the
-    reported cost covers everything actually spent; when every planned count
-    is at least the pilot size this equals the plan's nominal cost
-    sum(N_l C_l).
+    Each level's stream is walked once for all plans; at each level only
+    the plan with the largest count is sure to match its lone run bit for
+    bit (see ``_BATCH``).  A sequence of plans gives a list of results in
+    the same order; a single plan gives its one result.  Logged evaluation
+    counts include the pilot solves, so the reported cost covers everything
+    actually spent; when every planned count is at least the pilot size
+    this equals the plan's nominal cost sum(N_l C_l).
     """
     plans, single = _one_or_many(plans)
     seed = pilot.master_seed if master_seed is None else master_seed
@@ -680,7 +668,8 @@ def run_mc(
 
     Draws fresh finest-level samples (no coupling, no pilot replay) so the
     cost is exactly N fine solves; the stream is walked once for all
-    tolerances, and each result equals that of its tolerance run alone.
+    tolerances, and only the largest count is sure to match its lone run
+    bit for bit (see ``_BATCH``).
     """
     epsilons, single = _one_or_many(epsilons)
     epsilons = [_check_epsilon(eps) for eps in epsilons]

@@ -215,7 +215,8 @@ class LevelHierarchy(abc.ABC):
     prefixes of two rows or more, but a one-row batch differed from the same
     row evaluated in a wider batch by up to 1.3e-13 relative in ``q`` at
     m = 255.  The estimators therefore fix the batch boundaries
-    (``mlmc._BATCH``) and never slice a batch's values for a shorter run.
+    (``mlmc._BATCH``) and evaluate each batch once, at the width of the
+    longest run that walks it; a shorter run reduces a prefix of its values.
     """
 
     input_dim: int

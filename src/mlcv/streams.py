@@ -50,15 +50,15 @@ def _check_key_fields(master_seed: int, purpose: str, level: int, sample_index: 
 
 
 def _block_uniforms(master_seed: int, purpose: str, level: int, block: int, dim: int) -> np.ndarray:
-    """Uniforms for one keyed block, shape (_BLOCK, dim), open interval (0, 1)."""
+    """Uniforms for one keyed block, shape (_BLOCK, dim), in (0, 1]."""
     seq = np.random.SeedSequence(
         entropy=master_seed,
         spawn_key=(_PURPOSE_CODES[purpose], level, block),
     )
     gen = np.random.Generator(np.random.Philox(seq))
     raw = gen.integers(0, 1 << 53, size=(_BLOCK, dim), dtype=np.uint64)
-    # Midpoint mapping keeps draws strictly inside (0, 1): the quantile
-    # transform below must never see 0 or 1 exactly.
+    # Midpoint mapping keeps draws above 0, but rounds the largest integer,
+    # 2**53 - 1, up to exactly 1.0; ``draw_inputs`` clamps that one value.
     return (raw.astype(np.float64) + 0.5) * _INV_53
 
 
@@ -86,4 +86,7 @@ def draw_inputs(
         out[filled : filled + take] = u[offset : offset + take]
         filled += take
         index += take
+    # ndtri(1.0) is inf, so the one uniform that rounds to 1.0 is lowered, in
+    # place, to the largest double below it; no other value moves.
+    np.minimum(out, np.nextafter(1.0, 0.0), out=out)
     return ndtri(out, out=out)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import warnings
@@ -16,6 +17,7 @@ from mlcv import (
     PURPOSE_MAIN_Y,
     PURPOSE_ORACLE,
     PURPOSE_PILOT,
+    PURPOSE_ZBAR,
     AllocationPlan,
     ConfigError,
     DataError,
@@ -23,6 +25,7 @@ from mlcv import (
     DimensionError,
     LevelHierarchy,
     LevelStats,
+    RunningMoments,
     SyntheticLowRank,
     allocate_mlmc,
     allocate_samples,
@@ -41,6 +44,7 @@ from mlcv import (
     run_mlcv,
     run_mlmc,
     sample_variance,
+    sample_z,
 )
 from mlcv import mlmc as mlmc_module
 
@@ -62,30 +66,24 @@ def make_stats(level, var_y, cost_fine, cost_coarse=0.0, mean_y=0.1, var_q=1.0, 
 
 class TestAllocateSamples:
     def test_hand_derived_plan(self):
-        counts, degenerate = allocate_samples([4.0, 1.0], [1.0, 4.0], math.sqrt(2.0))
-        assert counts == (8, 2)
-        assert not degenerate
+        assert allocate_samples([4.0, 1.0], [1.0, 4.0], math.sqrt(2.0)) == (8, 2)
 
     def test_single_level_floors_at_n_min(self):
-        counts, degenerate = allocate_samples([1.0], [1.0], math.sqrt(2.0))
-        assert counts == (2,)
-        assert not degenerate
+        assert allocate_samples([1.0], [1.0], math.sqrt(2.0)) == (2,)
 
     def test_halving_epsilon_quadruples_counts(self):
-        big, _ = allocate_samples([4.0, 1.0], [1.0, 4.0], math.sqrt(2.0))
-        small, _ = allocate_samples([4.0, 1.0], [1.0, 4.0], math.sqrt(2.0) / 2.0)
+        big = allocate_samples([4.0, 1.0], [1.0, 4.0], math.sqrt(2.0))
+        small = allocate_samples([4.0, 1.0], [1.0, 4.0], math.sqrt(2.0) / 2.0)
         assert small == tuple(4 * n for n in big)
 
     def test_all_zero_variances_degenerate(self):
-        counts, degenerate = allocate_samples([0.0, 0.0, 0.0], [1.0, 2.0, 4.0], 0.1)
+        counts = allocate_samples([0.0, 0.0, 0.0], [1.0, 2.0, 4.0], 0.1)
         assert counts == (N_MIN, N_MIN, N_MIN)
-        assert degenerate
 
     def test_zero_variance_level_gets_floor(self):
-        counts, degenerate = allocate_samples([4.0, 0.0], [1.0, 4.0], 0.1)
+        counts = allocate_samples([4.0, 0.0], [1.0, 4.0], 0.1)
         assert counts[1] == N_MIN
         assert counts[0] >= 2
-        assert not degenerate
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -97,7 +95,7 @@ class TestAllocateSamples:
         for eps in (1e-300, 1e160, 1e-160, 1e-100, 2.0**-26 * (1 - 2.0**-52)):
             with pytest.raises(ConfigError, match="out of range"):
                 allocate_samples([1.0], [1.0], eps)
-        assert allocate_samples([1.0], [1.0], 2.0**-26)[0] == (2**53,)
+        assert allocate_samples([1.0], [1.0], 2.0**-26) == (2**53,)
         with pytest.raises(DimensionError):
             allocate_samples([1.0, 2.0], [1.0], 0.1)
         with pytest.raises(DataError):
@@ -117,7 +115,7 @@ class TestAllocateSamples:
         c = c[: len(v)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            counts, _ = allocate_samples(v, c, epsilon)
+            counts = allocate_samples(v, c, epsilon)
         assert all(n >= N_MIN for n in counts)
         budget = sum(vi / ni for vi, ni in zip(v, counts))
         assert budget <= epsilon**2 / 2.0 + 1e-12
@@ -491,10 +489,54 @@ class TestMcOracleMean:
             mc_oracle_mean(synthetic, 0, 1)
 
 
-def _assert_same_result(joint, alone):
-    """Every field of two estimator results equal, floats bit for bit."""
-    for f in dataclasses.fields(alone):
-        assert repr(getattr(joint, f.name)) == repr(getattr(alone, f.name)), f.name
+def _assert_same_result(joint, alone, fields=None):
+    """Fields of two estimator results equal, floats bit for bit (every
+    field unless ``fields`` names some)."""
+    for name in fields or [f.name for f in dataclasses.fields(alone)]:
+        assert repr(getattr(joint, name)) == repr(getattr(alone, name)), name
+
+
+# Result fields fixed by the plan and the pilot alone, whatever the walk
+_PLAN_FIELDS = (
+    "method", "n_samples", "sampling_error", "total_cost", "eval_counts", "master_seed"
+)
+
+
+def _sliced_moments(h, seed, purpose, level, runs, values_of, batch):
+    """The one-pass rule by hand: each batch of the longest run is drawn and
+    evaluated once, at full width, and run ``(n, replay, finish)`` reduces
+    its replayed samples and then ``finish(values, k)``, its first ``k``
+    values, of every batch it reaches."""
+    n_max = max(n for n, _, _ in runs)
+    starts = range(0, n_max, batch)
+    batches = [
+        values_of(draw_inputs(seed, purpose, level, s, min(batch, n_max - s), h.input_dim))
+        for s in starts
+    ]
+    out = []
+    for n, replay, finish in runs:
+        m = RunningMoments()
+        if replay.size:
+            m.update(replay)
+        for s, values in zip(starts, batches):
+            if n > s:
+                m.update(finish(values, n - s))
+        out.append(m)
+    return out
+
+
+def _prefix(values, k):
+    return values[:k]
+
+
+def _correction_of(h, level):
+    if level == 0:
+        return lambda xi: h.evaluate(0, xi).qoi
+    return lambda xi: h.evaluate(level, xi).qoi - h.evaluate(level - 1, xi).qoi
+
+
+def _assert_moments(mean, variance, moments):
+    assert repr((mean, variance)) == repr((moments.mean, moments.variance))
 
 
 class BatchWidthHierarchy(ScaledHierarchy):
@@ -510,15 +552,19 @@ class BatchWidthHierarchy(ScaledHierarchy):
 
 
 class TestOnePassOverPlans:
-    """Several plans run at once give, field by field, the results of each
-    plan run alone: the shared walk over each level's stream changes no bit.
+    """Several plans run at once walk each level's stream once and evaluate
+    each batch once: a run whose count ends inside a batch reduces a prefix
+    of the values evaluated for the longest run.  So at each level the run
+    with the largest count has the bits of its lone run, and every run's
+    level moments are a hand reduction of slices of the full-width batches.
 
     With ``_BATCH`` at 16 the fresh counts below end on a batch boundary
     (48, 32, 16), inside a batch (10, 5, 1, 7), at zero (plans that fit in
     the replayed pilot samples), and past the last batch of the tightest
     plan (35 fresh samples at level 2 against its 5).  The plans are not
-    sorted by epsilon.  ``BatchWidthHierarchy`` fails the comparison unless
-    each run evaluates the batches it would see alone.
+    sorted by epsilon, and at each level the plan with the most coupled
+    samples also has the most auxiliary ones.  ``BatchWidthHierarchy`` tells
+    a prefix evaluated alone from a slice of a wider batch.
     """
 
     BATCH = 16
@@ -549,14 +595,35 @@ class TestOnePassOverPlans:
             for eps, n, n_prime in self.PLANS
         ]
 
+    def _assert_longest_runs_alone(self, joint, alone_of, plans):
+        """Per level, the plan with the most samples there has the level
+        mean, variance and Zbar of its lone run, and every plan has its lone
+        run's plan-fixed fields."""
+        alone = [alone_of(plan) for plan in plans]
+        for result, lone in zip(joint, alone):
+            _assert_same_result(result, lone, _PLAN_FIELDS)
+        for ell in range(len(plans[0].n_samples)):
+            k = max(range(len(plans)), key=lambda i: plans[i].n_samples[ell])
+            for name in ("level_estimates", "sample_variances", "zbar_values"):
+                assert repr(getattr(joint[k], name)[ell]) == repr(getattr(alone[k], name)[ell])
+
     def test_run_mlmc(self, study, small_batches):
         h, pilot = study
         plans = self.plans(with_n_prime=False)
         joint = run_mlmc(h, plans, pilot)
         assert len(joint) == len(plans)
-        for result, plan in zip(joint, plans):
-            _assert_same_result(result, run_mlmc(h, [plan], pilot)[0])
-            _assert_same_result(result, run_mlmc(h, plan, pilot))
+        self._assert_longest_runs_alone(joint, lambda p: run_mlmc(h, p, pilot), plans)
+        _assert_same_result(run_mlmc(h, plans[0], pilot), run_mlmc(h, [plans[0]], pilot)[0])
+        for ell in range(h.n_levels):
+            runs = []
+            for plan in plans:
+                replay = pilot.levels[ell].y[: plan.n_samples[ell]]
+                runs.append((plan.n_samples[ell] - replay.size, replay, _prefix))
+            hand = _sliced_moments(
+                h, pilot.master_seed, PURPOSE_MAIN_Y, ell, runs, _correction_of(h, ell), self.BATCH
+            )
+            for result, m in zip(joint, hand):
+                _assert_moments(result.level_estimates[ell], result.sample_variances[ell], m)
 
     def test_run_mlcv(self, study, small_batches):
         h, pilot = study
@@ -564,17 +631,49 @@ class TestOnePassOverPlans:
         assert any(c.enabled for c in setup.configs)
         plans = self.plans(with_n_prime=True)
         joint = run_mlcv(h, plans, pilot, setup)
-        for result, plan in zip(joint, plans):
-            _assert_same_result(result, run_mlcv(h, [plan], pilot, setup)[0])
+        self._assert_longest_runs_alone(joint, lambda p: run_mlcv(h, p, pilot, setup), plans)
         assert any(z != 0.0 for r in joint for z in r.zbar_values)
+        seed = pilot.master_seed
+        for ell, (cfg, basis) in enumerate(zip(setup.configs, setup.bases)):
+            if not cfg.enabled:
+                continue
+            zbars = [r.zbar_values[ell] for r in joint]
+            assert zbars == estimate_zbar(h, basis, [p.n_prime[ell] for p in plans], seed)
+            keep = np.delete(np.arange(pilot.n_pilot), basis.selected_pilot_indices)
+            y, z = pilot.levels[ell].y[keep], setup.pilot_z[ell][keep]
+
+            def yz(xi):
+                fine, coarse = h.evaluate(ell, xi), h.evaluate(ell - 1, xi)
+                return fine.qoi - coarse.qoi, sample_z(h, basis, coarse.q, coarse.qoi)
+
+            runs = []
+            for plan, zbar in zip(plans, zbars):
+                n = plan.n_samples[ell]
+                replay = (y - cfg.theta * (z - zbar))[:n]
+
+                def finish(values, k, zbar=zbar):
+                    return values[0][:k] - cfg.theta * (values[1][:k] - zbar)
+
+                runs.append((n - replay.size, replay, finish))
+            hand = _sliced_moments(h, seed, PURPOSE_MAIN_Y, ell, runs, yz, self.BATCH)
+            for result, m in zip(joint, hand):
+                _assert_moments(result.level_estimates[ell], result.sample_variances[ell], m)
 
     def test_estimate_zbar(self, study, small_batches):
         h, pilot = study
         basis = prepare_control_variates(h, pilot, rank=3).bases[1]
         counts = [20, 32, 1, 50]
         joint = estimate_zbar(h, basis, counts, 9)
-        alone = [estimate_zbar(h, basis, n, 9) for n in counts]
-        assert repr(joint) == repr(alone)
+        assert repr(joint[-1]) == repr(estimate_zbar(h, basis, 50, 9))
+        assert repr(estimate_zbar(h, basis, 20, 9)) == repr(estimate_zbar(h, basis, [20], 9)[0])
+
+        def z(xi):
+            coarse = h.evaluate(0, xi)
+            return sample_z(h, basis, coarse.q, coarse.qoi)
+
+        runs = [(n, np.empty(0), _prefix) for n in counts]
+        hand = _sliced_moments(h, 9, PURPOSE_ZBAR, 1, runs, z, self.BATCH)
+        assert repr(joint) == repr([m.mean for m in hand])
 
     def test_run_mc(self, study, small_batches):
         h, pilot = study
@@ -585,7 +684,47 @@ class TestOnePassOverPlans:
         joint = run_mc(h, epsilons, pilot)
         assert [r.n_samples for r in joint] == [(n,) for n in counts]
         for result, eps in zip(joint, epsilons):
-            _assert_same_result(result, run_mc(h, eps, pilot))
+            _assert_same_result(result, run_mc(h, eps, pilot), _PLAN_FIELDS)
+        _assert_same_result(joint[-1], run_mc(h, epsilons[-1], pilot))
+        finest = h.finest_level
+        runs = [(n, np.empty(0), _prefix) for n in counts]
+        hand = _sliced_moments(
+            h, pilot.master_seed, PURPOSE_MAIN_Y, finest, runs,
+            lambda xi: h.evaluate(finest, xi).qoi, self.BATCH,
+        )
+        for result, m in zip(joint, hand):
+            _assert_moments(result.estimate, result.sample_variances[0], m)
+
+    @pytest.mark.parametrize("method", ["mlmc", "mlcv"])
+    def test_each_drawn_row_solved_once(self, study, small_batches, monkeypatch, method):
+        """Each level solves exactly the rows drawn for the maps that read it,
+        once for all plans: the main-stream rows of its own correction and of
+        the next one, and the auxiliary rows of the next level's Zbar."""
+        h, pilot = study
+        setup = prepare_control_variates(h, pilot, rank=3)
+        drawn, solved = collections.Counter(), collections.Counter()
+        evaluate = h.evaluate
+
+        def counting_draw(seed, purpose, level, start, count, dim):
+            drawn[purpose, level] += count
+            return draw_inputs(seed, purpose, level, start, count, dim)
+
+        def counting_evaluate(level, xi):
+            solved[level] += xi.shape[0]
+            return evaluate(level, xi)
+
+        monkeypatch.setattr(mlmc_module, "draw_inputs", counting_draw)
+        monkeypatch.setattr(h, "evaluate", counting_evaluate)
+        if method == "mlmc":
+            run_mlmc(h, self.plans(with_n_prime=False), pilot)
+            # the largest fresh count per level, past the 40 replayed samples
+            assert [drawn[PURPOSE_MAIN_Y, ell] for ell in range(3)] == [48, 32, 35]
+        else:
+            run_mlcv(h, self.plans(with_n_prime=True), pilot, setup)
+            assert drawn[PURPOSE_ZBAR, 2] == (50 if setup.configs[2].enabled else 0)
+        for ell in range(h.n_levels):
+            rows = drawn[PURPOSE_MAIN_Y, ell] + drawn[PURPOSE_MAIN_Y, ell + 1]
+            assert solved[ell] == rows + drawn[PURPOSE_ZBAR, ell + 1], ell
 
     def test_checks_cover_every_plan(self, synthetic, synthetic_pilot):
         good = AllocationPlan(0.1, (50, 30, 75), (0, 20, 50))

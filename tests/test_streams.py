@@ -17,6 +17,7 @@ from mlcv import (
     ConfigError,
     draw_inputs,
 )
+from mlcv import streams
 
 # The stream layout, restated here so a change to it fails a test: purpose
 # codes in the spawn key and samples per keyed block.
@@ -90,6 +91,18 @@ def test_uniform_values_strictly_inside_bounds():
     u = ndtr(draw_inputs(0, PURPOSE_PILOT, 0, 0, 5000, 1)[:, 0])
     assert u.min() > 0.0
     assert u.max() < 1.0
+
+
+def test_uniform_of_one_gives_finite_draw(monkeypatch):
+    """The midpoint map rounds the largest 53-bit integer up to exactly 1.0,
+    whose normal quantile is inf; the draw is clamped to the largest double
+    below 1 instead."""
+    assert (float(2**53 - 1) + 0.5) * 2.0**-53 == 1.0
+    monkeypatch.setattr(streams, "_block_uniforms", lambda *key: np.ones((_BLOCK, key[-1])))
+    draws = draw_inputs(0, PURPOSE_PILOT, 0, 1000, 30, 2)
+    assert draws.shape == (30, 2)
+    assert np.all(np.isfinite(draws))
+    assert np.all(draws == ndtri(np.nextafter(1.0, 0.0)))
 
 
 def test_gaussian_is_inverse_cdf_of_uniform_stream():
