@@ -53,13 +53,11 @@ S2_DEFAULT = 10
 class ReducedBasisPair:
     """Coarse/fine snapshot bases at matched pilot inputs for one level.
 
-    ``solver`` carries the factorization of the coarse basis so repeated
+    ``solver`` holds the coarse basis and its factorization, so repeated
     coefficient fits cost one matrix product each.
     """
 
     level: int
-    rank: int
-    coarse_basis: np.ndarray
     fine_basis: np.ndarray
     selected_pilot_indices: np.ndarray
     idf: IDFactorization
@@ -96,16 +94,12 @@ def build_reduced_basis(
     if idf.rank == 0:
         return None
     sel = np.sort(idf.selected_indices)
-    coarse = np.ascontiguousarray(snapshots[:, sel])
-    fine = np.ascontiguousarray(pilot.levels[level].q[:, sel])
     return ReducedBasisPair(
         level=level,
-        rank=idf.rank,
-        coarse_basis=coarse,
-        fine_basis=fine,
+        fine_basis=np.ascontiguousarray(pilot.levels[level].q[:, sel]),
         selected_pilot_indices=sel,
         idf=idf,
-        solver=LeastSquaresOperator(coarse),
+        solver=LeastSquaresOperator(np.ascontiguousarray(snapshots[:, sel])),
     )
 
 
@@ -194,17 +188,22 @@ def allocate_zbar(rho2: float, zeta: float, s2: float = S2_DEFAULT) -> float:
 
 @dataclass(frozen=True)
 class CVLevelConfig:
-    """Frozen per-level control-variate parameters derived from the pilot."""
+    """Frozen per-level control-variate parameters derived from the pilot.
+
+    ``enabled`` means ``multiplier > 0``: the control variate runs exactly
+    on the levels whose auxiliary multiplier is positive.  ``rank`` is the
+    number of columns in the level's reduced basis (0 without a basis).
+    """
 
     level: int
-    enabled: bool
     rank: int = 0
     rho2: float = 0.0
-    rho2_degenerate: bool = False
-    cov_yz: float = 0.0
-    var_z: float = 0.0
     multiplier: float = 0.0
     theta: float = 0.0
+
+    @property
+    def enabled(self) -> bool:
+        return self.multiplier > 0.0
 
     @property
     def ratio(self) -> float:
@@ -226,11 +225,6 @@ class CVSetup:
     configs: list[CVLevelConfig]
     bases: list[ReducedBasisPair | None]
     pilot_z: list[np.ndarray | None]
-
-    def consumed_pairs(self, level: int) -> int:
-        """Pilot pairs withheld from recycling at a level (basis columns of
-        enabled levels)."""
-        return self.bases[level].rank if self.configs[level].enabled else 0
 
     def id_residual(self, level: int) -> float:
         """Spectral-norm ID residual of the level's basis (0.0 without one)."""
@@ -272,14 +266,14 @@ def prepare_control_variates(
             )
         ranks = [None] + [int(r) for r in rank]
 
-    configs: list[CVLevelConfig] = [CVLevelConfig(level=0, enabled=False)]
+    configs: list[CVLevelConfig] = [CVLevelConfig(level=0)]
     bases: list[ReducedBasisPair | None] = [None]
     pilot_z: list[np.ndarray | None] = [None]
 
     for ell in range(1, n_levels):
         basis = build_reduced_basis(hierarchy, ell, pilot, rank=ranks[ell], tol=tol)
         if basis is None:
-            configs.append(CVLevelConfig(level=ell, enabled=False))
+            configs.append(CVLevelConfig(level=ell))
             bases.append(None)
             pilot_z.append(None)
             continue
@@ -292,21 +286,13 @@ def prepare_control_variates(
         st = pilot.stats[ell]
         zeta = st.cost_coarse / st.unit_cost
         multiplier = allocate_zbar(rho2, zeta, s2) if not degenerate else 0.0
-        enabled = multiplier > 0.0 and not degenerate
-        var_z = stats.sample_variance(z)
-        cov = stats.sample_covariance(y, z)
-        theta = theta_star(cov, var_z, 1.0 / multiplier) if enabled else 0.0
+        theta = 0.0
+        if multiplier > 0.0:
+            cov = stats.sample_covariance(y, z)
+            theta = theta_star(cov, stats.sample_variance(z), 1.0 / multiplier)
         configs.append(
             CVLevelConfig(
-                level=ell,
-                enabled=enabled,
-                rank=basis.rank,
-                rho2=rho2,
-                rho2_degenerate=degenerate,
-                cov_yz=cov,
-                var_z=var_z,
-                multiplier=multiplier,
-                theta=theta,
+                level=ell, rank=basis.idf.rank, rho2=rho2, multiplier=multiplier, theta=theta
             )
         )
         bases.append(basis)
@@ -333,8 +319,7 @@ def allocate_mlcv(
     costs = [st.unit_cost for st in level_stats]
     counts = allocate_samples(v_eff, costs, epsilon)
     n_prime = tuple(
-        math.ceil(cfg.multiplier * n) if cfg.enabled else 0
-        for cfg, n in zip(configs, counts)
+        math.ceil(cfg.multiplier * n) if cfg.enabled else 0 for cfg, n in zip(configs, counts)
     )
     return AllocationPlan(
         epsilon=_check_epsilon(epsilon),
@@ -366,7 +351,6 @@ def run_mlcv(
     plans: AllocationPlan | Sequence[AllocationPlan],
     pilot: PilotRun,
     setup: CVSetup,
-    master_seed: int | None = None,
 ) -> EstimatorResult | list[EstimatorResult]:
     """Control-variate estimate under each plan of ``plans``: sum over levels
     of mean(Y - theta (Z - Zbar)).
@@ -389,14 +373,12 @@ def run_mlcv(
         raise DimensionError("setup level count does not match hierarchy")
     if any(plan.n_prime is None for plan in plans):
         raise ConfigError("plan lacks auxiliary counts; use allocate_mlcv")
-    seed = pilot.master_seed if master_seed is None else master_seed
-
     controls = {}
     for ell, (cfg, basis) in enumerate(zip(setup.configs, setup.bases)):
         if not cfg.enabled:
             continue
         n_primes = [plan.n_prime[ell] for plan in plans]
-        zbars = estimate_zbar(hierarchy, basis, n_primes, seed)
+        zbars = estimate_zbar(hierarchy, basis, n_primes, pilot.master_seed)
         keep = np.delete(np.arange(pilot.n_pilot), basis.selected_pilot_indices)
         y, z = pilot.levels[ell].y[keep], setup.pilot_z[ell][keep]
         controls[ell] = (
@@ -407,7 +389,7 @@ def run_mlcv(
             ],
             cfg.mse_factor,
         )
-    results = _telescope("mlcv", hierarchy, plans, pilot, seed, controls)
+    results = _telescope("mlcv", hierarchy, plans, pilot, controls)
     return results[0] if single else results
 
 
@@ -420,8 +402,10 @@ def nominal_mlcv_cost(
     if plan.n_prime is None:
         raise ConfigError("plan lacks auxiliary counts; use allocate_mlcv")
     counts = [
-        pair_counts(ell, n + setup.consumed_pairs(ell), n_prime)
-        for ell, (n, n_prime) in enumerate(zip(plan.n_samples, plan.n_prime))
+        pair_counts(ell, n + (cfg.rank if cfg.enabled else 0), n_prime)
+        for ell, (cfg, n, n_prime) in enumerate(
+            zip(setup.configs, plan.n_samples, plan.n_prime)
+        )
     ]
     return counted_cost(counts, level_stats)
 

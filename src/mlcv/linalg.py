@@ -157,20 +157,20 @@ class LeastSquaresOperator:
 
     The pseudoinverse is formed once at construction; every ``solve`` call is
     then a single matrix product, which is what the per-sample coefficient
-    fits in the control-variate loop need.
+    fits in the control-variate loop need.  ``a`` is the matrix itself.
     """
 
     def __init__(self, a):
-        self._a = _check_matrix(a, "basis matrix")
-        self._pinv = np.linalg.pinv(self._a, rcond=_RCOND)
+        self.a = _check_matrix(a, "basis matrix")
+        self._pinv = np.linalg.pinv(self.a, rcond=_RCOND)
 
     def solve(self, b) -> np.ndarray:
         """Coefficients c minimizing ||a c - b|| for each column of the
         matrix ``b``, one independent right-hand side per column."""
         bv = np.asarray(b, dtype=np.float64)
-        if bv.ndim != 2 or bv.shape[0] != self._a.shape[0]:
+        if bv.ndim != 2 or bv.shape[0] != self.a.shape[0]:
             raise DimensionError(
-                f"right-hand side must be a matrix of {self._a.shape[0]} rows, "
+                f"right-hand side must be a matrix of {self.a.shape[0]} rows, "
                 f"got shape {bv.shape}"
             )
         if not np.all(np.isfinite(bv)):

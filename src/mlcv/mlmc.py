@@ -567,7 +567,6 @@ def _telescope(
     hierarchy: LevelHierarchy,
     plans: Sequence[AllocationPlan],
     pilot: PilotRun,
-    seed: int,
     controls: dict,
 ) -> list[EstimatorResult]:
     """The multilevel estimator, one result per plan in ``plans``: the sum
@@ -608,7 +607,8 @@ def _telescope(
         replays = [replay[:n] for replay, n in zip(replays, ns)]
         fresh = [n - replay.size for replay, n in zip(replays, ns)]
         moments = _stream_moments(
-            hierarchy, seed, PURPOSE_MAIN_Y, ell, fresh, values_of, replays, finishes
+            hierarchy, pilot.master_seed, PURPOSE_MAIN_Y, ell, fresh, values_of,
+            replays, finishes,
         )
         for row, m, f, n, n_prime, zbar in zip(levels, moments, fresh, ns, n_primes, zbars):
             counts = pair_counts(ell, pilot.n_pilot + f, n_prime)
@@ -626,7 +626,7 @@ def _telescope(
                 sampling_error=float(sum(error_terms)),
                 total_cost=counted_cost(counts, pilot.stats),
                 eval_counts=counts,
-                master_seed=seed,
+                master_seed=pilot.master_seed,
                 sample_variances=tuple(m.variance for m in moments),
                 zbar_values=zbars,
             )
@@ -638,7 +638,6 @@ def run_mlmc(
     hierarchy: LevelHierarchy,
     plans: AllocationPlan | Sequence[AllocationPlan],
     pilot: PilotRun,
-    master_seed: int | None = None,
 ) -> EstimatorResult | list[EstimatorResult]:
     """Telescoping estimate under each plan of ``plans``, replaying cached
     pilot samples: the control-variate estimator with no controlled level.
@@ -652,8 +651,7 @@ def run_mlmc(
     this equals the plan's nominal cost sum(N_l C_l).
     """
     plans, single = _one_or_many(plans)
-    seed = pilot.master_seed if master_seed is None else master_seed
-    results = _telescope("mlmc", hierarchy, plans, pilot, seed, {})
+    results = _telescope("mlmc", hierarchy, plans, pilot, {})
     return results[0] if single else results
 
 
@@ -661,7 +659,6 @@ def run_mc(
     hierarchy: LevelHierarchy,
     epsilons: float | Sequence[float],
     pilot: PilotRun,
-    master_seed: int | None = None,
 ) -> EstimatorResult | list[EstimatorResult]:
     """Plain Monte Carlo on the finest level, sized from the pilot variance,
     at each tolerance of ``epsilons`` (one tolerance gives one result).
@@ -673,7 +670,6 @@ def run_mc(
     """
     epsilons, single = _one_or_many(epsilons)
     epsilons = [_check_epsilon(eps) for eps in epsilons]
-    seed = pilot.master_seed if master_seed is None else master_seed
     finest = hierarchy.finest_level
     var_q = pilot.stats[finest].var_q
     if var_q <= 0:
@@ -681,7 +677,7 @@ def run_mc(
     ns = [max(_ceil_count(2.0 * var_q / eps**2, eps), N_MIN) for eps in epsilons]
     runs = _stream_moments(
         hierarchy,
-        seed,
+        pilot.master_seed,
         PURPOSE_MAIN_Y,
         finest,
         ns,
@@ -699,7 +695,7 @@ def run_mc(
                 sampling_error=var_q / n,
                 total_cost=counted_cost(counts, pilot.stats),
                 eval_counts=counts,
-                master_seed=seed,
+                master_seed=pilot.master_seed,
                 sample_variances=(moments.variance,),
             )
         )

@@ -18,7 +18,7 @@ _CHUNK = 1024
 def _as_vector(values, name: str) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1:
-        x = x.reshape(-1)
+        raise DimensionError(f"{name} must be a 1-D sample vector, got shape {x.shape}")
     if x.size == 0:
         raise DataError(f"{name} must be non-empty")
     if not np.all(np.isfinite(x)):

@@ -35,6 +35,8 @@ from mlcv import (
     rho_squared,
     run_mlcv,
     run_mlmc,
+    sample_covariance,
+    sample_variance,
     sample_z,
     theta_star,
 )
@@ -46,7 +48,7 @@ class TestAllocateZbar:
         multiplier = allocate_zbar(0.5, 0.5)
         assert multiplier == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
         assert multiplier == pytest.approx(0.41421356, abs=1e-8)
-        cfg = CVLevelConfig(level=1, enabled=multiplier > 0.0, multiplier=multiplier)
+        cfg = CVLevelConfig(level=1, multiplier=multiplier)
         assert cfg.enabled
         assert cfg.ratio == pytest.approx(1.0 / multiplier)
         assert math.ceil(multiplier * 10) == 5
@@ -54,7 +56,7 @@ class TestAllocateZbar:
     def test_weak_correlation_disables(self):
         multiplier = allocate_zbar(0.2, 1.0)
         assert multiplier == 0.0
-        cfg = CVLevelConfig(level=1, enabled=multiplier > 0.0, multiplier=multiplier)
+        cfg = CVLevelConfig(level=1, multiplier=multiplier)
         assert not cfg.enabled
         assert math.ceil(multiplier * 1000) == 0
         with pytest.raises(DataError):
@@ -101,13 +103,13 @@ class TestBuildReducedBasis:
     def test_exact_rank_recovered_by_tolerance(self, synthetic_exact):
         pilot = pilot_mlmc(synthetic_exact, 40, 123)
         basis = build_reduced_basis(synthetic_exact, 1, pilot, tol=1e-8)
-        assert basis.rank == synthetic_exact.r_true == 3
+        assert basis.idf.rank == synthetic_exact.r_true == 3
 
     def test_basis_columns_are_pilot_snapshots(self, synthetic, synthetic_pilot):
         basis = build_reduced_basis(synthetic, 1, synthetic_pilot, rank=3)
         sel = basis.selected_pilot_indices
         assert np.all(np.diff(sel) > 0)
-        assert np.array_equal(basis.coarse_basis, synthetic_pilot.levels[0].q[:, sel])
+        assert np.array_equal(basis.solver.a, synthetic_pilot.levels[0].q[:, sel])
         assert np.array_equal(basis.fine_basis, synthetic_pilot.levels[1].q[:, sel])
         xi = draw_inputs(
             synthetic_pilot.master_seed,
@@ -117,15 +119,15 @@ class TestBuildReducedBasis:
             synthetic_pilot.n_pilot,
             synthetic.input_dim,
         )
-        assert np.array_equal(synthetic.evaluate(0, xi[sel]).q, basis.coarse_basis)
+        assert np.array_equal(synthetic.evaluate(0, xi[sel]).q, basis.solver.a)
         assert np.array_equal(synthetic.evaluate(1, xi[sel]).q, basis.fine_basis)
-        assert sel.size == basis.rank == 3
+        assert sel.size == basis.idf.rank == 3
 
     def test_square_pilot_selects_everything(self, synthetic):
         pilot = pilot_mlmc(synthetic, 3, 5)
         basis = build_reduced_basis(synthetic, 1, pilot, rank=3)
         assert np.array_equal(basis.selected_pilot_indices, [0, 1, 2])
-        assert np.array_equal(basis.coarse_basis, pilot.levels[0].q)
+        assert np.array_equal(basis.solver.a, pilot.levels[0].q)
 
     def test_id_residual_bound(self, synthetic, synthetic_pilot):
         basis = build_reduced_basis(synthetic, 2, synthetic_pilot, rank=2)
@@ -240,14 +242,13 @@ class TestPrepareControlVariates:
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
         assert not setup.configs[0].enabled
         assert setup.bases[0] is None
-        assert setup.consumed_pairs(0) == 0
+        assert setup.configs[0].rank == 0
 
     def test_synthetic_high_rho2(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
         for cfg in setup.configs[1:]:
             assert cfg.enabled
             assert cfg.rho2 >= 0.99
-            assert not cfg.rho2_degenerate
 
     def test_frozen_parameters_recomputable(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
@@ -256,7 +257,9 @@ class TestPrepareControlVariates:
             st = synthetic_pilot.stats[ell]
             zeta = st.cost_coarse / (st.cost_fine + st.cost_coarse)
             assert cfg.multiplier == allocate_zbar(cfg.rho2, zeta)
-            assert cfg.theta == theta_star(cfg.cov_yz, cfg.var_z, cfg.ratio)
+            y, z = synthetic_pilot.levels[ell].y, setup.pilot_z[ell]
+            cov_yz, var_z = sample_covariance(y, z), sample_variance(z)
+            assert cfg.theta == theta_star(cov_yz, var_z, cfg.ratio)
             assert cfg.mse_factor == pytest.approx(
                 1.0 - cfg.rho2 / (1.0 + cfg.ratio), rel=1e-12
             )
@@ -275,20 +278,24 @@ class TestPrepareControlVariates:
             assert not cfg.enabled
             assert cfg.rho2 == 0.0
             assert cfg.mse_factor == 1.0
-        assert setup.consumed_pairs(1) == 0
+            assert cfg.multiplier == 0.0
+        # the bases stay, but a disabled level withholds no pilot pairs
+        assert setup.bases[1] is not None
+        plan = allocate_mlcv(synthetic_pilot.stats, setup.configs, 0.05)
+        assert nominal_mlcv_cost(synthetic_pilot.stats, plan, setup) == nominal_mlmc_cost(
+            synthetic_pilot.stats, plan
+        )
 
     def test_rank_list_per_correction_level(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=[2, 3])
-        assert setup.bases[1].rank == 2
-        assert setup.bases[2].rank == 3
+        assert [c.rank for c in setup.configs] == [0, 2, 3]
         with pytest.raises(DimensionError):
             prepare_control_variates(synthetic, synthetic_pilot, rank=[2])
 
     def test_tolerance_mode(self, synthetic_exact):
         pilot = pilot_mlmc(synthetic_exact, 40, 123)
         setup = prepare_control_variates(synthetic_exact, pilot, tol=1e-8)
-        assert setup.bases[1].rank == 3
-        assert setup.bases[2].rank == 3
+        assert [c.rank for c in setup.configs] == [0, 3, 3]
 
     def test_termination_validation(self, synthetic, synthetic_pilot):
         with pytest.raises(ConfigError):
@@ -302,18 +309,15 @@ class TestPrepareControlVariates:
         setup = prepare_control_variates(h, pilot, rank=2)
         assert not setup.configs[1].enabled
         assert setup.configs[1].rho2 == 0.0
-        assert setup.configs[1].rho2_degenerate
+        assert setup.configs[1].multiplier == 0.0
 
 
 class TestAllocateMlcv:
     def test_hand_derived_plan(self):
         stats = [make_stats(0, 4.0, 1.0), make_stats(1, 1.0, 3.0, 1.0)]
         configs = [
-            CVLevelConfig(level=0, enabled=False),
-            CVLevelConfig(
-                level=1, enabled=True, rank=2, rho2=0.96, cov_yz=1.0, var_z=1.0,
-                multiplier=10.0, theta=0.5,
-            ),
+            CVLevelConfig(level=0),
+            CVLevelConfig(level=1, rank=2, rho2=0.96, multiplier=10.0, theta=0.5),
         ]
         assert configs[1].mse_factor == pytest.approx(1.0 - 0.96 / 1.1, rel=1e-12)
         plan = allocate_mlcv(stats, configs, math.sqrt(2.0))
@@ -325,20 +329,27 @@ class TestAllocateMlcv:
         assert plan.n_prime == (0, 20)
 
     def test_all_disabled_matches_plain_allocation(self, synthetic_pilot):
-        configs = [CVLevelConfig(level=k, enabled=False) for k in range(3)]
+        configs = [CVLevelConfig(level=k) for k in range(3)]
         plan = allocate_mlcv(synthetic_pilot.stats, configs, 0.05)
         plain = allocate_mlmc(synthetic_pilot.stats, 0.05)
         assert plan.n_samples == plain.n_samples
         assert plan.n_prime == (0, 0, 0)
 
+    def test_enabled_follows_multiplier(self):
+        assert CVLevelConfig(level=1, rho2=0.9, multiplier=0.5).enabled
+        cfg = CVLevelConfig(level=1, rho2=0.9)
+        assert not cfg.enabled
+        assert cfg.mse_factor == 1.0
+        stats = [make_stats(0, 4.0, 1.0), make_stats(1, 1.0, 3.0, 1.0)]
+        plan = allocate_mlcv(stats, [CVLevelConfig(level=0), cfg], 0.1)
+        assert plan.n_samples == allocate_mlmc(stats, 0.1).n_samples
+        assert plan.n_prime == (0, 0)
+
     def test_vanishing_effective_variance_floors(self):
         stats = [make_stats(0, 4.0, 1.0), make_stats(1, 1.0, 3.0, 1.0)]
         configs = [
-            CVLevelConfig(level=0, enabled=False),
-            CVLevelConfig(
-                level=1, enabled=True, rank=2, rho2=1.0, cov_yz=1.0, var_z=1.0,
-                multiplier=1e9, theta=1.0,
-            ),
+            CVLevelConfig(level=0),
+            CVLevelConfig(level=1, rank=2, rho2=1.0, multiplier=1e9, theta=1.0),
         ]
         plan = allocate_mlcv(stats, configs, 0.05)
         assert plan.n_samples[1] == 2
@@ -365,7 +376,7 @@ class TestAllocateMlcv:
 
     def test_misaligned_inputs(self, synthetic_pilot):
         with pytest.raises(DimensionError):
-            allocate_mlcv(synthetic_pilot.stats, [CVLevelConfig(level=0, enabled=False)], 0.1)
+            allocate_mlcv(synthetic_pilot.stats, [CVLevelConfig(level=0)], 0.1)
 
 
 class TestRunMlcv:

@@ -106,6 +106,23 @@ class TestSampleCovariance:
             sample_covariance([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize(
+    "reduce",
+    [
+        mc_mean,
+        sample_variance,
+        lambda x: sample_covariance(x, x),
+        lambda x: rho_squared(x, x),
+        lambda x: RunningMoments().update(x),
+    ],
+    ids=["mc_mean", "sample_variance", "sample_covariance", "rho_squared", "RunningMoments.update"],
+)
+def test_non_vector_samples_rejected(reduce, rng):
+    """Sample statistics take 1-D vectors; a matrix is refused, not flattened."""
+    with pytest.raises(DimensionError):
+        reduce(rng.normal(size=(2, 50)))
+
+
 class TestRhoSquared:
     def test_affine_dependence(self, rng):
         y = rng.normal(size=500)
