@@ -370,7 +370,10 @@ def _plan_block(level_stats, setup, eps: float):
 
 def cmd_pilot(cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        _fail("out_dir", f"cannot make directory {cfg['out_dir']!r}: a file is in the way")
     hierarchy = build_hierarchy(cfg)
     pilot = mlmc.pilot_mlmc(hierarchy, cfg["n_pilot"], cfg["master_seed"])
     setup = cv.prepare_control_variates(
@@ -384,7 +387,7 @@ def cmd_pilot(cfg: dict) -> int:
     rates, rates_note = _try_rates(level_stats)
 
     rows = []
-    for st, c in zip(level_stats, setup.configs):
+    for st, c, basis in zip(level_stats, setup.configs, setup.bases):
         row = {
             "level": st.level,
             "dofs": st.dofs,
@@ -401,7 +404,7 @@ def cmd_pilot(cfg: dict) -> int:
             "mse_factor": c.mse_factor,
             "zbar_multiplier": c.multiplier,
             "theta": c.theta,
-            "id_residual": setup.id_residual(c.level),
+            "id_residual": basis.idf.residual_norm if basis is not None else 0.0,
         }
         rows.append(row)
 
@@ -450,7 +453,6 @@ def cmd_estimate(cfg: dict, methods) -> int:
     out_dir, hierarchy, pilot, setup = _load_study(cfg)
     level_stats = pilot.stats
     rates, _ = _try_rates(level_stats)
-    by_level = {s.level: s for s in level_stats}
 
     epsilons = cfg["epsilon"]
     blocks = [_plan_block(level_stats, setup, eps) for eps in epsilons]
@@ -464,7 +466,7 @@ def cmd_estimate(cfg: dict, methods) -> int:
             total_cost = result.total_cost
             rows = []
             for i, counts in enumerate(result.eval_counts):
-                st = by_level[counts.level]
+                st = level_stats[counts.level]
                 c = setup.configs[counts.level]
                 level_cost = mlmc.counted_cost([counts], level_stats)
                 use_cv = method == "mlcv" and c.enabled
@@ -479,7 +481,7 @@ def cmd_estimate(cfg: dict, methods) -> int:
                         "mse_factor": c.mse_factor if use_cv else 1.0,
                         "n_samples": result.n_samples[i],
                         "n_prime": counts.aux_coarse_evals,
-                        "zbar": result.zbar_values[i] if use_cv else 0.0,
+                        "zbar": result.zbar_values[i],
                         "theta": c.theta if use_cv else 0.0,
                         "cost": level_cost,
                         "cost_share": level_cost / total_cost,

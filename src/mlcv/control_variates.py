@@ -33,7 +33,6 @@ from .mlmc import (
     EstimatorResult,
     LevelStats,
     PilotRun,
-    _check_epsilon,
     _one_or_many,
     _stream_moments,
     _telescope,
@@ -54,7 +53,8 @@ class ReducedBasisPair:
     """Coarse/fine snapshot bases at matched pilot inputs for one level.
 
     ``solver`` holds the coarse basis and its factorization, so repeated
-    coefficient fits cost one matrix product each.
+    coefficient fits cost one matrix product each; ``idf.residual_norm`` is
+    the spectral-norm residual of the column selection.
     """
 
     level: int
@@ -62,10 +62,6 @@ class ReducedBasisPair:
     selected_pilot_indices: np.ndarray
     idf: IDFactorization
     solver: LeastSquaresOperator
-
-    @property
-    def id_residual(self) -> float:
-        return self.idf.residual_norm
 
 
 def build_reduced_basis(
@@ -226,11 +222,6 @@ class CVSetup:
     bases: list[ReducedBasisPair | None]
     pilot_z: list[np.ndarray | None]
 
-    def id_residual(self, level: int) -> float:
-        """Spectral-norm ID residual of the level's basis (0.0 without one)."""
-        basis = self.bases[level]
-        return basis.id_residual if basis is not None else 0.0
-
 
 def prepare_control_variates(
     hierarchy: LevelHierarchy,
@@ -321,11 +312,7 @@ def allocate_mlcv(
     n_prime = tuple(
         math.ceil(cfg.multiplier * n) if cfg.enabled else 0 for cfg, n in zip(configs, counts)
     )
-    return AllocationPlan(
-        epsilon=_check_epsilon(epsilon),
-        n_samples=counts,
-        n_prime=n_prime,
-    )
+    return AllocationPlan(n_samples=counts, n_prime=n_prime)
 
 
 def _coupled_yz(hierarchy: LevelHierarchy, basis: ReducedBasisPair):
@@ -389,7 +376,7 @@ def run_mlcv(
             ],
             cfg.mse_factor,
         )
-    results = _telescope("mlcv", hierarchy, plans, pilot, controls)
+    results = _telescope(hierarchy, plans, pilot, controls)
     return results[0] if single else results
 
 

@@ -35,10 +35,12 @@ N_MIN = 2
 
 @dataclass(frozen=True)
 class LevelStats:
-    """Per-level pilot moments and declared unit costs."""
+    """Per-level pilot moments and declared unit costs.
+
+    The moments are over the ``PilotRun.n_pilot`` shared pilot inputs.
+    """
 
     level: int
-    n_samples: int
     mean_y: float
     var_y: float
     mean_q: float
@@ -105,7 +107,6 @@ def _build_pilot(
         run.stats.append(
             LevelStats(
                 level=ell,
-                n_samples=y.size,
                 mean_y=stats.mc_mean(y),
                 var_y=stats.sample_variance(y),
                 mean_q=stats.mc_mean(qoi),
@@ -136,14 +137,12 @@ def pilot_mlmc(hierarchy: LevelHierarchy, n_pilot: int, master_seed: int) -> Pil
 
 @dataclass(frozen=True)
 class RateFit:
-    """Power-law fits mean|Y| ~ M^-alpha, V[Y] ~ M^-beta, cost ~ M^gamma."""
+    """Power-law fits mean|Y| ~ M^-alpha, V[Y] ~ M^-beta, cost ~ M^gamma,
+    with the root-mean-square residual of each fit on log-log axes."""
 
     alpha: float
     beta: float
     gamma: float
-    alpha_levels: tuple[int, ...]
-    beta_levels: tuple[int, ...]
-    gamma_levels: tuple[int, ...]
     alpha_residual: float
     beta_residual: float
     gamma_residual: float
@@ -165,21 +164,18 @@ def fit_rates(level_stats: list[LevelStats]) -> RateFit:
     level's fine-solve cost.  Fewer than two usable points is an error.
     """
     corr = [s for s in level_stats if s.level >= 1]
-    a_pts = [(s.dofs, abs(s.mean_y), s.level) for s in corr if abs(s.mean_y) > 0]
-    b_pts = [(s.dofs, s.var_y, s.level) for s in corr if s.var_y > 0]
-    g_pts = [(s.dofs, s.cost_fine, s.level) for s in level_stats if s.cost_fine > 0]
+    a_pts = [(s.dofs, abs(s.mean_y)) for s in corr if abs(s.mean_y) > 0]
+    b_pts = [(s.dofs, s.var_y) for s in corr if s.var_y > 0]
+    g_pts = [(s.dofs, s.cost_fine) for s in level_stats if s.cost_fine > 0]
     if len(a_pts) < 2 or len(b_pts) < 2 or len(g_pts) < 2:
         raise DataError("rate fit needs at least two usable levels per rate")
-    sa, ra = _loglog_fit(np.array([p[0] for p in a_pts]), np.array([p[1] for p in a_pts]))
-    sb, rb = _loglog_fit(np.array([p[0] for p in b_pts]), np.array([p[1] for p in b_pts]))
-    sg, rg = _loglog_fit(np.array([p[0] for p in g_pts]), np.array([p[1] for p in g_pts]))
+    sa, ra = _loglog_fit(*np.array(a_pts, dtype=np.float64).T)
+    sb, rb = _loglog_fit(*np.array(b_pts, dtype=np.float64).T)
+    sg, rg = _loglog_fit(*np.array(g_pts, dtype=np.float64).T)
     return RateFit(
         alpha=-sa,
         beta=-sb,
         gamma=sg,
-        alpha_levels=tuple(p[2] for p in a_pts),
-        beta_levels=tuple(p[2] for p in b_pts),
-        gamma_levels=tuple(p[2] for p in g_pts),
         alpha_residual=ra,
         beta_residual=rb,
         gamma_residual=rg,
@@ -191,18 +187,20 @@ def bias_check(level_stats: list[LevelStats], rates: RateFit, epsilon: float) ->
 
     |mean Y_L| / (s^alpha - 1) estimates |E[Q - Q_L]| under the fitted decay;
     comparing it against epsilon / sqrt(2) flags hierarchies that likely
-    need another level.  Advisory only: nothing is changed automatically.
+    need another level.  A fitted alpha <= 0 means the corrections do not
+    decay, so no finite extrapolation exists: the estimate is None and the
+    warning is raised.  Advisory only: nothing is changed automatically.
     """
     last = level_stats[-1]
     prev = level_stats[-2]
     s_ratio = last.dofs / prev.dofs
     denom = s_ratio**rates.alpha - 1.0
-    estimate = abs(last.mean_y) / denom if denom > 0 else float("inf")
+    estimate = abs(last.mean_y) / denom if denom > 0 else None
     budget = epsilon / math.sqrt(2.0)
     return {
         "bias_estimate": estimate,
         "bias_budget": budget,
-        "bias_warning": bool(estimate > budget),
+        "bias_warning": estimate is None or bool(estimate > budget),
     }
 
 
@@ -211,10 +209,10 @@ class AllocationPlan:
     """Per-level sample counts meeting the epsilon^2 / 2 variance budget.
 
     ``n_prime`` is present for control-variate plans only and gives the
-    per-level auxiliary coarse-sample counts.
+    per-level auxiliary coarse-sample counts.  The tolerance itself is not
+    kept: callers that need it hold it beside the plan.
     """
 
-    epsilon: float
     n_samples: tuple[int, ...]
     n_prime: tuple[int, ...] | None = None
 
@@ -417,8 +415,7 @@ def allocate_mlmc(level_stats: list[LevelStats], epsilon: float) -> AllocationPl
     """Standard multilevel plan from pilot variances and declared costs."""
     v = [s.var_y for s in level_stats]
     c = [s.unit_cost for s in level_stats]
-    counts = allocate_samples(v, c, epsilon)
-    return AllocationPlan(epsilon=_check_epsilon(epsilon), n_samples=counts)
+    return AllocationPlan(n_samples=allocate_samples(v, c, epsilon))
 
 
 def mc_cost_reference(finest_stats: LevelStats, epsilon: float) -> float:
@@ -442,25 +439,28 @@ class LevelEvalCounts:
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """Outcome of one estimator run.
+    """Outcome of one estimator run, with one entry per sampled level in
+    each tuple.
 
     ``level_estimates`` are the per-level correction means whose sum is the
-    estimate.  ``sampling_error`` is the planned variance of the estimator,
-    computed from the frozen pilot variances and the plan, so it is
-    deterministic given the pilot.  ``total_cost`` is recomputed from the
-    logged per-level evaluation counts and declared unit costs.
+    estimate, and ``sample_variances`` their realized sample variances.
+    ``zbar_values`` are the auxiliary surrogate means, 0.0 on every level
+    without a control variate.  ``sampling_error`` is the planned variance
+    of the estimator, computed from the frozen pilot variances and the plan,
+    so it is deterministic given the pilot.  ``total_cost`` is recomputed
+    from the logged per-level evaluation counts and declared unit costs.
+    The result does not name its method: a control-variate run with no
+    controlled level equals the plain multilevel run.
     """
 
-    method: str
     estimate: float
     level_estimates: tuple[float, ...]
     n_samples: tuple[int, ...]
     sampling_error: float
     total_cost: float
     eval_counts: tuple[LevelEvalCounts, ...]
-    master_seed: int
-    sample_variances: tuple[float, ...] = ()
-    zbar_values: tuple[float, ...] = ()
+    sample_variances: tuple[float, ...]
+    zbar_values: tuple[float, ...]
 
 
 def counted_cost(counts, level_stats: list[LevelStats]) -> float:
@@ -563,7 +563,6 @@ def _correction(hierarchy: LevelHierarchy, level: int):
 
 
 def _telescope(
-    method: str,
     hierarchy: LevelHierarchy,
     plans: Sequence[AllocationPlan],
     pilot: PilotRun,
@@ -619,14 +618,12 @@ def _telescope(
         level_means = [m.mean for m in moments]
         results.append(
             EstimatorResult(
-                method=method,
                 estimate=float(sum(level_means)),
                 level_estimates=tuple(level_means),
                 n_samples=plan.n_samples,
                 sampling_error=float(sum(error_terms)),
                 total_cost=counted_cost(counts, pilot.stats),
                 eval_counts=counts,
-                master_seed=pilot.master_seed,
                 sample_variances=tuple(m.variance for m in moments),
                 zbar_values=zbars,
             )
@@ -651,7 +648,7 @@ def run_mlmc(
     this equals the plan's nominal cost sum(N_l C_l).
     """
     plans, single = _one_or_many(plans)
-    results = _telescope("mlmc", hierarchy, plans, pilot, {})
+    results = _telescope(hierarchy, plans, pilot, {})
     return results[0] if single else results
 
 
@@ -688,15 +685,14 @@ def run_mc(
         counts = (LevelEvalCounts(level=finest, fine_evals=n, coarse_evals=0),)
         results.append(
             EstimatorResult(
-                method="mc",
                 estimate=moments.mean,
                 level_estimates=(moments.mean,),
                 n_samples=(n,),
                 sampling_error=var_q / n,
                 total_cost=counted_cost(counts, pilot.stats),
                 eval_counts=counts,
-                master_seed=pilot.master_seed,
                 sample_variances=(moments.variance,),
+                zbar_values=(0.0,),
             )
         )
     return results[0] if single else results

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -57,3 +59,24 @@ def _eager_id(a, *, rank=None, tol=None):
 @pytest.fixture(scope="session")
 def eager_id():
     return _eager_id
+
+
+def _exact_mean(model: SyntheticLowRank, level: int) -> float:
+    """E[Q_level] of a ``SyntheticLowRank`` in closed form, from its frozen
+    coefficients.
+
+    Each entry of g(xi) has mean b0 + b3 / sqrt(2): the linear term and the
+    product of two distinct inputs have mean 0, and E[exp(-z^2 / 2)] is
+    1 / sqrt(2) for a standard Gaussian z.  The perturbation weight has
+    mean 1, because tanh of a symmetric Gaussian has mean 0.  The quantity
+    of interest averages the output entries, so
+    E[Q_l] = mean(A_l (b0 + b3 / sqrt(2))) + delta refine^-l mean(p_l).
+    """
+    g = model._b0 + model._b3 / math.sqrt(2.0)
+    pert = model.delta * float(model.refine) ** (-level) * np.mean(model._pert_profile[level])
+    return float(np.mean(model._a[level] @ g) + pert)
+
+
+@pytest.fixture(scope="session")
+def exact_mean():
+    return _exact_mean

@@ -57,7 +57,6 @@ def _report(num: int, name: str, ok: bool) -> None:
 def make_stats(level, var_y, cost_fine, mean_y=0.1, dofs=None):
     return LevelStats(
         level=level,
-        n_samples=50,
         mean_y=mean_y,
         var_y=var_y,
         mean_q=1.0,
@@ -213,9 +212,9 @@ class TestCriterion05VarianceReduction:
         model, pilot, setup = synthetic_study
         rho2 = [cfg.rho2 for cfg in setup.configs]
         plan_cv = AllocationPlan(
-            epsilon=1.0, n_samples=(400, 400, 400), n_prime=(0, 100, 100)
+            n_samples=(400, 400, 400), n_prime=(0, 100, 100)
         )
-        plan_ml = AllocationPlan(epsilon=1.0, n_samples=(400, 400, 400))
+        plan_ml = AllocationPlan(n_samples=(400, 400, 400))
         res_cv = run_mlcv(model, plan_cv, pilot, setup)
         res_ml = run_mlmc(model, plan_ml, pilot)
         ratios = [
@@ -411,7 +410,7 @@ class TestCriterion11CostIdentity:
         # collapse to the closed form: n0 C0 + sum over enabled levels of
         # (n + r)(C_{l-1} + C_l) + sum N' C_{l-1}
         saturated = AllocationPlan(
-            epsilon=0.02, n_samples=(150, 120, 110), n_prime=(0, 40, 30)
+            n_samples=(150, 120, 110), n_prime=(0, 40, 30)
         )
         result_sat = run_mlcv(model, saturated, pilot, setup)
         closed_form = 0.0

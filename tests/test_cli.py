@@ -215,6 +215,17 @@ class TestExitCodes:
         assert main(["pilot", path]) == 0
         assert main(["estimate", path, "--seed", "12"]) == 2
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_out_dir_blocked_by_file(self, tmp_path, capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / "out" if below else blocker
+        assert main(["pilot", write_config(tmp_path, base_config(out))]) == 2
+        err = capsys.readouterr().err
+        assert "out_dir" in err and str(out) in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "not a directory\n"
+
 
 @pytest.fixture(scope="module")
 def study(tmp_path_factory):
@@ -568,7 +579,6 @@ class TestMethodSelection:
                         assert joint[key] == single[key], (method, eps, key)
                     continue
                 result = library[method][i]
-                zbars = result.zbar_values or (0.0,) * len(result.n_samples)
                 assert joint["estimate"] == result.estimate, method
                 assert [{k: row[k] for k in run_keys} for row in joint["levels"]] == [
                     dict(zip(run_keys, (m, v, n, c.aux_coarse_evals, z)))
@@ -577,7 +587,7 @@ class TestMethodSelection:
                         result.sample_variances,
                         result.n_samples,
                         result.eval_counts,
-                        zbars,
+                        result.zbar_values,
                     )
                 ], method
                 # the pilot- and plan-fixed fields of each level row
@@ -596,6 +606,36 @@ class TestMethodSelection:
 
 
 class TestSpecialModes:
+    def test_non_decaying_corrections_give_null_bias_estimate(self, tmp_path):
+        """With the perturbation at full strength the fitted bias rate is
+        negative, so no finite extrapolated bias exists: the pilot and every
+        report write a null estimate with the warning on."""
+        out = tmp_path / "out"
+        cfg = base_config(
+            out,
+            model={"name": "synthetic_low_rank", "delta": 1.0, "num_levels": 4, "coeff_seed": 0},
+            n_pilot=10,
+            master_seed=0,
+            rank=1,
+            epsilon=[0.01],
+            methods=["mlmc", "mlcv"],
+        )
+        path = write_config(tmp_path, cfg)
+        for command in ("pilot", "estimate", "compare"):
+            assert main([command, path]) == 0, command
+        pilot = json.loads((out / "pilot.json").read_text())
+        assert pilot["rates"]["alpha"] < 0.0
+        expected = {
+            "available": True,
+            "bias_estimate": None,
+            "bias_budget": 0.01 / math.sqrt(2.0),
+            "bias_warning": True,
+        }
+        assert pilot["bias_check"] == expected
+        for method in ("mlmc", "mlcv"):
+            assert read_report(out, method, "0.01")["bias_check"] == expected
+        assert '"bias_estimate": null' in (out / "pilot.json").read_text()
+
     def test_deterministic_model_degenerates_gracefully(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(

@@ -27,6 +27,7 @@ from mlcv import (
     LevelStats,
     RunningMoments,
     SyntheticLowRank,
+    allocate_mlcv,
     allocate_mlmc,
     allocate_samples,
     bias_check,
@@ -52,7 +53,6 @@ from mlcv import mlmc as mlmc_module
 def make_stats(level, var_y, cost_fine, cost_coarse=0.0, mean_y=0.1, var_q=1.0, dofs=None):
     return LevelStats(
         level=level,
-        n_samples=100,
         mean_y=mean_y,
         var_y=var_y,
         mean_q=1.0,
@@ -126,7 +126,6 @@ class TestAllocateMlmc:
         stats = [make_stats(0, 4.0, 1.0), make_stats(1, 1.0, 3.0, 1.0)]
         plan = allocate_mlmc(stats, math.sqrt(2.0))
         assert plan.n_samples == (8, 2)
-        assert plan.epsilon == pytest.approx(math.sqrt(2.0))
         assert plan.n_prime is None
         assert sum(v / n for v, n in zip([4.0, 1.0], plan.n_samples)) <= 1.0 + 1e-12
 
@@ -153,7 +152,7 @@ class TestPilotMlmc:
         for level, data in enumerate(synthetic_pilot.levels):
             s = synthetic_pilot.stats[level]
             assert s.level == level
-            assert s.n_samples == synthetic_pilot.n_pilot
+            assert data.y.size == synthetic_pilot.n_pilot
             assert s.mean_y == mc_mean(data.y)
             assert s.var_y == sample_variance(data.y)
             assert s.mean_q == mc_mean(data.qoi)
@@ -200,7 +199,7 @@ class TestPilotMlmc:
 
     def test_pilot_cost_property(self, synthetic_pilot):
         expected = 40 * (8.0 + (16.0 + 8.0) + (32.0 + 16.0))
-        pilot_plan = AllocationPlan(epsilon=1.0, n_samples=(40, 40, 40))
+        pilot_plan = AllocationPlan(n_samples=(40, 40, 40))
         assert nominal_mlmc_cost(synthetic_pilot.stats, pilot_plan) == expected
 
     def test_n_pilot_validation(self, synthetic):
@@ -214,10 +213,12 @@ class TestFitRates:
         stats = [
             make_stats(
                 k,
-                var_y=m**-1.7,
+                # level 0 is off both laws: Y_0 = Q_0 is no correction, so an
+                # exact fit shows the bias and variance rates skip it
+                var_y=m**-1.7 if k else 5.0,
                 cost_fine=float(m),
                 cost_coarse=float(dofs[k - 1]) if k else 0.0,
-                mean_y=m**-0.92,
+                mean_y=m**-0.92 if k else 3.0,
                 dofs=m,
             )
             for k, m in enumerate(dofs)
@@ -227,7 +228,7 @@ class TestFitRates:
         assert fit.beta == pytest.approx(1.7, abs=1e-10)
         assert fit.gamma == pytest.approx(1.0, abs=1e-10)
         assert fit.alpha_residual == pytest.approx(0.0, abs=1e-10)
-        assert fit.alpha_levels == (1, 2, 3)
+        assert fit.beta_residual == pytest.approx(0.0, abs=1e-10)
 
     def test_noisy_power_law_within_tolerance(self, rng):
         dofs = [16, 32, 64, 128, 256]
@@ -250,8 +251,9 @@ class TestFitRates:
             for k, m in enumerate(dofs)
         ]
         fit = fit_rates(stats)
+        # log(0) would make the fit nan, so an exact fit shows level 2 left out
         assert fit.beta == pytest.approx(1.5, abs=1e-10)
-        assert 2 not in fit.beta_levels
+        assert fit.beta_residual == pytest.approx(0.0, abs=1e-10)
 
 
 class TestBiasCheck:
@@ -269,6 +271,22 @@ class TestBiasCheck:
         tight = bias_check(stats, fit, epsilon=0.01)
         assert tight["bias_warning"]
         assert tight["bias_budget"] == pytest.approx(0.01 / math.sqrt(2.0))
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.42])
+    def test_no_decay_gives_no_estimate(self, alpha):
+        """Corrections that do not shrink with refinement have no finite
+        extrapolated bias: the estimate is None and the warning is on."""
+        dofs = [8, 16, 32, 64]
+        stats = [
+            make_stats(k, var_y=m**-2.0, cost_fine=float(m), dofs=m, mean_y=m**-alpha)
+            for k, m in enumerate(dofs)
+        ]
+        fit = fit_rates(stats)
+        assert fit.alpha == pytest.approx(alpha, abs=1e-12)
+        report = bias_check(stats, fit, epsilon=1e3)
+        assert report["bias_estimate"] is None
+        assert report["bias_warning"] is True
+        assert report["bias_budget"] == pytest.approx(1e3 / math.sqrt(2.0))
 
 
 class ScaledHierarchy(LevelHierarchy):
@@ -290,16 +308,36 @@ class ScaledHierarchy(LevelHierarchy):
         return self._factor * self._parent._output_map(level, q)
 
 
+class TestAgainstExactMean:
+    """Both estimators on the shared fixture study land within 4 standard
+    deviations of the closed-form finest-level mean, by the variance the run
+    realized."""
+
+    @pytest.mark.parametrize("eps", [0.05, 0.02, 0.01])
+    @pytest.mark.parametrize("method", ["mlmc", "mlcv"])
+    def test_estimate_within_four_sigma(self, synthetic, synthetic_pilot, exact_mean, method, eps):
+        if method == "mlmc":
+            plan = allocate_mlmc(synthetic_pilot.stats, eps)
+            result = run_mlmc(synthetic, plan, synthetic_pilot)
+        else:
+            setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
+            plan = allocate_mlcv(synthetic_pilot.stats, setup.configs, eps)
+            result = run_mlcv(synthetic, plan, synthetic_pilot, setup)
+        realized = sum(v / n for v, n in zip(result.sample_variances, result.n_samples))
+        error = result.estimate - exact_mean(synthetic, synthetic.finest_level)
+        assert abs(error) <= 4.0 * math.sqrt(realized)
+
+
 class TestRunMlmc:
     def test_estimate_is_sum_of_level_estimates(self, synthetic, synthetic_pilot):
         plan = allocate_mlmc(synthetic_pilot.stats, 0.05)
         result = run_mlmc(synthetic, plan, synthetic_pilot)
         assert result.estimate == pytest.approx(sum(result.level_estimates), rel=1e-12)
-        assert result.method == "mlmc"
+        assert result.zbar_values == (0.0,) * synthetic.n_levels
         assert result.n_samples == plan.n_samples
 
     def test_pilot_replay_when_plan_fits_in_pilot(self, synthetic, synthetic_pilot):
-        plan = AllocationPlan(epsilon=1.0, n_samples=(40, 40, 40))
+        plan = AllocationPlan(n_samples=(40, 40, 40))
         result = run_mlmc(synthetic, plan, synthetic_pilot)
         for level, est in enumerate(result.level_estimates):
             assert est == synthetic_pilot.stats[level].mean_y
@@ -307,7 +345,7 @@ class TestRunMlmc:
         assert result.total_cost == 40 * (8.0 + (16.0 + 8.0) + (32.0 + 16.0))
 
     def test_partial_replay_matches_manual_recompute(self, synthetic, synthetic_pilot):
-        plan = AllocationPlan(epsilon=1.0, n_samples=(55, 43, 40))
+        plan = AllocationPlan(n_samples=(55, 43, 40))
         result = run_mlmc(synthetic, plan, synthetic_pilot)
         for level, n in enumerate(plan.n_samples):
             reused = synthetic_pilot.levels[level].y
@@ -332,7 +370,7 @@ class TestRunMlmc:
             assert result.level_estimates[level] == pytest.approx(expected, rel=1e-12)
 
     def test_eval_counts_and_cost(self, synthetic, synthetic_pilot):
-        plan = AllocationPlan(epsilon=1.0, n_samples=(100, 50, 40))
+        plan = AllocationPlan(n_samples=(100, 50, 40))
         result = run_mlmc(synthetic, plan, synthetic_pilot)
         counts = {c.level: c for c in result.eval_counts}
         assert counts[0].fine_evals == 40 + 60
@@ -370,7 +408,7 @@ class TestRunMlmc:
     def test_estimator_linearity(self, synthetic, synthetic_pilot):
         doubled = ScaledHierarchy(synthetic, 2.0)
         pilot2 = pilot_mlmc(doubled, synthetic_pilot.n_pilot, synthetic_pilot.master_seed)
-        plan = AllocationPlan(epsilon=1.0, n_samples=(60, 45, 40))
+        plan = AllocationPlan(n_samples=(60, 45, 40))
         base = run_mlmc(synthetic, plan, synthetic_pilot)
         scaled = run_mlmc(doubled, plan, pilot2)
         assert scaled.estimate == pytest.approx(2.0 * base.estimate, rel=1e-12)
@@ -378,17 +416,17 @@ class TestRunMlmc:
     def test_deterministic_model_estimate_exact(self):
         h = Diffusion1D(grids=(7, 15), constant_coefficient=True, n_modes=2, kl_grid_n=33)
         pilot = pilot_mlmc(h, 5, 0)
-        plan = AllocationPlan(epsilon=1.0, n_samples=(5, 5))
+        plan = AllocationPlan(n_samples=(5, 5))
         result = run_mlmc(h, plan, pilot)
         direct = h.evaluate(1, np.zeros((1, 2))).qoi[0]
         assert result.estimate == pytest.approx(direct, rel=1e-14)
 
     def test_plan_level_mismatch(self, synthetic, synthetic_pilot):
         with pytest.raises(DimensionError):
-            run_mlmc(synthetic, AllocationPlan(epsilon=1.0, n_samples=(5, 5)), synthetic_pilot)
+            run_mlmc(synthetic, AllocationPlan(n_samples=(5, 5)), synthetic_pilot)
 
     def test_cumulative_estimates(self, synthetic, synthetic_pilot):
-        plan = AllocationPlan(epsilon=1.0, n_samples=(40, 40, 40))
+        plan = AllocationPlan(n_samples=(40, 40, 40))
         result = run_mlmc(synthetic, plan, synthetic_pilot)
         cum = np.cumsum(result.level_estimates)
         assert cum[-1] == pytest.approx(result.estimate, rel=1e-14)
@@ -467,7 +505,7 @@ class TestMcOracleMean:
         samples, only the reduction order, for every consumer of the
         batched sampling loop."""
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
-        plan = AllocationPlan(epsilon=1.0, n_samples=(100, 60, 50), n_prime=(0, 20, 15))
+        plan = AllocationPlan(n_samples=(100, 60, 50), n_prime=(0, 20, 15))
 
         def levels(result):
             return (result.estimate, *result.level_estimates)
@@ -497,9 +535,7 @@ def _assert_same_result(joint, alone, fields=None):
 
 
 # Result fields fixed by the plan and the pilot alone, whatever the walk
-_PLAN_FIELDS = (
-    "method", "n_samples", "sampling_error", "total_cost", "eval_counts", "master_seed"
-)
+_PLAN_FIELDS = ("n_samples", "sampling_error", "total_cost", "eval_counts")
 
 
 def _sliced_moments(h, seed, purpose, level, runs, values_of, batch):
@@ -562,18 +598,18 @@ class TestOnePassOverPlans:
     (48, 32, 16), inside a batch (10, 5, 1, 7), at zero (plans that fit in
     the replayed pilot samples), and past the last batch of the tightest
     plan (35 fresh samples at level 2 against its 5).  The plans are not
-    sorted by epsilon, and at each level the plan with the most coupled
+    sorted by size, and at each level the plan with the most coupled
     samples also has the most auxiliary ones.  ``BatchWidthHierarchy`` tells
     a prefix evaluated alone from a slice of a wider batch.
     """
 
     BATCH = 16
-    # (epsilon, n_samples, n_prime); replayed pilot samples are 40 for MLMC
-    # and 40 - rank for controlled levels
+    # (n_samples, n_prime); replayed pilot samples are 40 for MLMC and
+    # 40 - rank for controlled levels
     PLANS = (
-        (0.1, (50, 30, 75), (0, 20, 50)),
-        (0.05, (88, 72, 45), (0, 32, 16)),
-        (0.2, (40, 41, 9), (0, 1, 7)),
+        ((50, 30, 75), (0, 20, 50)),
+        ((88, 72, 45), (0, 32, 16)),
+        ((40, 41, 9), (0, 1, 7)),
     )
 
     @pytest.fixture(params=["synthetic", "diffusion", "batch_width"])
@@ -591,8 +627,8 @@ class TestOnePassOverPlans:
 
     def plans(self, with_n_prime):
         return [
-            AllocationPlan(eps, n, n_prime if with_n_prime else None)
-            for eps, n, n_prime in self.PLANS
+            AllocationPlan(n, n_prime if with_n_prime else None)
+            for n, n_prime in self.PLANS
         ]
 
     def _assert_longest_runs_alone(self, joint, alone_of, plans):
@@ -727,14 +763,14 @@ class TestOnePassOverPlans:
             assert solved[ell] == rows + drawn[PURPOSE_ZBAR, ell + 1], ell
 
     def test_checks_cover_every_plan(self, synthetic, synthetic_pilot):
-        good = AllocationPlan(0.1, (50, 30, 75), (0, 20, 50))
+        good = AllocationPlan((50, 30, 75), (0, 20, 50))
         with pytest.raises(ConfigError):
-            run_mlmc(synthetic, [good, AllocationPlan(0.2, (50, 0, 75))], synthetic_pilot)
+            run_mlmc(synthetic, [good, AllocationPlan((50, 0, 75))], synthetic_pilot)
         with pytest.raises(DimensionError):
-            run_mlmc(synthetic, [good, AllocationPlan(0.2, (50, 30))], synthetic_pilot)
+            run_mlmc(synthetic, [good, AllocationPlan((50, 30))], synthetic_pilot)
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
         with pytest.raises(ConfigError):
-            run_mlcv(synthetic, [good, AllocationPlan(0.2, (50, 30, 75))], synthetic_pilot, setup)
+            run_mlcv(synthetic, [good, AllocationPlan((50, 30, 75))], synthetic_pilot, setup)
         with pytest.raises(ConfigError):
             run_mc(synthetic, [0.1, -0.2], synthetic_pilot)
         with pytest.raises(ConfigError, match="out of range"):

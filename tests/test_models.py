@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import tracemalloc
 
@@ -24,6 +25,8 @@ from mlcv import (
     kl_decompose,
     kl_modes_at,
     make_kernel,
+    mc_oracle_mean,
+    pilot_mlmc,
     trapezoid_weights,
 )
 
@@ -252,6 +255,33 @@ class TestSyntheticLowRank:
             SyntheticLowRank(delta=-0.1)
         with pytest.raises(ConfigError):
             SyntheticLowRank(coeff_seed=-1)
+
+
+class TestSyntheticExactMean:
+    """The closed-form mean of ``SyntheticLowRank`` against large Monte Carlo
+    oracles on their own streams, each within 4 standard deviations."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return SyntheticLowRank()
+
+    @pytest.fixture(scope="class")
+    def var_q(self, model):
+        """Per-level output variances from a large pilot, for the oracles'
+        standard deviations."""
+        return [s.var_q for s in pilot_mlmc(model, 10_000, 424242).stats]
+
+    def test_finest_level_oracle(self, model, var_q, exact_mean):
+        # the oracle of acceptance criterion 04
+        n = 10**6
+        oracle = mc_oracle_mean(model, n, 424242)
+        assert abs(oracle - exact_mean(model, 2)) <= 4.0 * math.sqrt(var_q[2] / n)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_level_oracles(self, model, var_q, exact_mean, level):
+        n = 2 * 10**5
+        oracle = mc_oracle_mean(model, n, 424242, level=level)
+        assert abs(oracle - exact_mean(model, level)) <= 4.0 * math.sqrt(var_q[level] / n)
 
 
 class TestDiffusion1D:
