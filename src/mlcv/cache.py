@@ -60,10 +60,10 @@ def _load_array(path: Path, shape: tuple[int, ...]) -> np.ndarray:
             f"cache file {path} is not a readable array ({exc}): "
             "re-run the pilot command"
         ) from None
-    if a.shape != shape:
+    if a.shape != shape or a.dtype != np.float64:
         raise DataError(
-            f"cache file {path} has shape {a.shape}, expected {shape}: "
-            "re-run the pilot command"
+            f"cache file {path} holds {a.dtype} of shape {a.shape}, expected "
+            f"float64 of shape {shape}: re-run the pilot command"
         )
     return a
 
@@ -79,9 +79,9 @@ def save_pilot_cache(cache_dir: Path, pilot: PilotRun, pilot_key: str) -> None:
     (cache_dir / _META).unlink(missing_ok=True)
     for old in cache_dir.glob("*.npy"):
         old.unlink()
-    for data in pilot.levels:
-        _save_array(cache_dir / f"level{data.level}_q.npy", data.q)
-        _save_array(cache_dir / f"level{data.level}_qoi.npy", data.qoi)
+    for ell, data in enumerate(pilot.levels):
+        _save_array(cache_dir / f"level{ell}_q.npy", data.q)
+        _save_array(cache_dir / f"level{ell}_qoi.npy", data.qoi)
     meta = {
         "schema": CACHE_SCHEMA,
         "pilot_key": pilot_key,
@@ -127,7 +127,7 @@ def load_pilot_cache(
     cache_dir: Path, hierarchy: LevelHierarchy, pilot_key: str
 ) -> PilotRun:
     """Rebuild a PilotRun from disk, checking the identity key and every
-    array's shape against the pilot size and the hierarchy.
+    array's float64 dtype and shape against the pilot size and the hierarchy.
 
     Corrections and statistics are recomputed from the arrays by the same
     builder the live pilot uses.

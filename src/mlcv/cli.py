@@ -97,6 +97,9 @@ def _want_int(value, path: str) -> int:
 def _want_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected number, got {value!r}")
+    # JSON admits NaN and Infinity; an integer beyond the float range fails too
+    if not abs(value) <= sys.float_info.max:
+        _fail(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -173,8 +176,10 @@ def normalize_config(raw) -> dict:
     checked = []
     for i, e in enumerate(eps):
         value = _want_number(e, f"epsilon[{i}]")
-        if value <= 0:
-            _fail(f"epsilon[{i}]", f"must be positive, got {e!r}")
+        try:
+            mlmc._check_epsilon(value)
+        except ConfigError as exc:
+            _fail(f"epsilon[{i}]", str(exc))
         tag = _eps_tag(value)
         earlier = [j for j, v in enumerate(checked) if _eps_tag(v) == tag]
         if earlier:
@@ -224,8 +229,8 @@ def normalize_config(raw) -> dict:
     cfg["n_pilot"] = n_pilot
 
     seed = _want_int(raw["master_seed"], "master_seed")
-    if seed < 0:
-        _fail("master_seed", f"must be non-negative, got {seed}")
+    if not 0 <= seed < 2**64:
+        _fail("master_seed", f"must lie in [0, 2**64), got {seed}")
     cfg["master_seed"] = seed
 
     # only the declared cost law is accepted; the key stays in the config so
@@ -369,12 +374,12 @@ def _plan_block(level_stats, setup, eps: float):
 
 
 def cmd_pilot(cfg: dict) -> int:
+    hierarchy = build_hierarchy(cfg)
     out_dir = Path(cfg["out_dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         _fail("out_dir", f"cannot make directory {cfg['out_dir']!r}: a file is in the way")
-    hierarchy = build_hierarchy(cfg)
     pilot = mlmc.pilot_mlmc(hierarchy, cfg["n_pilot"], cfg["master_seed"])
     setup = cv.prepare_control_variates(
         hierarchy, pilot, rank=cfg["rank"], tol=cfg["id_tol"], s2=cfg["s2"]

@@ -230,14 +230,11 @@ def prepare_control_variates(
     rank=None,
     tol: float | None = None,
     s2: float = S2_DEFAULT,
-    force_rho2_zero: bool = False,
 ) -> CVSetup:
     """Build bases and freeze per-level control-variate parameters.
 
     ``rank`` may be a single value or one value per correction level;
     alternatively pass ``tol`` for tolerance-terminated basis selection.
-    ``force_rho2_zero`` keeps the bases but treats every level as
-    uncorrelated, which disables all control variates (degeneration hook).
     """
     n_levels = hierarchy.n_levels
     ranks: list[int | None]
@@ -271,12 +268,10 @@ def prepare_control_variates(
         coarse = pilot.levels[ell - 1]
         y = pilot.levels[ell].y
         z = sample_z(hierarchy, basis, coarse.q, coarse.qoi)
-        rho2, degenerate = stats.rho_squared(y, z)
-        if force_rho2_zero:
-            rho2, degenerate = 0.0, False
+        rho2 = stats.rho_squared(y, z)
         st = pilot.stats[ell]
         zeta = st.cost_coarse / st.unit_cost
-        multiplier = allocate_zbar(rho2, zeta, s2) if not degenerate else 0.0
+        multiplier = allocate_zbar(rho2, zeta, s2)
         theta = 0.0
         if multiplier > 0.0:
             cov = stats.sample_covariance(y, z)

@@ -60,11 +60,10 @@ class LevelStats:
 class PilotLevel:
     """One level evaluated at the shared pilot inputs.
 
-    ``y`` is the level's correction ``qoi - levels[level - 1].qoi`` (``qoi``
+    ``y`` is level ell's correction ``qoi - levels[ell - 1].qoi`` (``qoi``
     itself at level 0).
     """
 
-    level: int
     q: np.ndarray
     qoi: np.ndarray
     y: np.ndarray
@@ -103,7 +102,7 @@ def _build_pilot(
     run = PilotRun(master_seed=master_seed, n_pilot=n_pilot, levels=[])
     for ell, (q, qoi) in enumerate(outputs):
         y = qoi - run.levels[ell - 1].qoi if ell > 0 else qoi
-        run.levels.append(PilotLevel(level=ell, q=q, qoi=qoi, y=y))
+        run.levels.append(PilotLevel(q=q, qoi=qoi, y=y))
         run.stats.append(
             LevelStats(
                 level=ell,

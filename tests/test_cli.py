@@ -195,12 +195,50 @@ class TestExitCodes:
         cfg["model"]["coeff_seed"] = -1
         assert main(["pilot", write_config(tmp_path, cfg)]) == 2
         assert "coeff_seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("eps", [1e-300, 1e-160, 1e-100, 1e160, 1e300])
     def test_extreme_epsilon(self, tmp_path, capsys, eps):
         cfg = base_config(tmp_path / "out", epsilon=[eps])
         assert main(["pilot", write_config(tmp_path, cfg)]) == 2
         assert f"epsilon {eps} is out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda c: c.update(epsilon=[math.nan]), "epsilon[0]: expected a finite number"),
+            (lambda c: c.update(epsilon=[0.1, math.inf]), "epsilon[1]: expected a finite number"),
+            (lambda c: c.update(epsilon=[1e200]), "epsilon[0]: epsilon 1e+200 is out of range"),
+            (lambda c: c.update(epsilon=[1e-200]), "epsilon[0]: epsilon 1e-200 is out of range"),
+            (lambda c: c["model"].update(delta=math.nan), "model.delta: expected a finite"),
+            (lambda c: c.update(s2=10**400), "s2: expected a finite number"),
+        ],
+        ids=["nan", "inf", "square_overflows", "square_underflows", "model_nan", "huge_int"],
+    )
+    def test_bad_number_fails_before_any_file(self, tmp_path, capsys, mutate, message):
+        out = tmp_path / "out"
+        cfg = base_config(out)
+        mutate(cfg)
+        assert main(["pilot", write_config(tmp_path, cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_override_beyond_64_bits(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["pilot", path, "--seed", str(2**64)]) == 2
+        assert "master_seed: must lie in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cache_of_wrong_dtype(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["pilot", path]) == 0
+        q = out / "cache" / "level0_q.npy"
+        np.save(q, np.load(q).astype(np.float32))
+        assert main(["estimate", path, "--method", "mlmc"]) == 2
+        assert "expected float64 of shape" in capsys.readouterr().err
+        assert not list(out.glob("report_*"))
 
     def test_estimate_before_pilot(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path / "out"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,6 +43,17 @@ from mlcv import (
 from tests.test_mlmc import make_stats
 
 
+def all_off(setup):
+    """The setup with every level's control variate off: zero correlation,
+    multiplier and coefficient, bases kept."""
+    return dataclasses.replace(
+        setup,
+        configs=[
+            dataclasses.replace(c, rho2=0.0, multiplier=0.0, theta=0.0) for c in setup.configs
+        ],
+    )
+
+
 class TestAllocateZbar:
     def test_moderate_correlation(self):
         multiplier = allocate_zbar(0.5, 0.5)
@@ -60,6 +72,13 @@ class TestAllocateZbar:
         assert math.ceil(multiplier * 1000) == 0
         with pytest.raises(DataError):
             _ = cfg.ratio
+
+    @pytest.mark.parametrize("s2", [1.5, 10.0])
+    @pytest.mark.parametrize("zeta", [1e-12, 0.5, 1.0])
+    def test_zero_correlation_disables(self, zeta, s2):
+        """rho2 = 0, as a zero-variance pilot gives, switches a level off for
+        every valid cost fraction and cap."""
+        assert allocate_zbar(0.0, zeta, s2) == 0.0
 
     def test_strong_correlation_capped(self):
         multiplier = allocate_zbar(0.99, 0.1)
@@ -176,9 +195,7 @@ class TestSampleZ:
         basis = build_reduced_basis(synthetic, 1, synthetic_pilot, rank=3)
         coarse = synthetic_pilot.levels[0]
         z = sample_z(synthetic, basis, coarse.q, coarse.qoi)
-        rho2, degenerate = rho_squared(synthetic_pilot.levels[1].y, z)
-        assert not degenerate
-        assert rho2 >= 0.99
+        assert rho_squared(synthetic_pilot.levels[1].y, z) >= 0.99
 
 
 @pytest.mark.parametrize("call", ["evaluate", "qoi", "sample_z", "solve"])
@@ -269,10 +286,8 @@ class TestPrepareControlVariates:
         z = sample_z(synthetic, setup.bases[1], coarse.q, coarse.qoi)
         assert np.array_equal(setup.pilot_z[1], z)
 
-    def test_force_rho2_zero_disables_everything(self, synthetic, synthetic_pilot):
-        setup = prepare_control_variates(
-            synthetic, synthetic_pilot, rank=3, force_rho2_zero=True
-        )
+    def test_all_off_setup_disables_everything(self, synthetic, synthetic_pilot):
+        setup = all_off(prepare_control_variates(synthetic, synthetic_pilot, rank=3))
         for cfg in setup.configs:
             assert not cfg.enabled
             assert cfg.rho2 == 0.0
@@ -306,9 +321,12 @@ class TestPrepareControlVariates:
         h = Diffusion1D(grids=(7, 15), constant_coefficient=True, n_modes=2, kl_grid_n=33)
         pilot = pilot_mlmc(h, 10, 0)
         setup = prepare_control_variates(h, pilot, rank=2)
+        # pilot Y and Z both have zero variance here, so rho2 = 0 alone
+        # switches the level off
         assert not setup.configs[1].enabled
         assert setup.configs[1].rho2 == 0.0
         assert setup.configs[1].multiplier == 0.0
+        assert setup.configs[1].theta == 0.0
 
 
 class TestAllocateMlcv:
@@ -380,9 +398,7 @@ class TestAllocateMlcv:
 
 class TestRunMlcv:
     def test_degenerates_to_mlmc_bitwise(self, synthetic, synthetic_pilot):
-        setup = prepare_control_variates(
-            synthetic, synthetic_pilot, rank=3, force_rho2_zero=True
-        )
+        setup = all_off(prepare_control_variates(synthetic, synthetic_pilot, rank=3))
         plan = allocate_mlcv(synthetic_pilot.stats, setup.configs, 0.05)
         result_cv = run_mlcv(synthetic, plan, synthetic_pilot, setup)
         plain_plan = AllocationPlan(n_samples=plan.n_samples)

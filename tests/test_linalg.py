@@ -190,23 +190,23 @@ class TestPinnedBytes:
 
     @SNAPSHOT_TERMINATIONS
     def test_pivoted_qr_matches_economic_qr(self, synthetic_pilot, termination):
-        for lv in synthetic_pilot.levels:
+        for ell, lv in enumerate(synthetic_pilot.levels):
             f = pivoted_qr(lv.q, **termination)
             _, r_ref, piv_ref = scipy.linalg.qr(lv.q, mode="economic", pivoting=True)
             k = f.rank
-            assert np.array_equal(f.permutation, piv_ref), lv.level
-            assert np.array_equal(f.r11, np.triu(r_ref[:k, :k])), lv.level
-            assert np.array_equal(f.r12, r_ref[:k, k:]), lv.level
+            assert np.array_equal(f.permutation, piv_ref), ell
+            assert np.array_equal(f.r11, np.triu(r_ref[:k, :k])), ell
+            assert np.array_equal(f.r12, r_ref[:k, k:]), ell
 
     @SNAPSHOT_TERMINATIONS
     def test_id_matches_eager_formulas(self, synthetic_pilot, eager_id, termination):
         ranks = set()
-        for lv in synthetic_pilot.levels:
+        for ell, lv in enumerate(synthetic_pilot.levels):
             f = interpolative_decomposition(lv.q, **termination)
             coeff, residual = eager_id(lv.q, **termination)
             ranks.add(f.rank)
-            assert np.array_equal(f.coefficients, coeff), lv.level
-            assert f.residual_norm == residual, lv.level
+            assert np.array_equal(f.coefficients, coeff), ell
+            assert f.residual_norm == residual, ell
         if "rank" in termination:
             assert ranks == {termination["rank"]}
         elif termination["tol"] > 1e3:

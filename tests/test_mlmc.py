@@ -775,3 +775,19 @@ class TestOnePassOverPlans:
             run_mc(synthetic, [0.1, -0.2], synthetic_pilot)
         with pytest.raises(ConfigError, match="out of range"):
             run_mc(synthetic, [0.1, 1e-160], synthetic_pilot)
+
+
+def test_reference_generator_call_shapes():
+    """``perfbench/make_references.py`` calls the estimators in these shapes:
+    a single plan to ``run_mlmc`` gives a single result, not a list."""
+    h = SyntheticLowRank(r_true=2, m0=4, num_levels=2, input_dim=3)
+    pilot = mlmc_module.pilot_mlmc(h, 20, 5)
+    var_q = pilot.stats[-1].var_q
+    assert isinstance(var_q, float) and var_q > 0.0
+    plan = mlmc_module.allocate_mlmc(pilot.stats, 0.1)
+    result = mlmc_module.run_mlmc(h, plan, pilot)
+    assert isinstance(result.estimate, float)
+    assert len(result.sample_variances) == len(result.n_samples) == h.n_levels
+    variance = sum(v / n for v, n in zip(result.sample_variances, result.n_samples))
+    assert math.isfinite(variance) and variance > 0.0
+    assert isinstance(mlmc_module.mc_oracle_mean(h, 50, 5), float)
