@@ -2,12 +2,13 @@
 
 Three subcommands share one JSON config file:
 
-* ``pilot``     runs the pilot study, persists its samples under the output
-                directory, and writes ``pilot.json`` with per-level
-                diagnostics, rate fits, and planned allocations.
-* ``estimate``  loads the pilot samples and runs the requested estimators
-                at each configured accuracy, writing one JSON report and one
-                per-level CSV per (method, epsilon).
+* ``pilot``     runs the pilot study, derives the control-variate setup,
+                persists both under the output directory, and writes
+                ``pilot.json`` with per-level diagnostics, rate fits, and
+                planned allocations.
+* ``estimate``  loads the cached pilot and setup and runs the requested
+                estimators at each configured accuracy, writing one JSON
+                report and one per-level CSV per (method, epsilon).
 * ``compare``   tabulates plan-implied costs of plain MC, the multilevel
                 estimator, and its control-variate variant per epsilon.
 
@@ -254,20 +255,27 @@ def normalize_config(raw) -> dict:
 
 def build_hierarchy(cfg: dict):
     """Instantiate the configured model, restricted to a level subset if one
-    is given."""
+    is given, and check the config fields that depend on its level count."""
     section = dict(cfg["model"])
     ctor, _ = _MODELS[section.pop("name")]
     hierarchy = ctor(**section)
     levels = cfg["levels"]
-    if levels is None:
-        return hierarchy
-    if levels[-1] > hierarchy.finest_level:
+    if levels is not None:
+        if levels[-1] > hierarchy.finest_level:
+            _fail(
+                "levels",
+                f"level {levels[-1]} outside the model's range "
+                f"0..{hierarchy.finest_level}",
+            )
+        hierarchy = LevelSubset(hierarchy, levels)
+    rank = cfg["rank"]
+    if isinstance(rank, list) and len(rank) != hierarchy.n_levels - 1:
         _fail(
-            "levels",
-            f"level {levels[-1]} outside the model's range "
-            f"0..{hierarchy.finest_level}",
+            "rank",
+            f"need one rank per correction level ({hierarchy.n_levels - 1}), "
+            f"got {len(rank)}",
         )
-    return LevelSubset(hierarchy, levels)
+    return hierarchy
 
 
 def _hash_payload(cfg: dict) -> dict:
@@ -373,22 +381,36 @@ def _plan_block(level_stats, setup, eps: float):
     return block, {"mlmc": plan_ml, "mlcv": plan_cv}
 
 
+def _plan_blocks(cfg: dict, level_stats, setup) -> list:
+    """``_plan_block`` for each configured tolerance, in config order; a
+    tolerance that plans too many samples is named by its config field."""
+    blocks = []
+    for i, eps in enumerate(cfg["epsilon"]):
+        try:
+            blocks.append(_plan_block(level_stats, setup, eps))
+        except ConfigError as exc:
+            _fail(f"epsilon[{i}]", str(exc))
+    return blocks
+
+
 def cmd_pilot(cfg: dict) -> int:
     hierarchy = build_hierarchy(cfg)
+    pilot = mlmc.pilot_mlmc(hierarchy, cfg["n_pilot"], cfg["master_seed"])
+    setup = cv.prepare_control_variates(
+        hierarchy, pilot, rank=cfg["rank"], tol=cfg["id_tol"], s2=cfg["s2"]
+    )
+    level_stats = pilot.stats
+    # every check that can fail runs before the first file is written
+    plans = [block for block, _ in _plan_blocks(cfg, level_stats, setup)]
+
     out_dir = Path(cfg["out_dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         _fail("out_dir", f"cannot make directory {cfg['out_dir']!r}: a file is in the way")
-    pilot = mlmc.pilot_mlmc(hierarchy, cfg["n_pilot"], cfg["master_seed"])
-    setup = cv.prepare_control_variates(
-        hierarchy, pilot, rank=cfg["rank"], tol=cfg["id_tol"], s2=cfg["s2"]
-    )
-
     key = cache.config_sha(pilot_key_payload(cfg))
-    cache.save_pilot_cache(out_dir / "cache", pilot, key)
+    cache.save_pilot_cache(out_dir / "cache", pilot, setup, key)
 
-    level_stats = pilot.stats
     rates, rates_note = _try_rates(level_stats)
 
     rows = []
@@ -413,7 +435,6 @@ def cmd_pilot(cfg: dict) -> int:
         }
         rows.append(row)
 
-    plans = [_plan_block(level_stats, setup, eps)[0] for eps in cfg["epsilon"]]
     report = {
         "provenance": _provenance(cfg),
         "config": cfg,
@@ -439,9 +460,7 @@ def _load_study(cfg: dict):
     hierarchy = build_hierarchy(cfg)
     key = cache.config_sha(pilot_key_payload(cfg))
     pilot = cache.load_pilot_cache(out_dir / "cache", hierarchy, key)
-    setup = cache.load_setup(
-        hierarchy, pilot, rank=cfg["rank"], tol=cfg["id_tol"], s2=cfg["s2"]
-    )
+    setup = cache.load_setup(out_dir / "cache", hierarchy, key)
     return out_dir, hierarchy, pilot, setup
 
 
@@ -460,7 +479,7 @@ def cmd_estimate(cfg: dict, methods) -> int:
     rates, _ = _try_rates(level_stats)
 
     epsilons = cfg["epsilon"]
-    blocks = [_plan_block(level_stats, setup, eps) for eps in epsilons]
+    blocks = _plan_blocks(cfg, level_stats, setup)
     plans = [p for _, p in blocks]
     # every method runs over all tolerances before any report is written
     by_tolerance = zip(
@@ -527,20 +546,18 @@ def cmd_estimate(cfg: dict, methods) -> int:
 
 def cmd_compare(cfg: dict) -> int:
     out_dir, hierarchy, pilot, setup = _load_study(cfg)
-    level_stats = pilot.stats
-    rows = []
-    for eps in sorted(cfg["epsilon"], reverse=True):
-        block, _ = _plan_block(level_stats, setup, eps)
-        rows.append(
-            [
-                eps,
-                hierarchy.n_levels,
-                block["cost_mc_reference"],
-                block["cost_mlmc"],
-                block["cost_mlcv"],
-                block["cost_ratio"],
-            ]
-        )
+    blocks = [block for block, _ in _plan_blocks(cfg, pilot.stats, setup)]
+    rows = [
+        [
+            block["epsilon"],
+            hierarchy.n_levels,
+            block["cost_mc_reference"],
+            block["cost_mlmc"],
+            block["cost_mlcv"],
+            block["cost_ratio"],
+        ]
+        for block in sorted(blocks, key=lambda b: b["epsilon"], reverse=True)
+    ]
     header = ["epsilon", "levels", "cost_mc", "cost_mlmc", "cost_mlcv", "ratio"]
     _write_csv(out_dir / "compare.csv", cfg, header, rows)
     print(f"compare: wrote {out_dir / 'compare.csv'}")

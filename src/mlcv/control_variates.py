@@ -53,14 +53,16 @@ class ReducedBasisPair:
     """Coarse/fine snapshot bases at matched pilot inputs for one level.
 
     ``solver`` holds the coarse basis and its factorization, so repeated
-    coefficient fits cost one matrix product each; ``idf.residual_norm`` is
-    the spectral-norm residual of the column selection.
+    coefficient fits cost one matrix product each.  ``idf`` is the column
+    selection's interpolative decomposition, whose ``residual_norm`` is the
+    spectral-norm residual; a basis loaded from the pilot cache has none
+    (``idf`` is None), because only the pilot command forms the ID.
     """
 
     level: int
     fine_basis: np.ndarray
     selected_pilot_indices: np.ndarray
-    idf: IDFactorization
+    idf: IDFactorization | None
     solver: LeastSquaresOperator
 
 
@@ -86,6 +88,11 @@ def build_reduced_basis(
     if level < 1:
         raise DimensionError("reduced bases exist for correction levels (level >= 1)")
     snapshots = pilot.levels[level - 1].q
+    if snapshots is None:
+        raise DataError(
+            "the pilot holds no output snapshots: bases are built from a live "
+            "pilot, not one loaded from the cache"
+        )
     idf = interpolative_decomposition(snapshots, rank=rank, tol=tol)
     if idf.rank == 0:
         return None

@@ -61,10 +61,11 @@ class PilotLevel:
     """One level evaluated at the shared pilot inputs.
 
     ``y`` is level ell's correction ``qoi - levels[ell - 1].qoi`` (``qoi``
-    itself at level 0).
+    itself at level 0).  ``q`` holds the output snapshots of a live pilot
+    and is None on a pilot loaded from the cache, which stores none.
     """
 
-    q: np.ndarray
+    q: np.ndarray | None
     qoi: np.ndarray
     y: np.ndarray
 
@@ -75,9 +76,11 @@ class PilotRun:
 
     The same input set (purpose ``pilot``, indices 0..n_pilot-1) is applied
     on every level, so the coarse half of level ell's coupled pilot samples
-    is level ell-1's output and each level is solved once.  The raw outputs
-    are kept so the main runs and the reduced-basis construction can reuse
-    them without re-solving.
+    is level ell-1's output and each level is solved once.  The quantities
+    of interest are kept so the main runs can replay them without
+    re-solving.  Only the reduced-basis construction reads the output
+    snapshots, and it runs on the live pilot alone: a pilot loaded from the
+    cache comes with its stored control-variate setup instead.
     """
 
     master_seed: int
@@ -94,7 +97,7 @@ def _build_pilot(
     hierarchy: LevelHierarchy, master_seed: int, n_pilot: int, outputs
 ) -> PilotRun:
     """Assemble a PilotRun from per-level ``(q, qoi)`` at the shared pilot
-    inputs.
+    inputs (``q`` None when the snapshots were not kept).
 
     The live pilot and the cache loader both build here, so their levels and
     statistics cannot drift apart.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -491,9 +492,13 @@ class Diffusion1D(LevelHierarchy):
     ``constant_coefficient=True`` is a verification hook forcing a = 1, for
     which u(x) = x(1 - x)/2 exactly.
 
+    The constructor checks every parameter but defers the KL eigensolve:
+    the modes are formed on the first solve (``_mid_modes``), so a command
+    that never solves, such as a cost comparison, never pays for them.
+
     Known defect, kept because fixing it moves every output: G has pointwise
     variance ``sigma2**2``, not ``sigma2``.  ``kl_decompose`` returns kernel
-    eigenvalues that already carry ``sigma2``, and the constructor's one
+    eigenvalues that already carry ``sigma2``, and ``_mid_modes``'s one
     ``scale`` line multiplies the modes by ``sqrt(sigma2)`` on top.  For
     ``sigma2=0.5, corr_length=0.3`` and 3 modes, sum(lambda phi^2) at x = 0.5
     is 0.499 but G's variance there is 0.250.
@@ -524,6 +529,8 @@ class Diffusion1D(LevelHierarchy):
             raise ConfigError(f"mean_coefficient must be non-negative, got {mean_coefficient}")
         if not np.isfinite(cost_gamma) or cost_gamma <= 0:
             raise ConfigError(f"cost_gamma must be positive, got {cost_gamma}")
+        if n_modes < 1:
+            raise ConfigError(f"n_modes must be positive, got {n_modes}")
         if kl_grid_n < max(2, n_modes):
             raise ConfigError(f"kl_grid_n too small: {kl_grid_n}")
 
@@ -545,19 +552,22 @@ class Diffusion1D(LevelHierarchy):
         self.input_dim = int(n_modes)
         # q holds the m interior values of u, or the m + 1 midpoint fluxes
         self._output_dims = tuple(m + (qoi == "flux_at_left") for m in self._dofs)
+        self._h = [1.0 / (m + 1) for m in self._dofs]
+        self._kl_params = (kernel_fn, float(sigma2), int(kl_grid_n))
 
-        field = kl_decompose(kernel_fn, np.linspace(0.0, 1.0, kl_grid_n), n_modes)
+    @cached_property
+    def _mid_modes(self) -> list[np.ndarray]:
+        """Per level, the scaled KL modes at the cell midpoints, evaluated by
+        Nystrom extension so the field is the same smooth function of x on
+        every level."""
+        kernel_fn, sigma2, kl_grid_n = self._kl_params
+        field = kl_decompose(kernel_fn, np.linspace(0.0, 1.0, kl_grid_n), self.input_dim)
         # known defect (class docstring): the eigenvalues carry sigma2 already
         scale = float(np.sqrt(sigma2)) * np.sqrt(field.eigenvalues)
-
-        # per level: mesh width and the scaled KL modes at cell midpoints,
-        # evaluated by Nystrom extension so the field is the same smooth
-        # function of x on every level
-        self._h = [1.0 / (m + 1) for m in self._dofs]
-        self._mid_modes = []
-        for m, h in zip(self._dofs, self._h):
-            mid = (np.arange(m + 1) + 0.5) * h
-            self._mid_modes.append(kl_modes_at(field, mid) * scale[None, :])
+        return [
+            kl_modes_at(field, (np.arange(m + 1) + 0.5) * h) * scale[None, :]
+            for m, h in zip(self._dofs, self._h)
+        ]
 
     def _coefficient(self, level: int, z: np.ndarray) -> np.ndarray:
         if self.constant_coefficient:

@@ -67,6 +67,24 @@ def read_csv_rows(path):
     return header, list(reader)
 
 
+def live_pilot(config_path):
+    """The pilot of a config file, run in process, snapshots included."""
+    cfg = normalize_config(json.loads(Path(config_path).read_text()))
+    return pilot_mlmc(build_hierarchy(cfg), cfg["n_pilot"], cfg["master_seed"])
+
+
+# the cache of ``base_config``: rank 3 gives levels 1 and 2 a basis
+BASE_CACHE_FILES = sorted(
+    [f"level{ell}_qoi.npy" for ell in range(3)]
+    + [
+        f"level{ell}_{kind}.npy"
+        for ell in (1, 2)
+        for kind in ("coarse_basis", "fine_basis", "selected", "z")
+    ]
+    + ["meta.json"]
+)
+
+
 def tree_hashes(root):
     return {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -161,6 +179,15 @@ class TestBuildHierarchy:
         with pytest.raises(ConfigError, match="levels"):
             build_hierarchy(cfg)
 
+    def test_rank_list_follows_the_levels(self, tmp_path):
+        """A rank list needs one entry per correction level of the hierarchy
+        as built, level subset included."""
+        cfg = normalize_config(base_config(tmp_path, levels=[0, 2], rank=[3]))
+        assert build_hierarchy(cfg).n_levels == 2
+        cfg = normalize_config(base_config(tmp_path, levels=[0, 2], rank=[3, 3]))
+        with pytest.raises(ConfigError, match=r"rank: need one rank per correction level \(1\)"):
+            build_hierarchy(cfg)
+
     def test_diffusion(self, tmp_path):
         cfg = normalize_config(
             base_config(
@@ -234,11 +261,38 @@ class TestExitCodes:
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out))
         assert main(["pilot", path]) == 0
-        q = out / "cache" / "level0_q.npy"
-        np.save(q, np.load(q).astype(np.float32))
+        basis = out / "cache" / "level1_fine_basis.npy"
+        np.save(basis, np.load(basis).astype(np.float32))
         assert main(["estimate", path, "--method", "mlmc"]) == 2
         assert "expected float64 of shape" in capsys.readouterr().err
         assert not list(out.glob("report_*"))
+
+    def test_cache_of_wrong_index_dtype(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["pilot", path]) == 0
+        selected = out / "cache" / "level2_selected.npy"
+        np.save(selected, np.load(selected).astype(np.int32))
+        capsys.readouterr()
+        assert main(["compare", path]) == 2
+        assert "expected int64 of shape" in capsys.readouterr().err
+        assert not (out / "compare.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"rank": [3]}, "config field rank: need one rank per correction level (2), got 1"),
+            ({"rank": 9}, "rank must lie in [1, 8], got 9"),
+            ({"epsilon": [0.1, 1e-100]}, "config field epsilon[1]: epsilon 1e-100 is out of range"),
+        ],
+        ids=["rank_list_length", "rank_above_rows", "plan_above_2_53"],
+    )
+    def test_pilot_failure_writes_nothing(self, tmp_path, capsys, overrides, message):
+        """Every check that can stop the pilot runs before out_dir is made."""
+        out = tmp_path / "out"
+        assert main(["pilot", write_config(tmp_path, base_config(out, **overrides))]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_estimate_before_pilot(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path / "out"))
@@ -415,40 +469,61 @@ class TestReproducibility:
         with pytest.raises(OSError):
             main(["pilot", path, "--seed", "8"])
         monkeypatch.undo()
-        assert calls[0][0].name == "level0_q.npy"
+        assert calls[0][0].name == "level0_qoi.npy"
         assert main(["estimate", path, "--seed", "8"]) == 2
 
-    def test_schema_1_cache_needs_new_pilot(self, tmp_path, capsys):
-        """A cache in the schema-1 layout (inputs, corrections and coarse
-        snapshots stored beside each level's outputs) is refused."""
+    def _old_layout_refused(self, tmp_path, capsys, schema, write_arrays):
+        """Replace a fresh cache by an older schema's arrays and key: estimate
+        and compare refuse it, and a new pilot leaves only its own files."""
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out, methods=["mlmc"]))
         assert main(["pilot", path]) == 0
         cache_dir = out / "cache"
         meta = json.loads((cache_dir / "meta.json").read_text())
-        np.save(cache_dir / "xi.npy", np.zeros((meta["n_pilot"], 4)))
-        prev = None
-        for ell in range(meta["n_levels"]):
-            tag = cache_dir / f"level{ell}"
-            q = np.load(f"{tag}_q.npy")
-            qoi = np.load(f"{tag}_qoi.npy")
-            Path(f"{tag}_q.npy").rename(f"{tag}_q_fine.npy")
-            Path(f"{tag}_qoi.npy").rename(f"{tag}_qoi_fine.npy")
-            np.save(f"{tag}_y.npy", qoi if prev is None else qoi - prev[1])
-            if prev is not None:
-                np.save(f"{tag}_q_coarse.npy", prev[0])
-                np.save(f"{tag}_qoi_coarse.npy", prev[1])
-            prev = (q, qoi)
-        meta["schema"] = 1
+        for old in cache_dir.glob("*.npy"):
+            old.unlink()
+        write_arrays(cache_dir, live_pilot(path))
+        del meta["levels"]
+        meta["schema"] = schema
         (cache_dir / "meta.json").write_text(json.dumps(meta))
         capsys.readouterr()
-        assert main(["estimate", path]) == 2
-        assert "re-run the pilot" in capsys.readouterr().err
+        for command in ("estimate", "compare"):
+            assert main([command, path]) == 2
+            assert (
+                f"unsupported cache schema {schema}: re-run the pilot command"
+                in capsys.readouterr().err
+            )
         assert main(["pilot", path]) == 0
-        assert sorted(p.name for p in cache_dir.iterdir()) == [
-            f"level{ell}_{kind}.npy" for ell in range(3) for kind in ("q", "qoi")
-        ] + ["meta.json"]
+        assert sorted(p.name for p in cache_dir.iterdir()) == BASE_CACHE_FILES
         assert main(["estimate", path]) == 0
+
+    def test_schema_1_cache_needs_new_pilot(self, tmp_path, capsys):
+        """A cache in the schema-1 layout (inputs, corrections and coarse
+        snapshots stored beside each level's outputs) is refused."""
+
+        def write_arrays(cache_dir, pilot):
+            np.save(cache_dir / "xi.npy", np.zeros((pilot.n_pilot, 4)))
+            for ell, lv in enumerate(pilot.levels):
+                tag = cache_dir / f"level{ell}"
+                np.save(f"{tag}_q_fine.npy", lv.q)
+                np.save(f"{tag}_qoi_fine.npy", lv.qoi)
+                np.save(f"{tag}_y.npy", lv.y)
+                if ell:
+                    np.save(f"{tag}_q_coarse.npy", pilot.levels[ell - 1].q)
+                    np.save(f"{tag}_qoi_coarse.npy", pilot.levels[ell - 1].qoi)
+
+        self._old_layout_refused(tmp_path, capsys, 1, write_arrays)
+
+    def test_schema_2_cache_needs_new_pilot(self, tmp_path, capsys):
+        """A cache in the schema-2 layout (each level's output snapshots and
+        quantities of interest, no control-variate setup) is refused."""
+
+        def write_arrays(cache_dir, pilot):
+            for ell, lv in enumerate(pilot.levels):
+                np.save(cache_dir / f"level{ell}_q.npy", lv.q)
+                np.save(cache_dir / f"level{ell}_qoi.npy", lv.qoi)
+
+        self._old_layout_refused(tmp_path, capsys, 2, write_arrays)
 
     def test_truncated_cache_meta_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -478,8 +553,10 @@ class TestReproducibility:
 
 
 class TestSetupOnDemand:
-    """Only the pilot report reads the ID residual; estimate and compare
-    rebuild the bases from the pilot cache by column selection alone."""
+    """Only the pilot derives anything: it reports the ID residual and
+    stores the control-variate setup, which estimate and compare load
+    without any basis selection or factorization beyond the least-squares
+    operator."""
 
     @pytest.mark.parametrize(
         "termination", [{"rank": 3}, {"rank": None, "id_tol": 1e-6}], ids=["rank", "tol"]
@@ -487,7 +564,7 @@ class TestSetupOnDemand:
     def test_only_pilot_computes_id_residual(
         self, tmp_path, monkeypatch, eager_id, termination
     ):
-        from mlcv import linalg
+        from mlcv import control_variates, linalg
 
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out, **termination))
@@ -504,25 +581,54 @@ class TestSetupOnDemand:
         # the coefficients behind each correction level's residual, formed once
         assert len(solves) == 2
 
+        pilot = live_pilot(path)
         rows = json.loads((out / "pilot.json").read_text())["levels"]
         assert rows[0]["id_residual"] == 0.0
         for row in rows[1:]:
-            snapshots = np.load(out / "cache" / f"level{row['level'] - 1}_q.npy")
+            snapshots = pilot.levels[row["level"] - 1].q
             _, residual = eager_id(
                 snapshots, rank=termination["rank"], tol=termination.get("id_tol")
             )
             assert row["id_residual"] == residual
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("estimate/compare formed the ID coefficients or residual")
+            raise AssertionError("estimate/compare derived the control-variate setup")
 
         monkeypatch.setattr(linalg, "solve_T", forbidden)
         for name in ("coefficients", "residual_norm"):
             monkeypatch.setattr(
                 linalg.IDFactorization, name, property(forbidden), raising=False
             )
+        for module, name in [
+            (linalg, "pivoted_qr"),
+            (linalg, "interpolative_decomposition"),
+            (control_variates, "interpolative_decomposition"),
+            (control_variates, "build_reduced_basis"),
+            (control_variates, "prepare_control_variates"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
         assert main(["estimate", path]) == 0
         assert main(["compare", path]) == 0
+
+    def test_compare_forms_no_kl_modes(self, tmp_path, monkeypatch):
+        """Building a diffusion model defers its KL eigensolve to the first
+        solve, and compare never solves."""
+        from mlcv import models
+
+        model = {"name": "diffusion_1d", "grids": [7, 15, 31], "n_modes": 4, "kl_grid_n": 65}
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out, model=model, methods=["mlcv"]))
+        assert main(["pilot", path]) == 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the KL modes were formed")
+
+        monkeypatch.setattr(models, "kl_decompose", forbidden)
+        build_hierarchy(normalize_config(json.loads(Path(path).read_text())))
+        assert main(["compare", path]) == 0
+        assert (out / "compare.csv").is_file()
+        monkeypatch.undo()
+        assert main(["estimate", path]) == 0
 
 
 class TestMethodSelection:

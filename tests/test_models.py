@@ -472,6 +472,55 @@ class TestDiffusion1D:
         with pytest.raises(ConfigError):
             Diffusion1D(kernel="unknown")
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"n_modes": 0}, {"n_modes": 8, "kl_grid_n": 4}, {"sigma2": -1.0},
+         {"corr_length": 0.0}],
+        ids=["no_modes", "kl_grid_too_small", "negative_sigma2", "zero_corr_length"],
+    )
+    def test_constructor_checks_stay_eager(self, monkeypatch, params):
+        """The KL eigensolve is deferred, but no parameter check is."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the constructor formed the KL modes")
+
+        monkeypatch.setattr(models_module, "kl_decompose", forbidden)
+        with pytest.raises(ConfigError):
+            Diffusion1D(**params)
+
+    def test_kl_modes_formed_on_first_solve(self, monkeypatch):
+        calls = []
+        decompose = models_module.kl_decompose
+
+        def counted(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(models_module, "kl_decompose", counted)
+        h = Diffusion1D(grids=(7, 15), n_modes=3, kl_grid_n=65)
+        assert calls == []
+        xi = draw_inputs(3, PURPOSE_PILOT, 0, 0, 4, h.input_dim)
+        h.evaluate(1, xi)
+        h.evaluate(0, xi)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
+    def test_lazy_modes_match_forced_bitwise(self, qoi):
+        """A model whose modes form on its first solve gives the outputs of
+        one whose modes were forced at construction, bit for bit."""
+        params = {"grids": (7, 15, 31), "n_modes": 4, "kl_grid_n": 65, "qoi": qoi}
+        forced = Diffusion1D(**params)
+        forced_modes = forced._mid_modes
+        lazy = Diffusion1D(**params)
+        assert "_mid_modes" not in vars(lazy)
+        xi = draw_inputs(10, PURPOSE_PILOT, 0, 0, 50, lazy.input_dim)
+        for level in (2, 0, 1):
+            a, b = lazy.evaluate(level, xi), forced.evaluate(level, xi)
+            assert a.q.tobytes() == b.q.tobytes()
+            assert a.qoi.tobytes() == b.qoi.tobytes()
+        for m_lazy, m_forced in zip(lazy._mid_modes, forced_modes, strict=True):
+            assert m_lazy.tobytes() == m_forced.tobytes()
+
     def test_evaluate_validation(self, diffusion_small):
         with pytest.raises(DimensionError):
             diffusion_small.evaluate(5, np.zeros((1, 4)))
