@@ -405,10 +405,3 @@ def nominal_mlmc_cost(level_stats: list[LevelStats], plan: AllocationPlan) -> fl
         [pair_counts(ell, n) for ell, n in enumerate(plan.n_samples)], level_stats
     )
 
-
-def relative_error_curve(level_estimates, reference: float) -> np.ndarray:
-    """Relative error of the telescoping prefix sums against a reference."""
-    if not np.isfinite(reference) or reference == 0.0:
-        raise DataError("reference must be finite and nonzero")
-    partial = np.cumsum(np.asarray(level_estimates, dtype=np.float64))
-    return np.abs(partial - reference) / abs(reference)

@@ -208,12 +208,13 @@ class LevelHierarchy(abc.ABC):
     Measured on the ``wide_pilot`` benchmark model, ``SyntheticLowRank``
     quantities of interest (about 20 in size) differed by up to 3.6e-15 and
     the surrogate corrections of ``control_variates.sample_z`` by up to
-    8.3e-11.  ``Diffusion1D`` forms its coefficient in row pieces of at
-    least two rows, because a one-row product takes BLAS's matrix-vector
-    path: on the ``fine_mc`` grids its outputs showed no difference for
-    prefixes of two rows or more, but a one-row batch differed from the same
-    row evaluated in a wider batch by up to 1.3e-13 relative in ``q`` at
-    m = 255.  The estimators therefore fix the batch boundaries
+    8.3e-11.  ``Diffusion1D`` solves in pieces of at least two rows, because
+    a one-row coefficient product takes BLAS's matrix-vector path and a
+    one-column node sum is added pairwise: on the ``fine_mc`` grids, over
+    4,096 rows, its outputs showed no difference for prefixes of two rows or
+    more, but a one-row batch differed from the same row evaluated in a
+    wider batch by up to 5.3e-15 relative in ``q`` at m = 255 (1.1e-15 for
+    ``flux_at_left``).  The estimators therefore fix the batch boundaries
     (``mlmc._BATCH``) and evaluate each batch once, at the width of the
     longest run that walks it; a shorter run reduces a prefix of its values.
     """
@@ -422,9 +423,9 @@ class SyntheticLowRank(LevelHierarchy):
 
 
 # Doubles per column block of Diffusion1D._solve (4 MB).  Each block's
-# node-major coefficient, diag, off and elimination factors are this size, so
-# the solve's working memory is a few blocks beside its output, whatever the
-# batch size.
+# node-major coefficient, turned into h / a in place, and its product with the
+# midpoint positions are this size, so the solve's working memory is a few
+# blocks beside its output, whatever the batch size.
 _BLOCK_DOUBLES = 1 << 19
 
 # Doubles per row slab of a block's coefficient (256 KB).  Each slab is formed
@@ -438,9 +439,10 @@ def _splits(n: int, width: int) -> list[tuple[int, int]]:
     """Consecutive (start, stop) pieces covering 0..n, each ``width`` rows
     (at least 2) but the last, which takes a one-row remainder into itself.
 
-    A one-row coefficient product takes BLAS's matrix-vector path, which
-    rounds differently from the same row in a wider product, so no piece of
-    a batch of two rows or more has one row.
+    A one-row coefficient product takes BLAS's matrix-vector path, and a
+    one-column block's node sums are added pairwise instead of in node
+    order; both round differently from the same sample in a wider piece, so
+    no piece of a batch of two rows or more has one row.
     """
     starts = list(range(0, n, max(2, width)))
     if len(starts) > 1 and n - starts[-1] == 1:
@@ -448,41 +450,22 @@ def _splits(n: int, width: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _solve_tridiagonal_batch(diag, off, rhs, out):
-    """Thomas elimination along axis 0 for a batch of symmetric tridiagonal
-    systems with a common scalar right-hand side.
-
-    Shapes: diag and out (m, n), off (m - 1, n), column j holding system j;
-    the solution is written into ``out``.  Each step updates one row of n
-    samples.  Callers must guarantee m >= 2
-    and diagonal dominance (true for the elliptic systems assembled here), so
-    no pivoting is needed.
-    """
-    m, n = diag.shape
-    cp = np.empty((m - 1, n))
-    dp = out
-    cp[0] = off[0] / diag[0]
-    dp[0] = rhs / diag[0]
-    for i in range(1, m):
-        denom = diag[i] - off[i - 1] * cp[i - 1]
-        if i < m - 1:
-            cp[i] = off[i] / denom
-        dp[i] = (rhs - off[i - 1] * dp[i - 1]) / denom
-    for i in range(m - 2, -1, -1):
-        dp[i] -= cp[i] * dp[i + 1]
-
-
 class Diffusion1D(LevelHierarchy):
     """-(a u')' = 1 on (0, 1), u(0) = u(1) = 0, a = abar + exp(G).
 
     G is a truncated KL expansion of a Gaussian field sampled at the cell
-    midpoints of each level's grid (modes are linearly interpolated from the
-    KL reference grid).  Discretization is the standard conservative
-    second-order finite-difference scheme with harmonic-free midpoint
-    coefficients, solved by a node-major Thomas sweep (one contiguous row of
-    samples per step) over column blocks of the batch.  Each block's
-    coefficient is filled from row slabs small enough to transpose in cache,
-    so the solve's working memory is a few blocks whatever the batch size.
+    midpoints of each level's grid (modes are carried there from the KL
+    reference grid by Nystrom extension).  Discretization is the standard
+    conservative second-order finite-difference scheme with harmonic-free
+    midpoint coefficients.  The flux F_{i+1/2} = a_{i+1/2} (u_{i+1} - u_i) / h
+    falls by h per cell, F_{i+1/2} = F_{1/2} - i h, so the system is solved
+    in closed form: with w = h / a at the midpoints, u(0) = u(1) = 0 gives
+    F_{1/2} = sum(i h w) / sum(w), and u is the running sum of F w.  The
+    sums run node-major (one contiguous row of samples per step) over column
+    blocks of the batch.  Each block's coefficient is filled from row slabs
+    small enough to transpose in cache, so the solve's working memory is a
+    few blocks whatever the batch size.  A non-finite coefficient or
+    solution raises ``NumericalError`` naming its input row.
 
     ``qoi="integral_of_u"`` returns q = interior solution values and Q =
     trapezoid integral of u.  ``qoi="flux_at_left"`` returns q = the
@@ -580,27 +563,31 @@ class Diffusion1D(LevelHierarchy):
     def _solve(self, level: int, z: np.ndarray) -> np.ndarray:
         h = self._h[level]
         n, m = z.shape[0], self._dofs[level]
+        ih = (np.arange(m + 1) * h)[:, None]  # i h at midpoint i
         q = np.empty((self._output_dims[level], n))
         for start, stop in _splits(n, _BLOCK_DOUBLES // (m + 1)):
-            cols = slice(start, stop)
             a = np.empty((m + 1, stop - start))  # coefficient at the midpoints
             for s0, s1 in _splits(stop - start, _SLAB_DOUBLES // (m + 1)):
                 a[:, s0:s1] = self._coefficient(level, z[start + s0 : start + s1]).T
-            if self.qoi_kind == "integral_of_u":
-                u = q[:, cols]
+            finite = np.isfinite(a).all(axis=0)
+            w = np.divide(h, a, out=a)
+            # u(1) - u(0) = sum(F w) = 0 fixes F_{1/2}
+            f_half = (ih * w).sum(axis=0) / w.sum(axis=0)
+            out = q[:, start:stop]
+            if self.qoi_kind == "flux_at_left":
+                np.subtract(ih, f_half, out=out)
             else:
-                upad = np.zeros((m + 2, a.shape[1]))
-                u = upad[1:-1]
-            _solve_tridiagonal_batch(a[:-1] + a[1:], -a[1:-1], h * h, u)
-            finite = np.all(np.isfinite(u), axis=0)
+                np.subtract(f_half, ih[:-1], out=out)
+                out *= w[:-1]
+                for i in range(1, m):
+                    np.add(out[i - 1], out[i], out=out[i])
+            finite &= np.isfinite(out).all(axis=0)
             if not finite.all():
                 bad = start + int(np.nonzero(~finite)[0][0])
                 raise NumericalError(
-                    f"tridiagonal solve produced non-finite values at level {level} "
+                    f"non-finite coefficient or solution at level {level} "
                     f"for input row {bad}: xi={z[bad]}"
                 )
-            if self.qoi_kind == "flux_at_left":
-                q[:, cols] = -a * np.diff(upad, axis=0) / h
         return q
 
     def _output_map(self, level: int, q: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import tracemalloc
@@ -31,37 +32,45 @@ from mlcv import (
 )
 
 
-def _thomas_reference(a, h):
-    """One system solved in plain Python floats, with the multiply and the
-    subtract of each update done separately, as the batched sweep does."""
-    m = len(a) - 1
-    diag = [a[i] + a[i + 1] for i in range(m)]
-    off = [-a[i + 1] for i in range(m - 1)]
-    rhs = h * h
-    cp = [off[0] / diag[0]]
-    dp = [rhs / diag[0]]
-    for i in range(1, m):
-        denom = diag[i] - off[i - 1] * cp[i - 1]
-        if i < m - 1:
-            cp.append(off[i] / denom)
-        dp.append((rhs - off[i - 1] * dp[i - 1]) / denom)
-    for i in range(m - 2, -1, -1):
-        dp[i] = dp[i] - cp[i] * dp[i + 1]
-    return dp
+def _closed_form_reference(a, h, qoi):
+    """One system solved in plain Python floats, with each operation rounded
+    in the order the batched solve rounds it: node sums are added in node
+    order, and u is the running sum of (F_{1/2} - i h) h / a_{i+1/2}."""
+    w = [h / v for v in a]
+    ih = [i * h for i in range(len(a))]
+    f_half = functools.reduce(operator.add, [x * v for x, v in zip(ih, w)]) / (
+        functools.reduce(operator.add, w)
+    )
+    if qoi == "flux_at_left":
+        return [x - f_half for x in ih]
+    return list(itertools.accumulate((f_half - x) * v for x, v in zip(ih[:-1], w)))
 
 
 def _whole_batch_solve(h, level, xi):
     """A Diffusion1D solve as one block: the whole batch's coefficient,
-    transposed to node-major, then one Thomas sweep."""
+    transposed to node-major, then the closed form's node sums."""
     step = 1.0 / (h.dofs(level) + 1)
-    a = np.ascontiguousarray(h._coefficient(level, xi).T)
-    upad = np.zeros((a.shape[0] + 1, a.shape[1]))
-    models_module._solve_tridiagonal_batch(a[:-1] + a[1:], -a[1:-1], step * step, upad[1:-1])
+    w = step / np.ascontiguousarray(h._coefficient(level, xi).T)
+    ih = (np.arange(w.shape[0]) * step)[:, None]
+    f_half = (ih * w).sum(axis=0) / w.sum(axis=0)
     if h.qoi_kind == "integral_of_u":
-        q = upad[1:-1]
+        q = np.cumsum((f_half - ih[:-1]) * w[:-1], axis=0)
     else:
-        q = -a * np.diff(upad, axis=0) / step
+        q = ih - f_half
     return q, h.qoi(level, q)
+
+
+def _longdouble_solve(a, qoi):
+    """The closed form in extended precision for coefficients a (n, m + 1);
+    returns (q, Q) with q of shape (output_dim, n)."""
+    inv = 1 / np.asarray(a, dtype=np.longdouble).T
+    ih = (np.arange(inv.shape[0], dtype=np.longdouble) / inv.shape[0])[:, None]
+    f_half = (ih * inv).sum(axis=0) / inv.sum(axis=0)
+    if qoi == "flux_at_left":
+        q = ih - f_half
+        return q, 1.5 * q[0] - 0.5 * q[1]
+    q = np.cumsum((f_half - ih[:-1]) * inv[:-1], axis=0) / inv.shape[0]
+    return q, q.sum(axis=0) / inv.shape[0]
 
 
 @pytest.mark.parametrize("width", range(5))
@@ -315,10 +324,12 @@ class TestDiffusion1D:
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 <= coarse / fine <= 4.5
 
-    def test_solver_satisfies_assembled_system(self):
+    @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
+    def test_solver_satisfies_assembled_system(self, qoi):
         """Solution of each sampled system has a tiny residual against the
-        directly assembled tridiagonal matrix."""
-        h = Diffusion1D(grids=(9, 19), n_modes=4, kl_grid_n=65)
+        directly assembled tridiagonal matrix; the flux profile is -a u' of
+        that solution."""
+        h = Diffusion1D(grids=(9, 19), n_modes=4, kl_grid_n=65, qoi=qoi)
         xi = draw_inputs(3, PURPOSE_PILOT, 0, 0, 5, h.input_dim)
         out = h.evaluate(1, xi)
         m = 19
@@ -330,8 +341,14 @@ class TestDiffusion1D:
                 - np.diag(a[j, 1:-1], k=1)
                 - np.diag(a[j, 1:-1], k=-1)
             )
-            resid = mat @ out.q[:, j] - step * step
-            assert np.linalg.norm(resid) < 1e-12
+            u = np.linalg.solve(mat, np.full(m, step * step))
+            if qoi == "integral_of_u":
+                resid = mat @ out.q[:, j] - step * step
+                assert np.linalg.norm(resid) < 1e-12
+                assert np.allclose(out.q[:, j], u, rtol=1e-12, atol=0.0)
+            else:
+                flux = -a[j] * np.diff(np.concatenate([[0.0], u, [0.0]])) / step
+                assert np.allclose(out.q[:, j], flux, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
     def test_solver_matches_scalar_reference_bitwise(self, qoi):
@@ -344,26 +361,47 @@ class TestDiffusion1D:
             step = 1.0 / (h.dofs(level) + 1)
             a = h._coefficient(level, xi)
             for j in range(4):
-                u = _thomas_reference(a[j].tolist(), step)
+                q = _closed_form_reference(a[j].tolist(), step, qoi)
                 if qoi == "integral_of_u":
-                    q = u
                     # summed in node order, as the QoI sums down the rows of q
                     qoi_j = step * functools.reduce(operator.add, q)
                 else:
-                    upad = [0.0] + u + [0.0]
-                    q = [-a[j, k] * (upad[k + 1] - upad[k]) / step for k in range(len(u) + 1)]
                     qoi_j = 1.5 * q[0] - 0.5 * q[1]
                 assert out.q[:, j].tobytes() == np.array(q).tobytes()
                 assert out.qoi[j] == qoi_j
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_non_finite_solve_names_input_row(self, level):
-        h = Diffusion1D(grids=(9, 19), n_modes=4, kl_grid_n=65)
-        xi = np.zeros((5, 4))
-        xi[2, 0] = 1e4
-        with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
-            h.evaluate(level, xi)
-        assert f"at level {level} for input row 2: xi=[10000." in str(err.value)
+        # 3000 overflows the coefficient at a few midpoints only, which the
+        # closed form would turn into finite output if it went unchecked;
+        # -1e4 with no mean coefficient underflows it to zero, a finite
+        # coefficient with a non-finite solution
+        for qoi in ("integral_of_u", "flux_at_left"):
+            for abar, big in ((0.1, 1e4), (0.1, 3000.0), (0.0, -1e4)):
+                h = Diffusion1D(
+                    grids=(9, 19), n_modes=4, kl_grid_n=65, qoi=qoi, mean_coefficient=abar
+                )
+                xi = np.zeros((5, 4))
+                xi[2, 0] = big
+                with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+                    h.evaluate(level, xi)
+                assert f"at level {level} for input row 2: xi=[{big:.0f}." in str(err.value)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="long double is no wider than double here",
+    )
+    @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
+    def test_solve_is_accurate_at_fine_grid(self, qoi):
+        """At m = 255 both outputs lie within 3e-14 relative of the closed
+        form evaluated in extended precision from the same coefficients."""
+        h = Diffusion1D(grids=(255,), n_modes=8, kl_grid_n=513, qoi=qoi)
+        xi = draw_inputs(13, PURPOSE_PILOT, 0, 0, 64, h.input_dim)
+        out = h.evaluate(0, xi)
+        ref_q, ref_qoi = _longdouble_solve(h._coefficient(0, xi), qoi)
+        q_err = np.abs(out.q - ref_q).max(axis=0) / np.abs(ref_q).max(axis=0)
+        assert float(q_err.max()) < 3e-14
+        assert float(np.max(np.abs(out.qoi - ref_qoi) / np.abs(ref_qoi))) < 3e-14
 
     @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
     def test_column_blocks_do_not_change_bits(self, qoi, monkeypatch):
@@ -394,11 +432,10 @@ class TestDiffusion1D:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one block's coefficient, diag, off and elimination factors are live
-        # at once, and flux_at_left adds its padded solution; a block's
-        # worth of slack covers the small temporaries
-        blocks = 5 if qoi == "integral_of_u" else 6
-        assert peak - out.q.nbytes - out.qoi.nbytes < blocks * models_module._BLOCK_DOUBLES * 8
+        # one block's h / a and its product with the midpoint positions are
+        # live at once; the rest covers the slabs, the finiteness masks and
+        # the small temporaries
+        assert peak - out.q.nbytes - out.qoi.nbytes < 4 * models_module._BLOCK_DOUBLES * 8
 
     def test_non_finite_solve_names_row_of_later_block(self, monkeypatch):
         h = Diffusion1D(grids=(9, 19), n_modes=4, kl_grid_n=65)
