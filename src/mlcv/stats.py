@@ -28,10 +28,15 @@ def _as_vector(values, name: str) -> np.ndarray:
 
 def _chunked_sum(x: np.ndarray) -> float:
     """Deterministic compensated sum over fixed-size chunks."""
+    full = x.size - x.size % _CHUNK
+    # One reduction over the full chunks' rows gives each chunk's partial,
+    # equal bit for bit to its own np.sum; the tail chunk is summed alone.
+    parts = np.add.reduce(x[:full].reshape(-1, _CHUNK), axis=1).tolist()
+    if full < x.size:
+        parts.append(float(np.sum(x[full:])))
     total = 0.0
     comp = 0.0
-    for s in range(0, x.size, _CHUNK):
-        part = float(np.sum(x[s : s + _CHUNK]))
+    for part in parts:
         y = part - comp
         t = total + y
         comp = (t - total) - y

@@ -6,10 +6,22 @@ into the state of a counter-based generator, so replaying a key reproduces
 the sample bit for bit, independent of how many other samples were drawn, in
 which order, or from how many workers.
 
+Sample indices fall into keyed blocks of ``_BLOCK``.  Block b is the Philox
+stream keyed by ``SeedSequence(entropy=seed, spawn_key=(purpose code, level,
+b)).generate_state(2, np.uint64)``; its (``_BLOCK``, dim) 53-bit integers r,
+in row order, give the uniforms (r + 0.5)·2**-53.
+
 Every input is a standard Gaussian: the inverse normal CDF of one uniform
 draw each, with no rejection steps, so every variate consumes exactly one
 counter increment and streams stay aligned across purposes.  Models that need
 another law transform these inputs themselves.
+
+One call draws its whole index range in one pass, and the stream stays as
+defined above: the keys of all its blocks are derived at once (numpy's
+``SeedSequence`` mixing, vectorized over the block indices), one Philox
+generator owned by the call is re-keyed per block and fills its rows of the
+output in place, and the uniform offset, the clamp and the normal quantile
+each run once over the whole matrix.  Concurrent calls share no state.
 """
 
 from __future__ import annotations
@@ -35,7 +47,14 @@ _PURPOSE_CODES = {
 # stream, so it is a module constant rather than a configuration knob.
 _BLOCK = 1024
 
-_INV_53 = 1.0 / (1 << 53)
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the running
+# hash constants of entropy mixing (A) and of state generation (B), the two
+# multipliers of ``mix``, and the pool size in 32-bit words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
 
 
 def _check_key_fields(master_seed: int, purpose: str, level: int, sample_index: int) -> None:
@@ -49,17 +68,98 @@ def _check_key_fields(master_seed: int, purpose: str, level: int, sample_index: 
         raise ConfigError(f"sample_index must be non-negative, got {sample_index}")
 
 
-def _block_uniforms(master_seed: int, purpose: str, level: int, block: int, dim: int) -> np.ndarray:
-    """Uniforms for one keyed block, shape (_BLOCK, dim), in (0, 1]."""
-    seq = np.random.SeedSequence(
-        entropy=master_seed,
-        spawn_key=(_PURPOSE_CODES[purpose], level, block),
+def _words(n: int) -> list[int]:
+    """``n`` as SeedSequence reads an integer: its little-endian 32-bit
+    words, one word for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's ``hashmix`` with its running constant: each call xors
+    the constant in, steps it by ``mult`` and multiplies by the new one.
+    Values are Python ints or uint32 arrays, masked to 32 bits."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * mult) & _MASK32
+        value = (value * const) & _MASK32
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two 32-bit words (Python ints or uint32
+    arrays)."""
+    value = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _block_keys(master_seed: int, code: int, level: int, blocks: np.ndarray) -> np.ndarray:
+    """Philox keys of the given blocks, shape (len(blocks), 2) uint64: row i
+    equals ``SeedSequence(entropy=master_seed, spawn_key=(code, level,
+    blocks[i])).generate_state(2, np.uint64)``.
+
+    The seed, code and level words are mixed once as Python ints; the block
+    words, one or two per block, are mixed as uint32 arrays over all blocks.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    # A spawn key makes SeedSequence pad the seed's words to the pool size.
+    seed = _words(master_seed)
+    pool = [hashmix(word) for word in seed + [0] * (_POOL_WORDS - len(seed))]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in [code, *_words(level)]:
+        pool = [_mix(p, hashmix(word)) for p in pool]
+    low = (blocks & _MASK32).astype(np.uint32)
+    high = (blocks >> 32).astype(np.uint32)
+    pool = [_mix(p, hashmix(low)) for p in pool]
+    # Only a block of 2**32 or more has a second word to mix in.
+    two_words = high > 0
+    pool = [np.where(two_words, _mix(p, hashmix(high)), p) for p in pool]
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(p) for p in pool], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _uniforms(
+    master_seed: int, purpose: str, level: int, start: int, count: int, dim: int
+) -> np.ndarray:
+    """Uniforms of sample_index start..start+count-1, shape (count, dim), in
+    (0, 1]."""
+    out = np.empty((count, dim))
+    first = start // _BLOCK
+    stop = -(-(start + count) // _BLOCK)
+    keys = _block_keys(
+        master_seed, _PURPOSE_CODES[purpose], level, np.arange(first, stop, dtype=np.uint64)
     )
-    gen = np.random.Generator(np.random.Philox(seq))
-    raw = gen.integers(0, 1 << 53, size=(_BLOCK, dim), dtype=np.uint64)
-    # Midpoint mapping keeps draws above 0, but rounds the largest integer,
-    # 2**53 - 1, up to exactly 1.0; ``draw_inputs`` clamps that one value.
-    return (raw.astype(np.float64) + 0.5) * _INV_53
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    # A fresh generator's state (counter 0, empty buffer), re-keyed per block.
+    state = bitgen.state
+    scratch = np.empty((_BLOCK, dim))
+    for block, key in zip(range(first, stop), keys):
+        state["state"]["key"] = key
+        bitgen.state = state
+        lo = block * _BLOCK - start  # output row of the block's first sample
+        a, b = max(lo, 0), min(lo + _BLOCK, count)
+        if b - a == _BLOCK:
+            gen.random(out=out[a:b])
+        else:  # a block cut by either end of the range
+            gen.random(out=scratch)
+            out[a:b] = scratch[a - lo : b - lo]
+    # ``random`` gives r·2**-53 exactly, and (r + 0.5)·2**-53 equals the
+    # rounded r·2**-53 + 2**-54.  The midpoint keeps draws above 0, but rounds
+    # the largest integer, 2**53 - 1, up to exactly 1.0; ``draw_inputs``
+    # clamps that one value.
+    out += 2.0**-54
+    return out
 
 
 def draw_inputs(
@@ -74,18 +174,11 @@ def draw_inputs(
     _check_key_fields(master_seed, purpose, level, start)
     if count < 0:
         raise ConfigError(f"count must be non-negative, got {count}")
+    if start + count > 1 << 64:
+        raise ConfigError(f"sample_index must fit in 64 unsigned bits, got {start + count - 1}")
     if dim < 1:
         raise ConfigError(f"input dimension must be positive, got {dim}")
-    out = np.empty((count, dim))
-    filled = 0
-    index = start
-    while filled < count:
-        block, offset = divmod(index, _BLOCK)
-        take = min(_BLOCK - offset, count - filled)
-        u = _block_uniforms(master_seed, purpose, level, block, dim)
-        out[filled : filled + take] = u[offset : offset + take]
-        filled += take
-        index += take
+    out = _uniforms(master_seed, purpose, level, start, count, dim)
     # ndtri(1.0) is inf, so the one uniform that rounds to 1.0 is lowered, in
     # place, to the largest double below it; no other value moves.
     np.minimum(out, np.nextafter(1.0, 0.0), out=out)

@@ -216,6 +216,35 @@ def test_chunked_sum_matches_fsum(rng):
     assert _chunked_sum(x) == pytest.approx(math.fsum(x), rel=1e-15)
 
 
+def _chunked_sum_loop(x):
+    """The chunked compensated sum with one ``np.sum`` per 1024-element
+    chunk, the reference for the batched partials."""
+    total = 0.0
+    comp = 0.0
+    for s in range(0, x.size, 1024):
+        part = float(np.sum(x[s : s + 1024]))
+        y = part - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.one_of(st.integers(min_value=1, max_value=5000), st.just(65_536)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    stride=st.sampled_from((1, 2)),
+)
+def test_property_chunked_sum_bitwise_equals_per_chunk_loop(size, seed, stride):
+    from mlcv.stats import _chunked_sum
+
+    # Wide magnitudes make the summation order show in the last bits.
+    base = np.random.default_rng(seed).standard_normal(size * stride)
+    x = (base * np.exp2(np.round(base * 8)))[::stride]
+    assert _chunked_sum(x) == _chunked_sum_loop(x)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     data=st.lists(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +43,24 @@ def _reference_rows(seed, purpose, level, start, count, dim):
         u = (raw[offset].astype(np.float64) + 0.5) / float(1 << 53)
         rows.append([ndtri(u[j]) for j in range(dim)])
     return np.array(rows, dtype=np.float64).reshape(count, dim)
+
+
+def _reference_blocks(seed, purpose, level, start, count, dim):
+    """The same rows built one keyed block at a time: a Philox generator and
+    a (_BLOCK, dim) matrix of 53-bit integers per block, midpoint uniforms,
+    the clamp below 1 and the normal quantile."""
+    first, stop = start // _BLOCK, -(-(start + count) // _BLOCK)
+    u = []
+    for block in range(first, stop):
+        seq = np.random.SeedSequence(
+            entropy=seed, spawn_key=(_PURPOSE_CODES[purpose], level, block)
+        )
+        gen = np.random.Generator(np.random.Philox(seq))
+        raw = gen.integers(0, 1 << 53, size=(_BLOCK, dim), dtype=np.uint64)
+        u.append((raw.astype(np.float64) + 0.5) / float(1 << 53))
+    offset = start - first * _BLOCK
+    u = np.vstack(u)[offset : offset + count]
+    return ndtri(np.minimum(u, np.nextafter(1.0, 0.0)))
 
 
 def test_same_key_bitwise_identical():
@@ -98,7 +119,7 @@ def test_uniform_of_one_gives_finite_draw(monkeypatch):
     whose normal quantile is inf; the draw is clamped to the largest double
     below 1 instead."""
     assert (float(2**53 - 1) + 0.5) * 2.0**-53 == 1.0
-    monkeypatch.setattr(streams, "_block_uniforms", lambda *key: np.ones((_BLOCK, key[-1])))
+    monkeypatch.setattr(streams, "_uniforms", lambda *key: np.ones((key[-2], key[-1])))
     draws = draw_inputs(0, PURPOSE_PILOT, 0, 1000, 30, 2)
     assert draws.shape == (30, 2)
     assert np.all(np.isfinite(draws))
@@ -115,6 +136,61 @@ def test_gaussian_is_inverse_cdf_of_uniform_stream():
             ref = _reference_rows(77, PURPOSE_ORACLE, 2, start, count, dim)
             assert rows.shape == (count, dim)
             assert rows.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_block_keys_equal_seed_sequence_state(seed):
+    """The vectorized key derivation equals SeedSequence's for seeds, levels
+    and block indices of one and of two 32-bit words."""
+    blocks = [0, 1, 2**32 - 1, 2**32, 2**43]
+    for code in _PURPOSE_CODES.values():
+        for level in (0, 3, 2**32 + 1):
+            keys = streams._block_keys(seed, code, level, np.array(blocks, dtype=np.uint64))
+            assert keys.dtype == np.uint64 and keys.shape == (len(blocks), 2)
+            for block, key in zip(blocks, keys):
+                seq = np.random.SeedSequence(entropy=seed, spawn_key=(code, level, block))
+                assert key.tobytes() == seq.generate_state(2, np.uint64).tobytes()
+
+
+def test_draw_across_block_two_to_the_32():
+    """One call whose blocks go from one-word to two-word indices, and the
+    last sample index that fits in 64 bits."""
+    for start, count in ((2**32 * _BLOCK - 3, 7), (2**64 - 1, 1)):
+        rows = draw_inputs(2**40 + 9, PURPOSE_ZBAR, 2**32 + 1, start, count, 2)
+        ref = _reference_rows(2**40 + 9, PURPOSE_ZBAR, 2**32 + 1, start, count, 2)
+        assert rows.tobytes() == ref.tobytes()
+
+
+def test_full_batch_equals_per_block_reference():
+    """A 65,536-row draw cut by both ends of its range equals the stream
+    rebuilt one keyed block at a time."""
+    rows = draw_inputs(777, PURPOSE_MAIN_Y, 0, 1000, 65_536, 3)
+    ref = _reference_blocks(777, PURPOSE_MAIN_Y, 0, 1000, 65_536, 3)
+    assert rows.tobytes() == ref.tobytes()
+
+
+def test_concurrent_draws_equal_serial_draws():
+    """Two threads drawing different keys at once get the serial bytes."""
+    keys = [(seed, PURPOSE_MAIN_Y, seed % 3, 5_000 * seed) for seed in range(20)]
+    serial = [draw_inputs(*key, 5_000, 3).tobytes() for key in keys]
+    got = [None] * len(keys)
+
+    def work(offset):
+        for i in range(offset, len(keys), 2):
+            got[i] = draw_inputs(*keys[i], 5_000, 3).tobytes()
+
+    threads = [threading.Thread(target=work, args=(offset,)) for offset in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == serial
 
 
 def test_gaussian_moments():
@@ -157,6 +233,8 @@ def test_invalid_inputs_raise_config_error():
         draw_inputs(0, PURPOSE_PILOT, -1, 0, 1, 1)
     with pytest.raises(ConfigError):
         draw_inputs(0, PURPOSE_PILOT, 0, -1, 1, 1)
+    with pytest.raises(ConfigError):
+        draw_inputs(0, PURPOSE_PILOT, 0, 2**64 - 1, 2, 1)
     with pytest.raises(ConfigError):
         draw_inputs(0, PURPOSE_PILOT, 0, 0, -1, 1)
     with pytest.raises(ConfigError):
