@@ -3,11 +3,14 @@
 The ID of a snapshot matrix U (m x N) selects r columns and a coefficient
 matrix C with U ~= U[:, selected] @ C, where C restricted to the selected
 columns is exactly the identity.  Pivoting is classic greedy largest-column
-selection (LAPACK geqp3); the stronger rank-revealing variants are not
-needed at the ranks used here, and the residual is reported exactly so
-callers can check the quality themselves.  Column selection needs only the
-pivoted R factor; C and the residual norm (a full SVD) are computed on first
-access, so only callers that read them pay for them.
+selection (the rule of LAPACK geqp3), run for only the r steps the ID keeps,
+so selection costs O(r m N) rather than a full QR's O(m N min(m, N)); the
+stronger rank-revealing variants are not needed at the ranks used here, and
+the residual is reported exactly so callers can check the quality
+themselves.  Column selection needs only the pivoted R factor; C and the
+residual norm (the largest eigenvalue of the residual's smaller Gram
+matrix) are computed on first access, so only callers that read them pay
+for them.
 """
 
 from __future__ import annotations
@@ -26,6 +29,19 @@ _COND_LIMIT = 1e10
 
 # Relative singular value cutoff for the truncated solves.
 _RCOND = 1e-12
+
+# A downdated squared column norm below this fraction of its last exact value
+# has lost about half its digits to cancellation, so it is recomputed from the
+# residual column; geqp3 uses the same threshold, sqrt(eps).
+_STALE = 2.0**-26
+
+# Columns per block when residual column norms are recomputed, so the
+# temporary is a few hundred columns, never the whole matrix.
+_NORM_BLOCK = 256
+
+# Pivots the truncated QR first makes room for under tolerance termination,
+# where the rank is not known up front.
+_GROW_ROWS = 32
 
 
 def _check_matrix(u, name: str = "matrix") -> np.ndarray:
@@ -61,32 +77,86 @@ class PivotedQR:
     rank: int
 
 
+def _residual_norms2(
+    a: np.ndarray, qt: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Squared norms of the residual columns a[:, cols] - qt.T @ rows[:, cols],
+    formed one block of columns at a time."""
+    out = np.empty(cols.size)
+    for lo in range(0, cols.size, _NORM_BLOCK):
+        block = cols[lo : lo + _NORM_BLOCK]
+        w = np.take(a, block, axis=1)  # C-ordered, unlike a[:, block]
+        w -= qt.T @ rows[:, block]
+        out[lo : lo + block.size] = np.einsum("ij,ij->j", w, w)
+    return out
+
+
 def pivoted_qr(u, *, rank: int | None = None, tol: float | None = None) -> PivotedQR:
     """Column-pivoted QR truncated at a fixed rank or at a column-norm tolerance.
 
-    Under tolerance termination the factorization stops at the first step
-    where the largest remaining (deflated) column norm drops to ``tol`` or
-    below; that norm is the standard cheap proxy for the trailing residual.
-    A tolerance larger than every column norm yields rank 0 with empty
-    factors.
+    Each step pivots on the column of largest residual norm, orthogonalizes
+    it against the pivots so far by classical Gram-Schmidt applied twice,
+    and forms its row of R over every column.  The residual column norms are
+    downdated by that row and recomputed where cancellation has made them
+    stale, as in geqp3, so the pivots are geqp3's (unless two residual norms
+    tie to rounding, as copies of one column do), but only the steps kept
+    are run.  Under tolerance termination the factorization stops at the
+    first pivot whose residual norm (the diagonal of R) is ``tol`` or below;
+    that norm is the standard cheap proxy for the trailing residual.  A
+    tolerance larger than every column norm yields rank 0 with empty
+    factors.  A zero pivot, which only a fixed rank above the numerical rank
+    reaches, gets a zero row of R rather than a division by zero.  The
+    diagonal of ``r11`` is non-negative, and the columns after the pivots
+    keep their original order.
     """
     a = _check_matrix(u)
     m, n = a.shape
     rank, tol = _resolve_termination(rank, tol, m, n)
+    steps = rank if rank is not None else min(m, n)
 
-    r_full, piv = scipy.linalg.qr(a, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r_full))
+    # Orthonormal pivot directions and the rows of R over the original column
+    # order, one row per pivot; under tolerance termination they start at
+    # _GROW_ROWS rows and double as needed.
+    size = steps if rank is not None else min(steps, _GROW_ROWS)
+    qt, rows = np.empty((size, m)), np.empty((size, n))
+    piv = np.empty(steps, dtype=np.int64)
+    norms2 = np.einsum("ij,ij->j", a, a)
+    exact2 = norms2.copy()  # each norm's value when it was last formed exactly
+    r = 0
+    while r < steps:
+        p = int(np.argmax(norms2))
+        v = a[:, p].copy()
+        for _ in range(2):
+            v -= qt[:r].T @ (qt[:r] @ v)
+        diag = float(np.linalg.norm(v))
+        if tol is not None and diag <= tol:
+            break
+        if r == len(rows):
+            more = min(r, steps - r)
+            qt = np.concatenate([qt, np.empty((more, m))])
+            rows = np.concatenate([rows, np.empty((more, n))])
+        qt[r] = v / diag if diag > 0.0 else 0.0
+        np.matmul(qt[r], a, out=rows[r])
+        rows[r, p] = diag
+        piv[r] = p
+        r += 1
+        if r == steps:
+            break
+        norms2 -= rows[r - 1] ** 2
+        # A pivot never pivots again and is never stale (-inf < -inf is false).
+        norms2[p] = exact2[p] = -np.inf
+        stale = np.flatnonzero(norms2 < _STALE * exact2)
+        if stale.size:
+            norms2[stale] = exact2[stale] = _residual_norms2(a, qt[:r], rows[:r], stale)
 
-    if rank is not None:
-        r = rank
-    else:
-        below = np.nonzero(diag <= tol)[0]
-        r = int(below[0]) if below.size else diag.size
-
+    piv = piv[:r]
+    rest = np.ones(n, dtype=bool)
+    rest[piv] = False
+    tail = np.flatnonzero(rest)
     return PivotedQR(
-        r11=np.triu(r_full[:r, :r]),
-        r12=np.ascontiguousarray(r_full[:r, r:]),
-        permutation=np.asarray(piv, dtype=np.int64),
+        r11=np.triu(rows[:r, piv]),
+        r12=rows[:r, tail],
+        permutation=np.concatenate([piv, tail]),
         rank=r,
     )
 
@@ -135,9 +205,15 @@ class IDFactorization:
 
     @cached_property
     def residual_norm(self) -> float:
-        """Spectral norm of U - U[:, selected] @ C, computed directly."""
-        residual = self._u - self._u[:, self.selected_indices] @ self.coefficients
-        return float(np.linalg.norm(residual, 2))
+        """Spectral norm of U - U[:, selected] @ C: the square root of the
+        largest eigenvalue of the residual's smaller Gram matrix (m x m or
+        N x N), not an SVD of the m x N residual.  Values at rounding level,
+        as for an exactly low-rank U, are noise."""
+        residual = self._u[:, self.selected_indices] @ self.coefficients
+        np.subtract(self._u, residual, out=residual)
+        m, n = residual.shape
+        gram = residual @ residual.T if m <= n else residual.T @ residual
+        return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def interpolative_decomposition(

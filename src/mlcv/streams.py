@@ -80,13 +80,24 @@ def _words(n: int) -> list[int]:
 def _hasher(const: int, mult: int):
     """SeedSequence's ``hashmix`` with its running constant: each call xors
     the constant in, steps it by ``mult`` and multiplies by the new one.
-    Values are Python ints or uint32 arrays, masked to 32 bits."""
 
-    def hashmix(value):
+    ``hashmix(value)`` hashes a Python int with the next constant;
+    ``hashmix(value, count)`` hashes a uint32 array with each of the next
+    ``count`` constants, the i-th on row i of the result, ``value``
+    broadcasting against a (count, 1) column."""
+
+    def hashmix(value, count=None):
         nonlocal const
-        value = value ^ const
-        const = (const * mult) & _MASK32
-        value = (value * const) & _MASK32
+        consts = [const]
+        for _ in range(1 if count is None else count):
+            consts.append((consts[-1] * mult) & _MASK32)
+        const = consts[-1]
+        if count is None:
+            xor, times = consts
+        else:
+            xor = np.array(consts[:-1], dtype=np.uint32)[:, None]
+            times = np.array(consts[1:], dtype=np.uint32)[:, None]
+        value = ((value ^ xor) * times) & _MASK32
         return value ^ (value >> 16)
 
     return hashmix
@@ -105,7 +116,8 @@ def _block_keys(master_seed: int, code: int, level: int, blocks: np.ndarray) -> 
     blocks[i])).generate_state(2, np.uint64)``.
 
     The seed, code and level words are mixed once as Python ints; the block
-    words, one or two per block, are mixed as uint32 arrays over all blocks.
+    words, one or two per block, are mixed into the pool held as one
+    (pool words, blocks) uint32 array, so each step is one array operation.
     """
     hashmix = _hasher(_INIT_A, _MULT_A)
     # A spawn key makes SeedSequence pad the seed's words to the pool size.
@@ -119,13 +131,11 @@ def _block_keys(master_seed: int, code: int, level: int, blocks: np.ndarray) -> 
         pool = [_mix(p, hashmix(word)) for p in pool]
     low = (blocks & _MASK32).astype(np.uint32)
     high = (blocks >> 32).astype(np.uint32)
-    pool = [_mix(p, hashmix(low)) for p in pool]
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], hashmix(low, _POOL_WORDS))
     # Only a block of 2**32 or more has a second word to mix in.
-    two_words = high > 0
-    pool = [np.where(two_words, _mix(p, hashmix(high)), p) for p in pool]
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = np.stack([hashmix(p) for p in pool], axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    pool = np.where(high > 0, _mix(pool, hashmix(high, _POOL_WORDS)), pool)
+    state = _hasher(_INIT_B, _MULT_B)(pool, _POOL_WORDS)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 def _uniforms(

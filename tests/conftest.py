@@ -40,20 +40,18 @@ def rng():
 
 
 def _eager_id(a, *, rank=None, tol=None):
-    """The ID's coefficients and residual norm, by the formulas it used when
-    it formed both up front; the reference for the deferred ones."""
+    """The ID's coefficients and residual norm, formed up front by the plain
+    formulas; the reference for the deferred ones.  The norm is the square
+    root of the largest eigenvalue of the residual's smaller Gram matrix."""
     n = a.shape[1]
     pqr = pivoted_qr(a, rank=rank, tol=tol)
     r = pqr.rank
-    if r == 0:
-        return np.zeros((0, n)), float(np.linalg.norm(a, 2))
-    t = solve_T(pqr.r11, pqr.r12)
     coeff = np.empty((r, n))
     coeff[:, pqr.permutation[:r]] = np.eye(r)
-    coeff[:, pqr.permutation[r:]] = t
-    selected = pqr.permutation[:r].copy()
-    residual = a - a[:, selected] @ coeff
-    return coeff, float(np.linalg.norm(residual, 2))
+    coeff[:, pqr.permutation[r:]] = solve_T(pqr.r11, pqr.r12)
+    residual = a - a[:, pqr.permutation[:r]] @ coeff
+    gram = residual @ residual.T if a.shape[0] <= n else residual.T @ residual
+    return coeff, float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 @pytest.fixture(scope="session")

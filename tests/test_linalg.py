@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mlcv import (
@@ -15,6 +17,7 @@ from mlcv import (
     interpolative_decomposition,
     pivoted_qr,
 )
+from mlcv import linalg
 from mlcv.linalg import solve_T
 
 
@@ -29,6 +32,15 @@ def matrix_with_spectrum(m, n, sigmas, rng):
 def id_bound(rank, n_cols, sigma_next):
     """Spectral-norm bound for the greedy column ID with the 1.5x slack."""
     return 1.5 * np.sqrt(rank * (n_cols - rank) + 1.0) * sigma_next
+
+
+def geqp3_rank(r_ref, *, rank=None, tol=None):
+    """The rank a truncation of geqp3's full R keeps: ``rank``, or the first
+    step whose diagonal entry is ``tol`` or below in magnitude."""
+    if rank is not None:
+        return rank
+    below = np.flatnonzero(np.abs(np.diag(r_ref)) <= tol)
+    return int(below[0]) if below.size else min(r_ref.shape)
 
 
 def gram_gap(a, f):
@@ -75,12 +87,58 @@ class TestPivotedQR:
         sigma = np.linalg.svd(a, compute_uv=False)
         assert sigma[1] <= 1e-10 * sigma[0]
 
+    def test_graded_spectrum_pivots_follow_geqp3(self):
+        """The residual column norms fall by eleven decades, so downdating
+        alone loses them to cancellation; recomputing the stale ones keeps
+        the pivots geqp3's (at every step the two largest true residual
+        norms differ by 1.8% or more)."""
+        a = matrix_with_spectrum(30, 80, 10.0 ** -np.arange(12.0), np.random.default_rng(3))
+        _, _, piv_ref = scipy.linalg.qr(a, mode="economic", pivoting=True)
+        f = pivoted_qr(a, rank=11)
+        assert np.array_equal(f.permutation[:11], piv_ref[:11])
+
+    def test_tolerance_rank_beyond_first_allocation(self):
+        """Under tolerance termination the factors start with room for
+        ``_GROW_ROWS`` pivots and grow when the rank passes it."""
+        a = np.random.default_rng(5).normal(size=(50, 70))
+        f = pivoted_qr(a, tol=1e-8)
+        _, _, piv_ref = scipy.linalg.qr(a, mode="economic", pivoting=True)
+        assert f.rank == 50 > linalg._GROW_ROWS
+        assert np.array_equal(f.permutation[:50], piv_ref[:50])
+        assert np.linalg.norm(gram_gap(a, f)) <= 1e-12 * np.linalg.norm(a) ** 2
+
     def test_tolerance_above_all_columns_gives_rank_zero(self, rng):
         a = rng.normal(size=(4, 6))
-        f = pivoted_qr(a, tol=1e9)
-        assert f.rank == 0
-        assert f.r11.shape == (0, 0)
-        assert f.r12.shape == (0, 6)
+        # a first pivot whose norm equals tol already stops the factorization
+        largest = max(np.linalg.norm(a[:, j]) for j in range(6))
+        for tol in (1e9, largest):
+            f = pivoted_qr(a, tol=tol)
+            assert f.rank == 0
+            assert f.r11.shape == (0, 0)
+            assert f.r12.shape == (0, 6)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.outer(np.arange(1.0, 9.0), np.linspace(-1.0, 2.0, 11)),
+            np.zeros((5, 7)),
+        ],
+        ids=["outer_product_rank3", "zero_rank1"],
+    )
+    def test_rank_above_numerical_rank_stays_finite(self, a):
+        """Pivots past the numerical rank orthogonalize rounding noise, and
+        a zero pivot gets a zero row of R: nothing divides by zero."""
+        rank = 3 if a.any() else 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = pivoted_qr(a, rank=rank)
+            idf = interpolative_decomposition(a, rank=rank)
+            coeff, residual = idf.coefficients, idf.residual_norm
+        assert f.rank == rank and np.array_equal(idf.selected_indices, f.permutation[:rank])
+        assert np.all(np.isfinite(f.r11)) and np.all(np.isfinite(f.r12))
+        assert np.all(np.diag(f.r11) >= 0.0)
+        assert np.all(np.isfinite(coeff))
+        assert residual <= 1e-13 * max(np.linalg.norm(a, 2), 1.0)
 
     def test_validation(self, rng):
         a = rng.normal(size=(3, 4))
@@ -190,13 +248,22 @@ class TestPinnedBytes:
 
     @SNAPSHOT_TERMINATIONS
     def test_pivoted_qr_matches_economic_qr(self, synthetic_pilot, termination):
+        """The pivots and the rank are geqp3's exactly; R is geqp3's up to
+        the sign of each row, column by column, to rounding."""
         for ell, lv in enumerate(synthetic_pilot.levels):
             f = pivoted_qr(lv.q, **termination)
             _, r_ref, piv_ref = scipy.linalg.qr(lv.q, mode="economic", pivoting=True)
+            assert f.rank == geqp3_rank(r_ref, **termination), ell
             k = f.rank
-            assert np.array_equal(f.permutation, piv_ref), ell
-            assert np.array_equal(f.r11, np.triu(r_ref[:k, :k])), ell
-            assert np.array_equal(f.r12, r_ref[:k, k:]), ell
+            assert np.array_equal(f.permutation[:k], piv_ref[:k]), ell
+            assert sorted(f.permutation) == list(range(lv.q.shape[1])), ell
+            signs = np.where(np.diag(r_ref)[:k] < 0.0, -1.0, 1.0)
+            # column j of f's factors is geqp3's column position[f.permutation[j]]
+            position = np.argsort(piv_ref)
+            ref = signs[:, None] * r_ref[:k, position[f.permutation]]
+            atol = 1e-12 * np.linalg.norm(lv.q, 2)
+            assert np.allclose(f.r11, ref[:, :k], rtol=0.0, atol=atol), ell
+            assert np.allclose(f.r12, ref[:, k:], rtol=0.0, atol=atol), ell
 
     @SNAPSHOT_TERMINATIONS
     def test_id_matches_eager_formulas(self, synthetic_pilot, eager_id, termination):
@@ -221,7 +288,7 @@ class TestPinnedBytes:
             raise AssertionError("deferred ID work ran")
 
         monkeypatch.setattr(linalg, "solve_T", forbidden)
-        monkeypatch.setattr(np.linalg, "norm", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         a = synthetic_pilot.levels[1].q
         f = interpolative_decomposition(a, rank=3)
         assert f.rank == 3 and f.selected_indices.shape == (3,)
@@ -327,3 +394,48 @@ def test_property_lemma_bound_random_spectra(rank, seed):
     f = interpolative_decomposition(a, rank=rank)
     sigma_next = np.linalg.svd(a, compute_uv=False)[rank]
     assert f.residual_norm <= id_bound(rank, 30, sigma_next) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=40),
+    n=st.integers(min_value=2, max_value=60),
+    k=st.integers(min_value=1, max_value=12),
+    duplicates=st.integers(min_value=0, max_value=4),
+    by_rank=st.booleans(),
+    step=st.integers(min_value=0, max_value=12),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_property_selection_equals_geqp3(m, n, k, duplicates, by_rank, step, seed):
+    """Up to the numerical rank, the truncated pivoting selects geqp3's
+    columns and rank under either termination.  Where a column repeats, the
+    tie between its copies may break either way, so the selected columns
+    are compared as vectors."""
+    rng = np.random.default_rng(seed)
+    k = min(k, m, n)
+    sigmas = np.sort(10.0 ** rng.uniform(-6.0, 1.0, size=k))[::-1]
+    a = matrix_with_spectrum(m, n, sigmas, rng)
+    for _ in range(duplicates):
+        a[:, rng.integers(n)] = a[:, rng.integers(n)]
+    _, r_ref, piv_ref = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r_ref))
+    # the rank kept, at most the numerical rank (a repeated column can lower it)
+    t = min(step, int(np.count_nonzero(diag > 1e-10 * diag[0])))
+    if by_rank:
+        termination = {"rank": max(t, 1)}
+    else:
+        # a tolerance halfway (in log scale) between two steps' pivot norms,
+        # and above the rounding noise that pivots past the numerical rank see
+        hi = diag[t - 1] if t else 4.0 * diag[0]
+        lo = max(diag[t] if t < diag.size else 0.0, 1e-12 * diag[0])
+        assume(hi > 1.01 * lo)
+        termination = {"tol": float(np.sqrt(hi * lo))}
+    f = interpolative_decomposition(a, **termination)
+    assert f.rank == geqp3_rank(r_ref, **termination)
+    assert np.array_equal(a[:, f.selected_indices], a[:, piv_ref[: f.rank]])
+    if not duplicates:
+        assert np.array_equal(f.selected_indices, piv_ref[: f.rank])
+    assert np.all(np.isfinite(f.coefficients))
+    residual = a - a[:, f.selected_indices] @ f.coefficients
+    direct = np.linalg.svd(residual, compute_uv=False)[0]
+    assert f.residual_norm == pytest.approx(direct, rel=1e-10, abs=0.0)
