@@ -1,24 +1,29 @@
 """Deterministic on-disk persistence for pilot runs and their
 control-variate setup.
 
-A pilot cache holds the study's sufficient state, so only the pilot command
-derives anything.  Per level it holds the quantities of interest
-``level{l}_qoi.npy`` at the shared pilot inputs; per correction level with a
-reduced basis, the sorted selected pilot indices ``level{l}_selected.npy``
-(int64), the fine and coarse bases ``level{l}_fine_basis.npy`` and
-``level{l}_coarse_basis.npy``, and the pilot surrogate corrections
-``level{l}_z.npy``; and ``meta.json`` with the identity key and each level's
-``rank``, ``rho2``, ``multiplier`` and ``theta`` (JSON numbers, which
-round-trip float64 exactly).  Output snapshots are not stored: only the
-basis selection reads them, and it runs in the pilot command.  Arrays are
-stored as individual ``.npy`` files (their bytes depend only on shape,
-dtype, and contents, never on timestamps), metadata as canonical JSON with
-sorted keys, so re-saving identical data rewrites identical bytes.  Caches
-are keyed by a hash of the pilot-scoped configuration; a mismatch means the
-cached artifacts belong to a different study and must be rebuilt.  The
-metadata file is removed before and written after the arrays, so a save
-interrupted part-way leaves no loadable cache rather than a valid key over
-another study's arrays.
+A pilot cache (schema 4) holds the study's sufficient state, so only the
+pilot command derives anything.  Per level it holds the quantities of
+interest ``level{l}_qoi.npy`` at the shared pilot inputs; per correction
+level with a reduced basis, the sorted selected pilot indices
+``level{l}_selected.npy`` (int64), the fine and coarse bases
+``level{l}_fine_basis.npy`` and ``level{l}_coarse_basis.npy``, and the pilot
+surrogate corrections ``level{l}_z.npy``; each array that the model derives
+from its parameters alone and names in ``kept_shapes``, as
+``model_{name}.npy`` (for ``Diffusion1D`` the scaled KL modes at each
+level's cell midpoints, ``model_mid_modes{l}.npy``, so only the pilot
+command solves the KL eigenproblem); and ``meta.json`` with the schema, the
+identity key and each level's ``rank``, ``rho2``, ``multiplier`` and
+``theta`` (JSON numbers, which round-trip float64 exactly).  Output
+snapshots are not stored: only the basis selection reads them, and it runs
+in the pilot command.  A cache of schema 1, 2 or 3 (the last lacks the
+model's arrays) is refused.  Arrays are stored as individual ``.npy`` files
+(their bytes depend only on shape, dtype, and contents, never on
+timestamps), metadata as canonical JSON with sorted keys, so re-saving
+identical data rewrites identical bytes.  Caches are keyed by a hash of the
+pilot-scoped configuration; a mismatch means the cached artifacts belong to
+a different study and must be rebuilt.  The metadata file is removed before
+and written after the arrays, so a save interrupted part-way leaves no
+loadable cache rather than a valid key over another study's arrays.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .linalg import LeastSquaresOperator
 from .mlmc import PilotRun, _build_pilot
 from .models import LevelHierarchy
 
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 _META = "meta.json"
 
@@ -65,7 +70,7 @@ def _save_array(path: Path, a: np.ndarray) -> None:
 
 def _load_array(path: Path, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     if not path.is_file():
-        raise DataError(f"cache file missing: {path}")
+        raise DataError(f"cache file missing: {path}: re-run the pilot command")
     try:
         a = np.load(path, allow_pickle=False)
     except (ValueError, EOFError) as exc:
@@ -81,11 +86,19 @@ def _load_array(path: Path, shape: tuple[int, ...], dtype=np.float64) -> np.ndar
     return a
 
 
+def _model_file(cache_dir: Path, name: str) -> Path:
+    return cache_dir / f"model_{name}.npy"
+
+
 def save_pilot_cache(
-    cache_dir: Path, pilot: PilotRun, setup: CVSetup, pilot_key: str
+    cache_dir: Path,
+    hierarchy: LevelHierarchy,
+    pilot: PilotRun,
+    setup: CVSetup,
+    pilot_key: str,
 ) -> None:
-    """Persist the pilot's quantities of interest, its control-variate setup
-    and the identity key.
+    """Persist the pilot's quantities of interest, its control-variate setup,
+    the model's kept arrays and the identity key.
 
     Arrays of an earlier save are removed first.  The identity file goes
     last, through a rename, so it only ever names a complete set of arrays.
@@ -104,6 +117,8 @@ def save_pilot_cache(
         _save_array(cache_dir / f"level{ell}_fine_basis.npy", basis.fine_basis)
         _save_array(cache_dir / f"level{ell}_coarse_basis.npy", basis.solver.a)
         _save_array(cache_dir / f"level{ell}_z.npy", z)
+    for name, a in hierarchy.kept_arrays().items():
+        _save_array(_model_file(cache_dir, name), a)
     meta = {
         "schema": CACHE_SCHEMA,
         "pilot_key": pilot_key,
@@ -262,3 +277,21 @@ def load_setup(cache_dir: Path, hierarchy: LevelHierarchy, pilot_key: str) -> CV
         )
         pilot_z.append(_load_array(cache_dir / f"{tag}_z.npy", (n,)))
     return CVSetup(configs=configs, bases=bases, pilot_z=pilot_z)
+
+
+def load_model_arrays(cache_dir: Path, hierarchy: LevelHierarchy, pilot_key: str) -> None:
+    """Hand the model the arrays it named in ``kept_shapes``, each checked
+    for float64 dtype, its shape and finite entries, so that it derives none
+    of them again."""
+    cache_dir = Path(cache_dir)
+    _study_meta(cache_dir, hierarchy, pilot_key)
+    arrays = {}
+    for name, shape in hierarchy.kept_shapes().items():
+        path = _model_file(cache_dir, name)
+        a = _load_array(path, shape)
+        if not np.isfinite(a).all():
+            raise DataError(
+                f"cache file {path} holds non-finite values: re-run the pilot command"
+            )
+        arrays[name] = a
+    hierarchy.adopt_kept(arrays)

@@ -409,7 +409,7 @@ def cmd_pilot(cfg: dict) -> int:
     except (FileExistsError, NotADirectoryError):
         _fail("out_dir", f"cannot make directory {cfg['out_dir']!r}: a file is in the way")
     key = cache.config_sha(pilot_key_payload(cfg))
-    cache.save_pilot_cache(out_dir / "cache", pilot, setup, key)
+    cache.save_pilot_cache(out_dir / "cache", hierarchy, pilot, setup, key)
 
     rates, rates_note = _try_rates(level_stats)
 
@@ -461,6 +461,7 @@ def _load_study(cfg: dict):
     key = cache.config_sha(pilot_key_payload(cfg))
     pilot = cache.load_pilot_cache(out_dir / "cache", hierarchy, key)
     setup = cache.load_setup(out_dir / "cache", hierarchy, key)
+    cache.load_model_arrays(out_dir / "cache", hierarchy, key)
     return out_dir, hierarchy, pilot, setup
 
 

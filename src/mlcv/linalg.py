@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError, DimensionError
 
@@ -183,6 +182,10 @@ def solve_T(r11: np.ndarray, r12: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         cond = np.linalg.cond(r11)
     if np.isfinite(cond) and cond < _COND_LIMIT:
+        # imported here: only the pilot command solves, so estimate and
+        # compare never load scipy.linalg
+        import scipy.linalg
+
         return scipy.linalg.solve_triangular(r11, r12, lower=False)
     return np.linalg.pinv(r11, rcond=_RCOND) @ r12
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -233,6 +232,21 @@ class LevelHierarchy(abc.ABC):
     def _output_map(self, level: int, q: np.ndarray) -> np.ndarray:
         """Quantity of interest of each column of a checked output matrix."""
 
+    def kept_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name and shape of each float64 array that the model derives from
+        its parameters alone and that the pilot cache keeps, so that a model
+        built by a later command adopts it instead of deriving it again.
+        None by default."""
+        return {}
+
+    def kept_arrays(self) -> dict[str, np.ndarray]:
+        """The arrays named by ``kept_shapes``, derived if not yet held."""
+        return {}
+
+    def adopt_kept(self, arrays: dict[str, np.ndarray]) -> None:
+        """Take the arrays named by ``kept_shapes``, already checked for
+        dtype, shape and finiteness, in place of deriving them."""
+
     @property
     def finest_level(self) -> int:
         return len(self._dofs) - 1
@@ -293,7 +307,7 @@ class LevelSubset(LevelHierarchy):
     Useful for dropping intermediate levels; couplings then skip across the
     removed resolutions.  The subset takes its parent's ``input_dim`` and
     ``cost_gamma``, so it draws the same inputs and declares the same cost
-    per kept level.
+    per kept level, and its parent's kept arrays, dropped levels included.
     """
 
     def __init__(self, parent: LevelHierarchy, levels):
@@ -314,6 +328,15 @@ class LevelSubset(LevelHierarchy):
 
     def _output_map(self, level: int, q: np.ndarray) -> np.ndarray:
         return self._parent._output_map(self._levels[level], q)
+
+    def kept_shapes(self) -> dict[str, tuple[int, ...]]:
+        return self._parent.kept_shapes()
+
+    def kept_arrays(self) -> dict[str, np.ndarray]:
+        return self._parent.kept_arrays()
+
+    def adopt_kept(self, arrays: dict[str, np.ndarray]) -> None:
+        self._parent.adopt_kept(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +499,11 @@ class Diffusion1D(LevelHierarchy):
     which u(x) = x(1 - x)/2 exactly.
 
     The constructor checks every parameter but defers the KL eigensolve:
-    the modes are formed on the first solve (``_mid_modes``), so a command
-    that never solves, such as a cost comparison, never pays for them.
+    the modes are formed on the first solve (``_mid_modes``), so a model
+    that never solves never pays for them.  They depend on the parameters
+    alone, so the pilot cache keeps them (``kept_arrays``): a model built
+    by ``estimate`` or ``compare`` adopts them from there, and only the
+    pilot command solves the KL eigenproblem.
 
     Known defect, kept because fixing it moves every output: G has pointwise
     variance ``sigma2**2``, not ``sigma2``.  ``kl_decompose`` returns kernel
@@ -537,20 +563,37 @@ class Diffusion1D(LevelHierarchy):
         self._output_dims = tuple(m + (qoi == "flux_at_left") for m in self._dofs)
         self._h = [1.0 / (m + 1) for m in self._dofs]
         self._kl_params = (kernel_fn, float(sigma2), int(kl_grid_n))
+        self._modes = None
 
-    @cached_property
+    @property
     def _mid_modes(self) -> list[np.ndarray]:
         """Per level, the scaled KL modes at the cell midpoints, evaluated by
         Nystrom extension so the field is the same smooth function of x on
-        every level."""
-        kernel_fn, sigma2, kl_grid_n = self._kl_params
-        field = kl_decompose(kernel_fn, np.linspace(0.0, 1.0, kl_grid_n), self.input_dim)
-        # known defect (class docstring): the eigenvalues carry sigma2 already
-        scale = float(np.sqrt(sigma2)) * np.sqrt(field.eigenvalues)
-        return [
-            kl_modes_at(field, (np.arange(m + 1) + 0.5) * h) * scale[None, :]
-            for m, h in zip(self._dofs, self._h)
-        ]
+        every level; formed on first use unless adopted."""
+        if self._modes is None:
+            kernel_fn, sigma2, kl_grid_n = self._kl_params
+            field = kl_decompose(kernel_fn, np.linspace(0.0, 1.0, kl_grid_n), self.input_dim)
+            # known defect (class docstring): the eigenvalues carry sigma2 already
+            scale = float(np.sqrt(sigma2)) * np.sqrt(field.eigenvalues)
+            self._modes = [
+                kl_modes_at(field, (np.arange(m + 1) + 0.5) * h) * scale[None, :]
+                for m, h in zip(self._dofs, self._h)
+            ]
+        return self._modes
+
+    def kept_shapes(self) -> dict[str, tuple[int, ...]]:
+        # a constant coefficient reads no modes
+        if self.constant_coefficient:
+            return {}
+        return {f"mid_modes{ell}": (m + 1, self.input_dim) for ell, m in enumerate(self._dofs)}
+
+    def kept_arrays(self) -> dict[str, np.ndarray]:
+        names = self.kept_shapes()
+        return dict(zip(names, self._mid_modes)) if names else {}
+
+    def adopt_kept(self, arrays: dict[str, np.ndarray]) -> None:
+        if arrays:
+            self._modes = [arrays[name] for name in self.kept_shapes()]
 
     def _coefficient(self, level: int, z: np.ndarray) -> np.ndarray:
         if self.constant_coefficient:

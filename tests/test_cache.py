@@ -6,21 +6,27 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
 
 from mlcv import (
     DataError,
+    Diffusion1D,
     LevelSubset,
     canonical_json,
     config_sha,
+    load_model_arrays,
     load_pilot_cache,
     load_setup,
+    models,
+    pilot_mlmc,
     prepare_control_variates,
     sample_z,
     save_pilot_cache,
 )
+from mlcv.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +35,9 @@ def synthetic_setup(synthetic, synthetic_pilot):
 
 
 @pytest.fixture
-def cache_dir(tmp_path, synthetic_pilot, synthetic_setup):
+def cache_dir(tmp_path, synthetic, synthetic_pilot, synthetic_setup):
     """A freshly saved cache of the synthetic pilot at rank 3, key ``key-1``."""
-    save_pilot_cache(tmp_path, synthetic_pilot, synthetic_setup, "key-1")
+    save_pilot_cache(tmp_path, synthetic, synthetic_pilot, synthetic_setup, "key-1")
     return tmp_path
 
 
@@ -59,9 +65,38 @@ def _tree_digest(root):
     return h.hexdigest()
 
 
-def cache_files(n_levels, basis_levels):
-    """The sorted file names of a schema-3 cache."""
-    names = [f"level{ell}_qoi.npy" for ell in range(n_levels)] + ["meta.json"]
+# a small diffusion model; its kept arrays are the midpoint modes of 3 levels
+DIFFUSION = {"grids": (7, 15, 31), "n_modes": 4, "kl_grid_n": 65}
+MODE_FILES = [f"model_mid_modes{ell}.npy" for ell in range(3)]
+
+
+def diffusion_config(out_dir):
+    return {
+        "schema": 1,
+        "model": {"name": "diffusion_1d", **DIFFUSION},
+        "epsilon": [0.01],
+        "methods": ["mlmc"],
+        "rank": 2,
+        "n_pilot": 20,
+        "master_seed": 5,
+        "out_dir": str(out_dir),
+    }
+
+
+@pytest.fixture(scope="module")
+def diffusion_out(tmp_path_factory):
+    """The output directory of one diffusion pilot, run by the CLI."""
+    root = tmp_path_factory.mktemp("diffusion")
+    path = root / "config.json"
+    path.write_text(json.dumps(diffusion_config(root / "out")))
+    assert main(["pilot", str(path)]) == 0
+    return root / "out"
+
+
+def cache_files(n_levels, basis_levels, kept=()):
+    """The sorted file names of a schema-4 cache whose model keeps the
+    arrays ``kept`` (file names)."""
+    names = [f"level{ell}_qoi.npy" for ell in range(n_levels)] + ["meta.json"] + list(kept)
     for ell in basis_levels:
         names += [
             f"level{ell}_{kind}.npy"
@@ -99,10 +134,12 @@ class TestPilotCache:
             assert back.cost_fine == orig.cost_fine
             assert back.cost_coarse == orig.cost_coarse
 
-    def test_resave_is_byte_identical(self, cache_dir, synthetic_pilot, synthetic_setup):
+    def test_resave_is_byte_identical(
+        self, cache_dir, synthetic, synthetic_pilot, synthetic_setup
+    ):
         assert sorted(p.name for p in cache_dir.iterdir()) == cache_files(3, (1, 2))
         first = _tree_digest(cache_dir)
-        save_pilot_cache(cache_dir, synthetic_pilot, synthetic_setup, "key-1")
+        save_pilot_cache(cache_dir, synthetic, synthetic_pilot, synthetic_setup, "key-1")
         assert _tree_digest(cache_dir) == first
         assert not list(cache_dir.glob("*.tmp"))
 
@@ -245,6 +282,47 @@ class TestPilotCache:
         with pytest.raises(DataError, match="malformed levels: re-run the pilot"):
             load_setup(cache_dir, synthetic, "key-1")
 
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda p: p.unlink(), "cache file missing"),
+            (lambda p: np.save(p, np.load(p).astype(np.float32)), "expected float64"),
+            (
+                lambda p: np.save(p, np.load(p.with_name("model_mid_modes2.npy"))),
+                r"of shape \(32, 4\), expected float64 of shape \(16, 4\)",
+            ),
+            (
+                lambda p: np.save(p, np.load(p)[:, :-1]),
+                r"of shape \(16, 3\), expected float64 of shape \(16, 4\)",
+            ),
+            (lambda p: _set_entry(p, (3, 1), np.nan), "non-finite values"),
+            (lambda p: _set_entry(p, (0, 0), np.inf), "non-finite values"),
+            (lambda p: _set_entry(p, (15, 3), -np.inf), "non-finite values"),
+        ],
+        ids=["missing", "float32", "wrong_m", "wrong_n_modes", "nan", "inf", "minus_inf"],
+    )
+    def test_bad_model_array_exits_2(self, tmp_path, capsys, diffusion_out, mangle, message):
+        """A model array that is missing or holds anything but the pilot's
+        finite float64 modes of the level's shape stops estimate before any
+        solve."""
+        out = tmp_path / "out"
+        shutil.copytree(diffusion_out, out)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(diffusion_config(out)))
+        mangle(out / "cache" / "model_mid_modes1.npy")
+        capsys.readouterr()
+        assert main(["estimate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(message, err), err
+        assert "re-run the pilot command" in err
+        assert not list(out.glob("report_*"))
+
+
+def _set_entry(path, index, value):
+    a = np.load(path)
+    a[index] = value
+    np.save(path, a)
+
 
 TERMINATIONS = [{"rank": 3}, {"tol": 1e-6}, {"tol": 20.0}]
 
@@ -278,7 +356,7 @@ class TestLoadSetup:
         if termination.get("tol") == 20.0:
             # the premise: level 1 finds no basis, level 2 does
             assert ranks[1] == 0 and ranks[2] > 0
-        save_pilot_cache(tmp_path, synthetic_pilot, live, "key-1")
+        save_pilot_cache(tmp_path, synthetic, synthetic_pilot, live, "key-1")
         pilot, back = _load_both(tmp_path, synthetic)
         assert sorted(p.name for p in tmp_path.iterdir()) == cache_files(
             3, [ell for ell, r in enumerate(ranks) if r]
@@ -308,3 +386,65 @@ class TestLoadSetup:
             assert _same_bits(l_back.qoi, l_live.qoi)
             assert _same_bits(l_back.y, l_live.y)
         assert pilot.stats == synthetic_pilot.stats
+
+
+class TestModelArrays:
+    @pytest.mark.parametrize(
+        "qoi, levels",
+        [("integral_of_u", None), ("flux_at_left", None), ("integral_of_u", [0, 2])],
+        ids=["integral_of_u", "flux_at_left", "subset"],
+    )
+    def test_rebuilt_modes_are_bitwise_live(self, tmp_path, monkeypatch, qoi, levels):
+        """The midpoint modes a model adopts from the cache are the ones the
+        pilot's model formed, bit for bit, and the model then solves as the
+        live one does without solving the KL eigenproblem."""
+
+        def model():
+            h = Diffusion1D(qoi=qoi, **DIFFUSION)
+            return h if levels is None else LevelSubset(h, levels)
+
+        def modes(h):
+            return (h if levels is None else h._parent)._mid_modes
+
+        live = model()
+        pilot = pilot_mlmc(live, 20, 5)
+        setup = prepare_control_variates(live, pilot, rank=2)
+        save_pilot_cache(tmp_path, live, pilot, setup, "key-1")
+        assert sorted(p.name for p in tmp_path.iterdir()) == cache_files(
+            live.n_levels, range(1, live.n_levels), MODE_FILES
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the KL modes were formed")
+
+        monkeypatch.setattr(models, "kl_decompose", forbidden)
+        back = model()
+        load_model_arrays(tmp_path, back, "key-1")
+        for m_live, m_back in zip(modes(live), modes(back), strict=True):
+            assert _same_bits(m_back, m_live)
+            assert m_back.flags.c_contiguous and m_live.flags.c_contiguous
+        xi = np.random.default_rng(6).standard_normal((7, live.input_dim))
+        for level in range(live.n_levels):
+            a, b = live.evaluate(level, xi), back.evaluate(level, xi)
+            assert _same_bits(b.q, a.q)
+            assert _same_bits(b.qoi, a.qoi)
+
+    def test_constant_coefficient_keeps_nothing(self, tmp_path, monkeypatch):
+        """A constant coefficient reads no modes, so neither the pilot nor a
+        loaded model forms them and the cache holds none."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the KL modes were formed")
+
+        monkeypatch.setattr(models, "kl_decompose", forbidden)
+        h = Diffusion1D(constant_coefficient=True, **DIFFUSION)
+        pilot = pilot_mlmc(h, 20, 5)
+        setup = prepare_control_variates(h, pilot, rank=2)
+        save_pilot_cache(tmp_path, h, pilot, setup, "key-1")
+        assert not list(tmp_path.glob("model_*"))
+        load_model_arrays(tmp_path, h, "key-1")
+
+    def test_key_mismatch_rejected(self, tmp_path, diffusion_out):
+        h = Diffusion1D(**DIFFUSION)
+        with pytest.raises(DataError, match="different configuration"):
+            load_model_arrays(diffusion_out / "cache", h, "key-2")

@@ -6,6 +6,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +85,12 @@ BASE_CACHE_FILES = sorted(
         for kind in ("coarse_basis", "fine_basis", "selected", "z")
     ]
     + ["meta.json"]
+)
+
+# a small diffusion model; its cache adds the midpoint modes of 3 levels
+DIFFUSION_MODEL = {"name": "diffusion_1d", "grids": [7, 15, 31], "n_modes": 4, "kl_grid_n": 65}
+DIFFUSION_CACHE_FILES = sorted(
+    BASE_CACHE_FILES + [f"model_mid_modes{ell}.npy" for ell in range(3)]
 )
 
 
@@ -472,6 +481,35 @@ class TestReproducibility:
         assert calls[0][0].name == "level0_qoi.npy"
         assert main(["estimate", path, "--seed", "8"]) == 2
 
+    def test_pilot_interrupted_at_model_array_leaves_no_usable_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """A pilot that dies while writing the model's arrays, after every
+        other array, leaves no loadable cache of either study."""
+        from mlcv import cache
+
+        path = write_config(
+            tmp_path, base_config(tmp_path / "out", model=DIFFUSION_MODEL, methods=["mlmc"])
+        )
+        assert main(["pilot", path, "--seed", "7"]) == 0
+        save, written = cache._save_array, []
+
+        def dies_on_model_array(target, a):
+            if target.name.startswith("model_"):
+                raise OSError("interrupted")
+            written.append(target.name)
+            save(target, a)
+
+        monkeypatch.setattr(cache, "_save_array", dies_on_model_array)
+        with pytest.raises(OSError):
+            main(["pilot", path, "--seed", "8"])
+        monkeypatch.undo()
+        assert sorted(written + ["meta.json"]) == BASE_CACHE_FILES
+        # the identity file goes last, so no key names the incomplete arrays
+        assert not (tmp_path / "out" / "cache" / "meta.json").exists()
+        for seed in ("8", "7"):
+            assert main(["estimate", path, "--seed", seed]) == 2
+
     def _old_layout_refused(self, tmp_path, capsys, schema, write_arrays):
         """Replace a fresh cache by an older schema's arrays and key: estimate
         and compare refuse it, and a new pilot leaves only its own files."""
@@ -524,6 +562,32 @@ class TestReproducibility:
                 np.save(cache_dir / f"level{ell}_qoi.npy", lv.qoi)
 
         self._old_layout_refused(tmp_path, capsys, 2, write_arrays)
+
+    def test_schema_3_cache_needs_new_pilot(self, tmp_path, capsys):
+        """A cache in the schema-3 layout (the control-variate setup, but
+        none of the model's kept arrays) is refused, and a new pilot leaves
+        only schema-4 files."""
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out, model=DIFFUSION_MODEL, methods=["mlmc"]))
+        assert main(["pilot", path]) == 0
+        cache_dir = out / "cache"
+        for kept in cache_dir.glob("model_*.npy"):
+            kept.unlink()
+        meta_path = cache_dir / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["schema"] = 3
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        for command in ("estimate", "compare"):
+            assert main([command, path]) == 2
+            assert (
+                "unsupported cache schema 3: re-run the pilot command"
+                in capsys.readouterr().err
+            )
+        assert main(["pilot", path]) == 0
+        assert sorted(p.name for p in cache_dir.iterdir()) == DIFFUSION_CACHE_FILES
+        assert json.loads(meta_path.read_text())["schema"] == 4
+        assert main(["estimate", path]) == 0
 
     def test_truncated_cache_meta_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -629,6 +693,72 @@ class TestSetupOnDemand:
         assert (out / "compare.csv").is_file()
         monkeypatch.undo()
         assert main(["estimate", path]) == 0
+
+    def test_estimate_forms_no_kl_modes(self, tmp_path, monkeypatch):
+        """Only the pilot solves the KL eigenproblem: every estimator adopts
+        the modes from the cache and reproduces a library run on a live
+        model."""
+        from mlcv import models
+
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out, model=DIFFUSION_MODEL, epsilon=[0.01]))
+        assert main(["pilot", path]) == 0
+        assert sorted(p.name for p in (out / "cache").iterdir()) == DIFFUSION_CACHE_FILES
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("estimate solved the KL eigenproblem")
+
+        monkeypatch.setattr(models, "kl_decompose", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        assert main(["estimate", path]) == 0
+        monkeypatch.undo()
+
+        cfg = normalize_config(json.loads(Path(path).read_text()))
+        live = build_hierarchy(cfg)
+        pilot = pilot_mlmc(live, cfg["n_pilot"], cfg["master_seed"])
+        setup = prepare_control_variates(
+            live, pilot, rank=cfg["rank"], tol=cfg["id_tol"], s2=cfg["s2"]
+        )
+        results = {
+            "mc": run_mc(live, 0.01, pilot),
+            "mlmc": run_mlmc(live, allocate_mlmc(pilot.stats, 0.01), pilot),
+            "mlcv": run_mlcv(
+                live, allocate_mlcv(pilot.stats, setup.configs, 0.01), pilot, setup
+            ),
+        }
+        for method, result in results.items():
+            report = read_report(out, method, "0.01")
+            assert report["estimate"] == result.estimate
+            assert report["total_cost"] == result.total_cost
+
+    def test_estimate_and_compare_import_no_scipy_linalg(self, tmp_path):
+        """Only the pilot's ID coefficients use scipy.linalg, so importing the
+        CLI, and running estimate and compare, leave it unloaded."""
+        import mlcv
+
+        path = write_config(tmp_path, base_config(tmp_path / "out", epsilon=[0.1]))
+        assert main(["pilot", path]) == 0
+        code = (
+            "import sys\n"
+            "from mlcv.cli import main\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy.linalg'))\n"
+            "print(loaded())\n"
+            f"assert main(['estimate', {path!r}]) == 0\n"
+            f"assert main(['compare', {path!r}]) == 0\n"
+            "print(loaded())\n"
+        )
+        src = str(Path(mlcv.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        printed = proc.stdout.splitlines()
+        assert [line for line in printed if line.startswith("[")] == ["[]", "[]"]
 
 
 class TestMethodSelection:

@@ -549,7 +549,7 @@ class TestDiffusion1D:
         forced = Diffusion1D(**params)
         forced_modes = forced._mid_modes
         lazy = Diffusion1D(**params)
-        assert "_mid_modes" not in vars(lazy)
+        assert lazy._modes is None
         xi = draw_inputs(10, PURPOSE_PILOT, 0, 0, 50, lazy.input_dim)
         for level in (2, 0, 1):
             a, b = lazy.evaluate(level, xi), forced.evaluate(level, xi)
