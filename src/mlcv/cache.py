@@ -1,7 +1,7 @@
 """Deterministic on-disk persistence for pilot runs and their
 control-variate setup.
 
-A pilot cache (schema 4) holds the study's sufficient state, so only the
+A pilot cache (schema 5) holds the study's sufficient state, so only the
 pilot command derives anything.  Per level it holds the quantities of
 interest ``level{l}_qoi.npy`` at the shared pilot inputs; per correction
 level with a reduced basis, the sorted selected pilot indices
@@ -15,10 +15,11 @@ command solves the KL eigenproblem); and ``meta.json`` with the schema, the
 identity key and each level's ``rank``, ``rho2``, ``multiplier`` and
 ``theta`` (JSON numbers, which round-trip float64 exactly).  Output
 snapshots are not stored: only the basis selection reads them, and it runs
-in the pilot command.  A cache of schema 1, 2 or 3 (the last lacks the
-model's arrays) is refused.  Arrays are stored as individual ``.npy`` files
-(their bytes depend only on shape, dtype, and contents, never on
-timestamps), metadata as canonical JSON with sorted keys, so re-saving
+in the pilot command.  A cache of schema 1, 2, 3 or 4 is refused: schema 3
+lacks the model's arrays, and schema 4 holds pilot values drawn from an
+earlier definition of the input streams.  Arrays are stored as individual
+``.npy`` files (their bytes depend only on shape, dtype, and contents, never
+on timestamps), metadata as canonical JSON with sorted keys, so re-saving
 identical data rewrites identical bytes.  Caches are keyed by a hash of the
 pilot-scoped configuration; a mismatch means the cached artifacts belong to
 a different study and must be rebuilt.  The metadata file is removed before
@@ -42,7 +43,7 @@ from .linalg import LeastSquaresOperator
 from .mlmc import PilotRun, _build_pilot
 from .models import LevelHierarchy
 
-CACHE_SCHEMA = 4
+CACHE_SCHEMA = 5
 
 _META = "meta.json"
 

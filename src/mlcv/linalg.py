@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError
 
-# Above this condition number of R11 the triangular solve for the
+# Above this condition number of R11 the direct solve for the
 # coefficient matrix is replaced by a truncated-SVD minimum-norm solve.
 _COND_LIMIT = 1e10
 
@@ -163,7 +163,7 @@ def pivoted_qr(u, *, rank: int | None = None, tol: float | None = None) -> Pivot
 def solve_T(r11: np.ndarray, r12: np.ndarray) -> np.ndarray:
     """Solve R11 T = R12 for the interpolation coefficients.
 
-    Uses back-substitution while R11 is comfortably conditioned and falls
+    Uses a direct solve while R11 is comfortably conditioned and falls
     back to the minimum-Frobenius-norm solution via a truncated SVD when it
     is not, so near-duplicate selected columns degrade gracefully instead of
     blowing up the coefficients.
@@ -182,11 +182,7 @@ def solve_T(r11: np.ndarray, r12: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         cond = np.linalg.cond(r11)
     if np.isfinite(cond) and cond < _COND_LIMIT:
-        # imported here: only the pilot command solves, so estimate and
-        # compare never load scipy.linalg
-        import scipy.linalg
-
-        return scipy.linalg.solve_triangular(r11, r12, lower=False)
+        return np.linalg.solve(r11, r12)
     return np.linalg.pinv(r11, rcond=_RCOND) @ r12
 
 

@@ -496,7 +496,7 @@ def pair_counts(level: int, n: int, aux: int = 0) -> LevelEvalCounts:
 # in the millions keep bounded memory.  Per-sample stream addressing makes the
 # drawn inputs independent of the batch split, but model outputs are not: they
 # depend on batch width in the last bits (a 65,536-row batch and its prefixes
-# differ by up to 3.6e-15 in ``SyntheticLowRank`` outputs and 8.3e-11 in
+# differ by up to 1.6e-14 in ``SyntheticLowRank`` outputs and 8.7e-11 in
 # ``sample_z``; see ``LevelHierarchy``).  The batch boundaries, like the
 # reduction order they fix, are therefore part of the result.  Each batch is
 # evaluated once, at the width of the longest run, and a shorter run reduces

@@ -204,18 +204,19 @@ class LevelHierarchy(abc.ABC):
     Outputs may depend on the number of input rows in their last bits,
     because BLAS picks its kernel by matrix shape: evaluating a 65,536-row
     batch and slicing the result differs from evaluating the prefix alone.
-    Measured on the ``wide_pilot`` benchmark model, ``SyntheticLowRank``
-    quantities of interest (about 20 in size) differed by up to 3.6e-15 and
-    the surrogate corrections of ``control_variates.sample_z`` by up to
-    8.3e-11.  ``Diffusion1D`` solves in pieces of at least two rows, because
-    a one-row coefficient product takes BLAS's matrix-vector path and a
-    one-column node sum is added pairwise: on the ``fine_mc`` grids, over
-    4,096 rows, its outputs showed no difference for prefixes of two rows or
-    more, but a one-row batch differed from the same row evaluated in a
-    wider batch by up to 5.3e-15 relative in ``q`` at m = 255 (1.1e-15 for
-    ``flux_at_left``).  The estimators therefore fix the batch boundaries
-    (``mlmc._BATCH``) and evaluate each batch once, at the width of the
-    longest run that walks it; a shorter run reduces a prefix of its values.
+    Measured on the ``wide_pilot`` benchmark model against eight prefixes
+    (1 to 65,535 rows), ``SyntheticLowRank`` quantities of interest (about 20
+    in size) differed by up to 1.6e-14 and the surrogate corrections of
+    ``control_variates.sample_z`` by up to 8.7e-11.  ``Diffusion1D`` solves
+    in pieces of at least two rows, because a one-row coefficient product
+    takes BLAS's matrix-vector path and a one-column node sum is added
+    pairwise: on the ``fine_mc`` grids, over 4,096 rows, its outputs showed
+    no difference for prefixes of two rows or more, but a one-row batch
+    differed from the same row evaluated in a wider batch by up to 6.3e-15
+    relative in ``q`` at m = 255 (1.4e-15 for ``flux_at_left``).  The
+    estimators therefore fix the batch boundaries (``mlmc._BATCH``) and
+    evaluate each batch once, at the width of the longest run that walks it;
+    a shorter run reduces a prefix of its values.
     """
 
     input_dim: int

@@ -26,6 +26,7 @@ from mlcv import (
     run_mlcv,
     run_mlmc,
 )
+from mlcv.cache import CACHE_SCHEMA
 from mlcv.cli import build_hierarchy, main, normalize_config
 
 
@@ -566,7 +567,7 @@ class TestReproducibility:
     def test_schema_3_cache_needs_new_pilot(self, tmp_path, capsys):
         """A cache in the schema-3 layout (the control-variate setup, but
         none of the model's kept arrays) is refused, and a new pilot leaves
-        only schema-4 files."""
+        only current-schema files."""
         out = tmp_path / "out"
         path = write_config(tmp_path, base_config(out, model=DIFFUSION_MODEL, methods=["mlmc"]))
         assert main(["pilot", path]) == 0
@@ -586,7 +587,30 @@ class TestReproducibility:
             )
         assert main(["pilot", path]) == 0
         assert sorted(p.name for p in cache_dir.iterdir()) == DIFFUSION_CACHE_FILES
-        assert json.loads(meta_path.read_text())["schema"] == 4
+        assert json.loads(meta_path.read_text())["schema"] == CACHE_SCHEMA
+        assert main(["estimate", path]) == 0
+
+    def test_schema_4_cache_needs_new_pilot(self, tmp_path, capsys):
+        """A cache in the schema-4 layout (the current files, but pilot
+        values drawn from the earlier input streams) is refused, and a new
+        pilot writes schema 5."""
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out, methods=["mlmc"]))
+        assert main(["pilot", path]) == 0
+        meta_path = out / "cache" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["schema"] = 4
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        for command in ("estimate", "compare"):
+            assert main([command, path]) == 2
+            assert (
+                "unsupported cache schema 4: re-run the pilot command"
+                in capsys.readouterr().err
+            )
+        assert main(["pilot", path]) == 0
+        assert sorted(p.name for p in (out / "cache").iterdir()) == BASE_CACHE_FILES
+        assert json.loads(meta_path.read_text())["schema"] == 5
         assert main(["estimate", path]) == 0
 
     def test_truncated_cache_meta_exits_2(self, tmp_path, capsys):
@@ -732,18 +756,18 @@ class TestSetupOnDemand:
             assert report["total_cost"] == result.total_cost
 
     def test_estimate_and_compare_import_no_scipy_linalg(self, tmp_path):
-        """Only the pilot's ID coefficients use scipy.linalg, so importing the
-        CLI, and running estimate and compare, leave it unloaded."""
+        """The package needs numpy alone, so importing the CLI, and running
+        pilot, estimate and compare, load no scipy module at all."""
         import mlcv
 
         path = write_config(tmp_path, base_config(tmp_path / "out", epsilon=[0.1]))
-        assert main(["pilot", path]) == 0
         code = (
             "import sys\n"
             "from mlcv.cli import main\n"
             "def loaded():\n"
-            "    return sorted(m for m in sys.modules if m.startswith('scipy.linalg'))\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "print(loaded())\n"
+            f"assert main(['pilot', {path!r}]) == 0\n"
             f"assert main(['estimate', {path!r}]) == 0\n"
             f"assert main(['compare', {path!r}]) == 0\n"
             "print(loaded())\n"

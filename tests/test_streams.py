@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from mlcv import (
     PURPOSE_MAIN_Y,
@@ -20,47 +20,39 @@ from mlcv import (
     ConfigError,
     draw_inputs,
 )
-from mlcv import streams
 
 # The stream layout, restated here so a change to it fails a test: purpose
-# codes in the spawn key and samples per keyed block.
+# codes in the spawn key and samples per block.
 _PURPOSE_CODES = {PURPOSE_PILOT: 0, PURPOSE_MAIN_Y: 1, PURPOSE_ZBAR: 2, PURPOSE_ORACLE: 3}
 _BLOCK = 1024
 
 
+def _block_draws(seed, purpose, level, block, dim):
+    """Block ``block`` of the (seed, purpose, level) stream, built from
+    numpy primitives: a Philox generator on the stream's key with the block
+    index in its counter, and a (_BLOCK, dim) standard normal matrix."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(_PURPOSE_CODES[purpose], level))
+    key = seq.generate_state(2, np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, 0]))
+    return gen.standard_normal((_BLOCK, dim))
+
+
 def _reference_rows(seed, purpose, level, start, count, dim):
-    """Rows start..start+count-1 built from numpy primitives one by one: a
-    Philox generator per (seed, purpose, level, block) key, 53-bit integers,
-    midpoint uniforms and the normal quantile of each column."""
-    rows = []
-    for index in range(start, start + count):
-        block, offset = divmod(index, _BLOCK)
-        seq = np.random.SeedSequence(
-            entropy=seed, spawn_key=(_PURPOSE_CODES[purpose], level, block)
-        )
-        gen = np.random.Generator(np.random.Philox(seq))
-        raw = gen.integers(0, 1 << 53, size=(_BLOCK, dim), dtype=np.uint64)
-        u = (raw[offset].astype(np.float64) + 0.5) / float(1 << 53)
-        rows.append([ndtri(u[j]) for j in range(dim)])
+    """Rows start..start+count-1 built one by one, each from its own fresh
+    block generator."""
+    rows = [
+        _block_draws(seed, purpose, level, index // _BLOCK, dim)[index % _BLOCK]
+        for index in range(start, start + count)
+    ]
     return np.array(rows, dtype=np.float64).reshape(count, dim)
 
 
 def _reference_blocks(seed, purpose, level, start, count, dim):
-    """The same rows built one keyed block at a time: a Philox generator and
-    a (_BLOCK, dim) matrix of 53-bit integers per block, midpoint uniforms,
-    the clamp below 1 and the normal quantile."""
+    """The same rows built one block at a time and sliced."""
     first, stop = start // _BLOCK, -(-(start + count) // _BLOCK)
-    u = []
-    for block in range(first, stop):
-        seq = np.random.SeedSequence(
-            entropy=seed, spawn_key=(_PURPOSE_CODES[purpose], level, block)
-        )
-        gen = np.random.Generator(np.random.Philox(seq))
-        raw = gen.integers(0, 1 << 53, size=(_BLOCK, dim), dtype=np.uint64)
-        u.append((raw.astype(np.float64) + 0.5) / float(1 << 53))
+    blocks = [_block_draws(seed, purpose, level, block, dim) for block in range(first, stop)]
     offset = start - first * _BLOCK
-    u = np.vstack(u)[offset : offset + count]
-    return ndtri(np.minimum(u, np.nextafter(1.0, 0.0)))
+    return np.vstack(blocks)[offset : offset + count]
 
 
 def test_same_key_bitwise_identical():
@@ -108,28 +100,16 @@ def test_purposes_are_mutually_independent_streams():
 
 
 def test_uniform_values_strictly_inside_bounds():
-    """The uniforms behind the draws lie strictly inside (0, 1)."""
+    """The normal CDF of the draws lies strictly inside (0, 1)."""
     u = ndtr(draw_inputs(0, PURPOSE_PILOT, 0, 0, 5000, 1)[:, 0])
     assert u.min() > 0.0
     assert u.max() < 1.0
 
 
-def test_uniform_of_one_gives_finite_draw(monkeypatch):
-    """The midpoint map rounds the largest 53-bit integer up to exactly 1.0,
-    whose normal quantile is inf; the draw is clamped to the largest double
-    below 1 instead."""
-    assert (float(2**53 - 1) + 0.5) * 2.0**-53 == 1.0
-    monkeypatch.setattr(streams, "_uniforms", lambda *key: np.ones((key[-2], key[-1])))
-    draws = draw_inputs(0, PURPOSE_PILOT, 0, 1000, 30, 2)
-    assert draws.shape == (30, 2)
-    assert np.all(np.isfinite(draws))
-    assert np.all(draws == ndtri(np.nextafter(1.0, 0.0)))
-
-
-def test_gaussian_is_inverse_cdf_of_uniform_stream():
-    """Draws equal, bit for bit, the normal quantile of the keyed uniform
-    stream rebuilt from numpy primitives, at several widths and at start
-    offsets on both sides of a block boundary."""
+def test_draws_equal_per_sample_reference():
+    """Draws equal, bit for bit, the stream rebuilt from numpy primitives
+    one sample at a time, at several widths and at start offsets on both
+    sides of a block boundary."""
     for dim in (1, 3, 16):
         for start, count in ((0, 5), (1000, 60), (2047, 3)):
             rows = draw_inputs(77, PURPOSE_ORACLE, 2, start, count, dim)
@@ -138,23 +118,9 @@ def test_gaussian_is_inverse_cdf_of_uniform_stream():
             assert rows.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-def test_block_keys_equal_seed_sequence_state(seed):
-    """The vectorized key derivation equals SeedSequence's for seeds, levels
-    and block indices of one and of two 32-bit words."""
-    blocks = [0, 1, 2**32 - 1, 2**32, 2**43]
-    for code in _PURPOSE_CODES.values():
-        for level in (0, 3, 2**32 + 1):
-            keys = streams._block_keys(seed, code, level, np.array(blocks, dtype=np.uint64))
-            assert keys.dtype == np.uint64 and keys.shape == (len(blocks), 2)
-            for block, key in zip(blocks, keys):
-                seq = np.random.SeedSequence(entropy=seed, spawn_key=(code, level, block))
-                assert key.tobytes() == seq.generate_state(2, np.uint64).tobytes()
-
-
 def test_draw_across_block_two_to_the_32():
-    """One call whose blocks go from one-word to two-word indices, and the
-    last sample index that fits in 64 bits."""
+    """One call across block 2**32 at a level of two 32-bit words, and the
+    last sample index that fits in 64 bits (block 2**54 - 1)."""
     for start, count in ((2**32 * _BLOCK - 3, 7), (2**64 - 1, 1)):
         rows = draw_inputs(2**40 + 9, PURPOSE_ZBAR, 2**32 + 1, start, count, 2)
         ref = _reference_rows(2**40 + 9, PURPOSE_ZBAR, 2**32 + 1, start, count, 2)
@@ -163,7 +129,7 @@ def test_draw_across_block_two_to_the_32():
 
 def test_full_batch_equals_per_block_reference():
     """A 65,536-row draw cut by both ends of its range equals the stream
-    rebuilt one keyed block at a time."""
+    rebuilt one block at a time."""
     rows = draw_inputs(777, PURPOSE_MAIN_Y, 0, 1000, 65_536, 3)
     ref = _reference_blocks(777, PURPOSE_MAIN_Y, 0, 1000, 65_536, 3)
     assert rows.tobytes() == ref.tobytes()
@@ -197,6 +163,12 @@ def test_gaussian_moments():
     vals = draw_inputs(5, PURPOSE_PILOT, 0, 0, 100_000, 1)[:, 0]
     assert abs(vals.mean()) < 0.02
     assert abs(vals.var() - 1.0) < 0.02
+    # The kurtosis of 2**20 Gaussian draws has standard deviation
+    # sqrt(24 / 2**20) ~ 0.0048, so each column sits within about 5 of them.
+    x = draw_inputs(5, PURPOSE_MAIN_Y, 1, 0, 1 << 20, 3)
+    centred = x - x.mean(axis=0)
+    kurtosis = (centred**4).mean(axis=0) / (centred**2).mean(axis=0) ** 2
+    assert np.all(np.abs(kurtosis - 3.0) < 0.025)
 
 
 def test_mixed_layout_52_coordinates():
@@ -209,8 +181,8 @@ def test_mixed_layout_52_coordinates():
 
 
 def test_uniform_ks_statistic_below_critical():
-    """The uniforms behind 10^5 draws across distinct sample indices pass a
-    1% KS test."""
+    """The normal CDF of 10^5 draws across distinct sample indices passes a
+    1% KS test against the uniform law."""
     vals = ndtr(draw_inputs(2024, PURPOSE_MAIN_Y, 3, 0, 100_000, 1)[:, 0])
     stat = scipy_stats.kstest(vals, "uniform").statistic
     critical_1pct = 1.6276 / np.sqrt(vals.size)
