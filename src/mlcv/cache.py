@@ -1,7 +1,7 @@
 """Deterministic on-disk persistence for pilot runs and their
 control-variate setup.
 
-A pilot cache (schema 5) holds the study's sufficient state, so only the
+A pilot cache (schema 6) holds the study's sufficient state, so only the
 pilot command derives anything.  Per level it holds the quantities of
 interest ``level{l}_qoi.npy`` at the shared pilot inputs; per correction
 level with a reduced basis, the sorted selected pilot indices
@@ -15,14 +15,15 @@ command solves the KL eigenproblem); and ``meta.json`` with the schema, the
 identity key and each level's ``rank``, ``rho2``, ``multiplier`` and
 ``theta`` (JSON numbers, which round-trip float64 exactly).  Output
 snapshots are not stored: only the basis selection reads them, and it runs
-in the pilot command.  A cache of schema 1, 2, 3 or 4 is refused: schema 3
-lacks the model's arrays, and schema 4 holds pilot values drawn from an
-earlier definition of the input streams.  Arrays are stored as individual
-``.npy`` files (their bytes depend only on shape, dtype, and contents, never
-on timestamps), metadata as canonical JSON with sorted keys, so re-saving
-identical data rewrites identical bytes.  Caches are keyed by a hash of the
-pilot-scoped configuration; a mismatch means the cached artifacts belong to
-a different study and must be rebuilt.  The metadata file is removed before
+in the pilot command.  A cache of schema 1 to 5 is refused: schema 3 lacks
+the model's arrays, schema 4 holds pilot values drawn from an earlier
+definition of the input streams, and schema 5 holds pilot values solved with
+an earlier ``Diffusion1D`` coefficient product.  Arrays are stored as
+individual ``.npy`` files (their bytes depend only on shape, dtype, and
+contents, never on timestamps), metadata as canonical JSON with sorted
+keys, so re-saving identical data rewrites identical bytes.  Caches are
+keyed by a hash of the pilot-scoped configuration; a mismatch means the
+cached artifacts belong to a different study and must be rebuilt.  The metadata file is removed before
 and written after the arrays, so a save interrupted part-way leaves no
 loadable cache rather than a valid key over another study's arrays.
 """
@@ -43,7 +44,7 @@ from .linalg import LeastSquaresOperator
 from .mlmc import PilotRun, _build_pilot
 from .models import LevelHierarchy
 
-CACHE_SCHEMA = 5
+CACHE_SCHEMA = 6
 
 _META = "meta.json"
 
@@ -216,7 +217,9 @@ def load_pilot_cache(
 ) -> PilotRun:
     """Rebuild a PilotRun from the cached quantities of interest, checking
     the identity key and every array's float64 dtype and shape against the
-    pilot size.
+    pilot size, and hand the model the arrays it named in ``kept_shapes``,
+    each checked for float64 dtype, its shape and finite entries, so that
+    it derives none of them again.
 
     Corrections and statistics are recomputed from the arrays by the same
     builder the live pilot uses.  The loaded levels hold no output
@@ -229,6 +232,15 @@ def load_pilot_cache(
         (None, _load_array(cache_dir / f"level{ell}_qoi.npy", (n,)))
         for ell in range(hierarchy.n_levels)
     ]
+    kept = {}
+    for name, shape in hierarchy.kept_shapes().items():
+        path = _model_file(cache_dir, name)
+        kept[name] = _load_array(path, shape)
+        if not np.isfinite(kept[name]).all():
+            raise DataError(
+                f"cache file {path} holds non-finite values: re-run the pilot command"
+            )
+    hierarchy.adopt_kept(kept)
     return _build_pilot(hierarchy, meta["master_seed"], n, outputs)
 
 
@@ -278,21 +290,3 @@ def load_setup(cache_dir: Path, hierarchy: LevelHierarchy, pilot_key: str) -> CV
         )
         pilot_z.append(_load_array(cache_dir / f"{tag}_z.npy", (n,)))
     return CVSetup(configs=configs, bases=bases, pilot_z=pilot_z)
-
-
-def load_model_arrays(cache_dir: Path, hierarchy: LevelHierarchy, pilot_key: str) -> None:
-    """Hand the model the arrays it named in ``kept_shapes``, each checked
-    for float64 dtype, its shape and finite entries, so that it derives none
-    of them again."""
-    cache_dir = Path(cache_dir)
-    _study_meta(cache_dir, hierarchy, pilot_key)
-    arrays = {}
-    for name, shape in hierarchy.kept_shapes().items():
-        path = _model_file(cache_dir, name)
-        a = _load_array(path, shape)
-        if not np.isfinite(a).all():
-            raise DataError(
-                f"cache file {path} holds non-finite values: re-run the pilot command"
-            )
-        arrays[name] = a
-    hierarchy.adopt_kept(arrays)

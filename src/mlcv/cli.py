@@ -13,7 +13,8 @@ Three subcommands share one JSON config file:
                 estimator, and its control-variate variant per epsilon.
 
 Everything randomized is keyed by the master seed, so any command rerun with
-the same config and seed writes byte-identical files; costs are the declared
+the same config and seed, the same numpy, the same BLAS library and the same
+BLAS thread count writes byte-identical files; costs are the declared
 per-level unit costs, never wall-clock time.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -461,7 +462,6 @@ def _load_study(cfg: dict):
     key = cache.config_sha(pilot_key_payload(cfg))
     pilot = cache.load_pilot_cache(out_dir / "cache", hierarchy, key)
     setup = cache.load_setup(out_dir / "cache", hierarchy, key)
-    cache.load_model_arrays(out_dir / "cache", hierarchy, key)
     return out_dir, hierarchy, pilot, setup
 
 

@@ -207,16 +207,17 @@ class LevelHierarchy(abc.ABC):
     Measured on the ``wide_pilot`` benchmark model against eight prefixes
     (1 to 65,535 rows), ``SyntheticLowRank`` quantities of interest (about 20
     in size) differed by up to 1.6e-14 and the surrogate corrections of
-    ``control_variates.sample_z`` by up to 8.7e-11.  ``Diffusion1D`` solves
-    in pieces of at least two rows, because a one-row coefficient product
-    takes BLAS's matrix-vector path and a one-column node sum is added
-    pairwise: on the ``fine_mc`` grids, over 4,096 rows, its outputs showed
-    no difference for prefixes of two rows or more, but a one-row batch
-    differed from the same row evaluated in a wider batch by up to 6.3e-15
-    relative in ``q`` at m = 255 (1.4e-15 for ``flux_at_left``).  The
-    estimators therefore fix the batch boundaries (``mlmc._BATCH``) and
-    evaluate each batch once, at the width of the longest run that walks it;
-    a shorter run reduces a prefix of its values.
+    ``control_variates.sample_z`` by up to 8.7e-11.  ``Diffusion1D`` forms
+    each column block's coefficient in one node-major product, whose
+    trailing columns BLAS rounds by the block's width: on the ``fine_mc``
+    grids at m = 255, the 341-, 1,365-, 2,047- and 4,095-row prefixes of a
+    4,096-row batch differed from the same rows in the full batch by up to
+    5.8e-14 relative in an entry of ``q`` for ``integral_of_u`` and 3.2e-13
+    for ``flux_at_left`` (whose profile crosses zero), and by up to 7.3e-16
+    in the quantity of interest.  The estimators therefore fix the batch
+    boundaries (``mlmc._BATCH``) and evaluate each batch once, at the width
+    of the longest run that walks it; a shorter run reduces a prefix of its
+    values.
     """
 
     input_dim: int
@@ -446,32 +447,13 @@ class SyntheticLowRank(LevelHierarchy):
 # 1-D lognormal diffusion
 
 
-# Doubles per column block of Diffusion1D._solve (4 MB).  Each block's
-# node-major coefficient, turned into h / a in place, and its product with the
-# midpoint positions are this size, so the solve's working memory is a few
-# blocks beside its output, whatever the batch size.
+# Doubles per column block of Diffusion1D._solve (4 MB).  A block's
+# node-major coefficient (one product with the KL modes, turned into h / a in
+# place) and its product with the midpoint positions are this size, so the
+# solve's working memory is a few blocks beside its output, whatever the batch
+# size.  BLAS rounds a block's trailing columns by the block's width, so this
+# constant, like ``mlmc._BATCH``, is part of every Diffusion1D result.
 _BLOCK_DOUBLES = 1 << 19
-
-# Doubles per row slab of a block's coefficient (256 KB).  Each slab is formed
-# row-major, as one product with the KL modes, and copied into the node-major
-# block; a slab and its transposed copy (512 KB together) fit in a core's L2,
-# so the transpose does not go out to memory as a whole-block one would.
-_SLAB_DOUBLES = 1 << 15
-
-
-def _splits(n: int, width: int) -> list[tuple[int, int]]:
-    """Consecutive (start, stop) pieces covering 0..n, each ``width`` rows
-    (at least 2) but the last, which takes a one-row remainder into itself.
-
-    A one-row coefficient product takes BLAS's matrix-vector path, and a
-    one-column block's node sums are added pairwise instead of in node
-    order; both round differently from the same sample in a wider piece, so
-    no piece of a batch of two rows or more has one row.
-    """
-    starts = list(range(0, n, max(2, width)))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
 
 
 class Diffusion1D(LevelHierarchy):
@@ -484,12 +466,12 @@ class Diffusion1D(LevelHierarchy):
     midpoint coefficients.  The flux F_{i+1/2} = a_{i+1/2} (u_{i+1} - u_i) / h
     falls by h per cell, F_{i+1/2} = F_{1/2} - i h, so the system is solved
     in closed form: with w = h / a at the midpoints, u(0) = u(1) = 0 gives
-    F_{1/2} = sum(i h w) / sum(w), and u is the running sum of F w.  The
-    sums run node-major (one contiguous row of samples per step) over column
-    blocks of the batch.  Each block's coefficient is filled from row slabs
-    small enough to transpose in cache, so the solve's working memory is a
-    few blocks whatever the batch size.  A non-finite coefficient or
-    solution raises ``NumericalError`` naming its input row.
+    F_{1/2} = sum(i h w) / sum(w), and u is the running sum of F w.  Each
+    column block of the batch forms its coefficient node-major, in one
+    product with the modes, and runs its sums node-major too (one contiguous
+    row of samples per step), so the solve's working memory is a few blocks
+    whatever the batch size.  A non-finite coefficient or solution raises
+    ``NumericalError`` naming its input row.
 
     ``qoi="integral_of_u"`` returns q = interior solution values and Q =
     trapezoid integral of u.  ``qoi="flux_at_left"`` returns q = the
@@ -597,9 +579,10 @@ class Diffusion1D(LevelHierarchy):
             self._modes = [arrays[name] for name in self.kept_shapes()]
 
     def _coefficient(self, level: int, z: np.ndarray) -> np.ndarray:
+        """Node-major coefficient (m + 1, n) at the midpoints for inputs z."""
         if self.constant_coefficient:
-            return np.ones((z.shape[0], self._dofs[level] + 1))
-        g = z @ self._mid_modes[level].T
+            return np.ones((self._dofs[level] + 1, z.shape[0]))
+        g = self._mid_modes[level] @ z.T
         np.exp(g, out=g)
         g += self.mean_coefficient
         return g
@@ -609,15 +592,15 @@ class Diffusion1D(LevelHierarchy):
         n, m = z.shape[0], self._dofs[level]
         ih = (np.arange(m + 1) * h)[:, None]  # i h at midpoint i
         q = np.empty((self._output_dims[level], n))
-        for start, stop in _splits(n, _BLOCK_DOUBLES // (m + 1)):
-            a = np.empty((m + 1, stop - start))  # coefficient at the midpoints
-            for s0, s1 in _splits(stop - start, _SLAB_DOUBLES // (m + 1)):
-                a[:, s0:s1] = self._coefficient(level, z[start + s0 : start + s1]).T
+        width = max(1, _BLOCK_DOUBLES // (m + 1))
+        for start in range(0, n, width):
+            block = slice(start, start + width)
+            a = self._coefficient(level, z[block])
             finite = np.isfinite(a).all(axis=0)
             w = np.divide(h, a, out=a)
             # u(1) - u(0) = sum(F w) = 0 fixes F_{1/2}
             f_half = (ih * w).sum(axis=0) / w.sum(axis=0)
-            out = q[:, start:stop]
+            out = q[:, block]
             if self.qoi_kind == "flux_at_left":
                 np.subtract(ih, f_half, out=out)
             else:

@@ -17,7 +17,6 @@ from mlcv import (
     LevelSubset,
     canonical_json,
     config_sha,
-    load_model_arrays,
     load_pilot_cache,
     load_setup,
     models,
@@ -94,7 +93,7 @@ def diffusion_out(tmp_path_factory):
 
 
 def cache_files(n_levels, basis_levels, kept=()):
-    """The sorted file names of a schema-4 cache whose model keeps the
+    """The sorted file names of a cache whose model keeps the
     arrays ``kept`` (file names)."""
     names = [f"level{ell}_qoi.npy" for ell in range(n_levels)] + ["meta.json"] + list(kept)
     for ell in basis_levels:
@@ -419,7 +418,7 @@ class TestModelArrays:
 
         monkeypatch.setattr(models, "kl_decompose", forbidden)
         back = model()
-        load_model_arrays(tmp_path, back, "key-1")
+        load_pilot_cache(tmp_path, back, "key-1")
         for m_live, m_back in zip(modes(live), modes(back), strict=True):
             assert _same_bits(m_back, m_live)
             assert m_back.flags.c_contiguous and m_live.flags.c_contiguous
@@ -442,9 +441,9 @@ class TestModelArrays:
         setup = prepare_control_variates(h, pilot, rank=2)
         save_pilot_cache(tmp_path, h, pilot, setup, "key-1")
         assert not list(tmp_path.glob("model_*"))
-        load_model_arrays(tmp_path, h, "key-1")
+        load_pilot_cache(tmp_path, h, "key-1")
 
     def test_key_mismatch_rejected(self, tmp_path, diffusion_out):
         h = Diffusion1D(**DIFFUSION)
         with pytest.raises(DataError, match="different configuration"):
-            load_model_arrays(diffusion_out / "cache", h, "key-2")
+            load_pilot_cache(diffusion_out / "cache", h, "key-2")

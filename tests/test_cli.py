@@ -590,28 +590,40 @@ class TestReproducibility:
         assert json.loads(meta_path.read_text())["schema"] == CACHE_SCHEMA
         assert main(["estimate", path]) == 0
 
-    def test_schema_4_cache_needs_new_pilot(self, tmp_path, capsys):
-        """A cache in the schema-4 layout (the current files, but pilot
-        values drawn from the earlier input streams) is refused, and a new
-        pilot writes schema 5."""
+    def _current_files_refused(self, tmp_path, capsys, schema, **config):
+        """Relabel a fresh cache with an older schema whose files are the
+        current ones: estimate and compare refuse it, and a new pilot writes
+        the current schema."""
         out = tmp_path / "out"
-        path = write_config(tmp_path, base_config(out, methods=["mlmc"]))
+        path = write_config(tmp_path, base_config(out, methods=["mlmc"], **config))
         assert main(["pilot", path]) == 0
+        files = sorted(p.name for p in (out / "cache").iterdir())
         meta_path = out / "cache" / "meta.json"
         meta = json.loads(meta_path.read_text())
-        meta["schema"] = 4
+        meta["schema"] = schema
         meta_path.write_text(json.dumps(meta))
         capsys.readouterr()
         for command in ("estimate", "compare"):
             assert main([command, path]) == 2
             assert (
-                "unsupported cache schema 4: re-run the pilot command"
+                f"unsupported cache schema {schema}: re-run the pilot command"
                 in capsys.readouterr().err
             )
         assert main(["pilot", path]) == 0
-        assert sorted(p.name for p in (out / "cache").iterdir()) == BASE_CACHE_FILES
-        assert json.loads(meta_path.read_text())["schema"] == 5
+        assert sorted(p.name for p in (out / "cache").iterdir()) == files
+        assert json.loads(meta_path.read_text())["schema"] == CACHE_SCHEMA
         assert main(["estimate", path]) == 0
+
+    def test_schema_4_cache_needs_new_pilot(self, tmp_path, capsys):
+        """A cache in the schema-4 layout (the current files, but pilot
+        values drawn from the earlier input streams) is refused."""
+        self._current_files_refused(tmp_path, capsys, 4)
+
+    def test_schema_5_cache_needs_new_pilot(self, tmp_path, capsys):
+        """A cache in the schema-5 layout (the current files, but pilot
+        values solved with the earlier ``Diffusion1D`` coefficient product)
+        is refused."""
+        self._current_files_refused(tmp_path, capsys, 5, model=DIFFUSION_MODEL)
 
     def test_truncated_cache_meta_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

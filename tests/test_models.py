@@ -46,24 +46,10 @@ def _closed_form_reference(a, h, qoi):
     return list(itertools.accumulate((f_half - x) * v for x, v in zip(ih[:-1], w)))
 
 
-def _whole_batch_solve(h, level, xi):
-    """A Diffusion1D solve as one block: the whole batch's coefficient,
-    transposed to node-major, then the closed form's node sums."""
-    step = 1.0 / (h.dofs(level) + 1)
-    w = step / np.ascontiguousarray(h._coefficient(level, xi).T)
-    ih = (np.arange(w.shape[0]) * step)[:, None]
-    f_half = (ih * w).sum(axis=0) / w.sum(axis=0)
-    if h.qoi_kind == "integral_of_u":
-        q = np.cumsum((f_half - ih[:-1]) * w[:-1], axis=0)
-    else:
-        q = ih - f_half
-    return q, h.qoi(level, q)
-
-
 def _longdouble_solve(a, qoi):
-    """The closed form in extended precision for coefficients a (n, m + 1);
-    returns (q, Q) with q of shape (output_dim, n)."""
-    inv = 1 / np.asarray(a, dtype=np.longdouble).T
+    """The closed form in extended precision for node-major coefficients a
+    (m + 1, n); returns (q, Q) with q of shape (output_dim, n)."""
+    inv = 1 / np.asarray(a, dtype=np.longdouble)
     ih = (np.arange(inv.shape[0], dtype=np.longdouble) / inv.shape[0])[:, None]
     f_half = (ih * inv).sum(axis=0) / inv.sum(axis=0)
     if qoi == "flux_at_left":
@@ -71,19 +57,6 @@ def _longdouble_solve(a, qoi):
         return q, 1.5 * q[0] - 0.5 * q[1]
     q = np.cumsum((f_half - ih[:-1]) * inv[:-1], axis=0) / inv.shape[0]
     return q, q.sum(axis=0) / inv.shape[0]
-
-
-@pytest.mark.parametrize("width", range(5))
-def test_splits_cover_in_order_without_one_row_pieces(width):
-    assert models_module._splits(0, width) == []
-    for n in range(1, 40):
-        pieces = models_module._splits(n, width)
-        bounds = [0] + [stop for _, stop in pieces]
-        assert [start for start, _ in pieces] == bounds[:-1]
-        assert bounds[-1] == n
-        sizes = [stop - start for start, stop in pieces]
-        assert sizes == [1] if n == 1 else 2 <= min(sizes)
-        assert max(sizes) <= max(2, width) + 1
 
 
 class TestKernels:
@@ -334,7 +307,7 @@ class TestDiffusion1D:
         out = h.evaluate(1, xi)
         m = 19
         step = 1.0 / (m + 1)
-        a = h._coefficient(1, xi)
+        a = h._coefficient(1, xi).T  # per sample
         for j in range(5):
             mat = (
                 np.diag(a[j, :-1] + a[j, 1:])
@@ -361,7 +334,7 @@ class TestDiffusion1D:
             step = 1.0 / (h.dofs(level) + 1)
             a = h._coefficient(level, xi)
             for j in range(4):
-                q = _closed_form_reference(a[j].tolist(), step, qoi)
+                q = _closed_form_reference(a[:, j].tolist(), step, qoi)
                 if qoi == "integral_of_u":
                     # summed in node order, as the QoI sums down the rows of q
                     qoi_j = step * functools.reduce(operator.add, q)
@@ -405,21 +378,25 @@ class TestDiffusion1D:
 
     @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
     def test_column_blocks_do_not_change_bits(self, qoi, monkeypatch):
+        """A blocked solve is its blocks' solves side by side, bit for bit,
+        and each lies within 3e-14 relative of the closed form evaluated in
+        long double."""
         h = Diffusion1D(grids=(2, 5, 11), n_modes=4, kl_grid_n=65, qoi=qoi)
         for n in (1, 2, 3, 6, 11, 16):
             xi = draw_inputs(5, PURPOSE_PILOT, 0, 0, n, h.input_dim)
             for level in range(h.n_levels):
-                ref_q, ref_qoi = _whole_batch_solve(h, level, xi)
-                # blocks of 5 columns filled from slabs of 2 rows: 11 samples
-                # give blocks of 5 and 6 columns, and the block of 5 slabs of
-                # 2 and 3 rows, so both splits fold a one-row remainder
-                width = h.dofs(level) + 1
-                monkeypatch.setattr(models_module, "_BLOCK_DOUBLES", 5 * width)
-                monkeypatch.setattr(models_module, "_SLAB_DOUBLES", 2 * width)
+                # blocks of 5 columns: 1, 6, 11 and 16 samples end in a
+                # one-column block
+                monkeypatch.setattr(models_module, "_BLOCK_DOUBLES", 5 * (h.dofs(level) + 1))
                 out = h.evaluate(level, xi)
+                alone = [h.evaluate(level, xi[s : s + 5]) for s in range(0, n, 5)]
                 assert out.q.flags.c_contiguous
-                assert out.q.tobytes() == ref_q.tobytes(), (n, level)
-                assert out.qoi.tobytes() == ref_qoi.tobytes(), (n, level)
+                assert out.q.tobytes() == np.hstack([b.q for b in alone]).tobytes(), (n, level)
+                assert out.qoi.tobytes() == np.hstack([b.qoi for b in alone]).tobytes()
+                ref_q, ref_qoi = _longdouble_solve(h._coefficient(level, xi), qoi)
+                q_err = np.abs(out.q - ref_q).max(axis=0) / np.abs(ref_q).max(axis=0)
+                assert float(q_err.max()) < 3e-14, (n, level)
+                assert float(np.max(np.abs(out.qoi - ref_qoi) / np.abs(ref_qoi))) < 3e-14
 
     @pytest.mark.parametrize("n", [8192, 65536])
     @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
@@ -433,8 +410,8 @@ class TestDiffusion1D:
         finally:
             tracemalloc.stop()
         # one block's h / a and its product with the midpoint positions are
-        # live at once; the rest covers the slabs, the finiteness masks and
-        # the small temporaries
+        # live at once; the rest covers the finiteness masks and the small
+        # temporaries
         assert peak - out.q.nbytes - out.qoi.nbytes < 4 * models_module._BLOCK_DOUBLES * 8
 
     def test_non_finite_solve_names_row_of_later_block(self, monkeypatch):
@@ -450,6 +427,7 @@ class TestDiffusion1D:
         h = Diffusion1D(grids=(9, 19), n_modes=4, sigma2=1.5, kl_grid_n=65)
         xi = draw_inputs(4, PURPOSE_PILOT, 0, 0, 50, h.input_dim)
         a = h._coefficient(1, xi)
+        assert a.shape == (20, 50)
         assert np.all(a > 0.1)
 
     def test_coupled_at_zero_xi_is_deterministic_difference(self):
