@@ -405,10 +405,11 @@ def cmd_pilot(cfg: dict) -> int:
     plans = [block for block, _ in _plan_blocks(cfg, level_stats, setup)]
 
     out_dir = Path(cfg["out_dir"])
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        _fail("out_dir", f"cannot make directory {cfg['out_dir']!r}: a file is in the way")
+    for path in (out_dir, out_dir / "cache"):
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            _fail("out_dir", f"cannot make directory {str(path)!r}: a file is in the way")
     key = cache.config_sha(pilot_key_payload(cfg))
     cache.save_pilot_cache(out_dir / "cache", hierarchy, pilot, setup, key)
 
@@ -571,8 +572,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}") from exc
     if getattr(overrides, "seed", None) is not None:
         if not isinstance(raw, dict):
             raise ConfigError("config root: expected a JSON object")

@@ -14,7 +14,9 @@ and subtracted:
 with theta chosen from pilot moments.  The level variance drops by the
 factor 1 - rho^2 / (1 + Ntilde/Nprime), which is what the allocation uses.
 The estimator is the multilevel one of ``mlmc`` with W in place of Y on the
-enabled levels; with no level enabled it is plain MLMC, bit for bit.
+enabled levels; with no level enabled it is plain MLMC, bit for bit.  Since
+theta Zbar is one constant per level and plan, the samples reduced are
+Y - theta Z, and theta Zbar is added once to the level mean.
 """
 
 from __future__ import annotations
@@ -317,22 +319,16 @@ def allocate_mlcv(
     return AllocationPlan(n_samples=counts, n_prime=n_prime)
 
 
-def _coupled_yz(hierarchy: LevelHierarchy, basis: ReducedBasisPair):
-    """Per-batch map from inputs to the level's correction Y and surrogate
-    correction Z."""
+def _controlled_correction(hierarchy: LevelHierarchy, basis: ReducedBasisPair, theta: float):
+    """Per-batch map from inputs to the level's Y - theta Z, the controlled
+    correction without its constant theta Zbar."""
 
-    def yz(xi):
+    def w(xi):
         fine = hierarchy.evaluate(basis.level, xi)
         coarse = hierarchy.evaluate(basis.level - 1, xi)
-        return fine.qoi - coarse.qoi, sample_z(hierarchy, basis, coarse.q, coarse.qoi)
+        return fine.qoi - coarse.qoi - theta * sample_z(hierarchy, basis, coarse.q, coarse.qoi)
 
-    return yz
-
-
-def _controlled(theta: float, zbar: float):
-    """Map from a batch's (Y, Z) to controlled corrections
-    W = Y - theta (Z - Zbar)."""
-    return lambda yz: yz[0] - theta * (yz[1] - zbar)
+    return w
 
 
 def run_mlcv(
@@ -347,12 +343,13 @@ def run_mlcv(
     Per enabled level: the auxiliary means Zbar, one per plan, come first
     from its own stream (coarse solves only); the coupled samples then
     replay the pilot pairs not consumed by the basis and top up from the
-    level's main stream.  Disabled levels (including level 0) are plain MLMC
-    levels, replaying all pilot samples.  Each stream is walked once for all
-    plans; at each level only the plan with the largest count is sure to
-    match its lone run bit for bit (see ``mlmc._BATCH``).  A sequence of
-    plans gives a list of results in the same order; a single plan gives
-    its one result.
+    level's main stream.  These samples are Y - theta Z, the same for every
+    plan, and each plan's level mean is their mean plus theta Zbar.
+    Disabled levels (including level 0) are plain MLMC levels, replaying
+    all pilot samples.  Each stream is walked once for all plans; at each
+    level only the plan with the largest count is sure to match its lone
+    run bit for bit (see ``mlmc._BATCH``).  A sequence of plans gives a
+    list of results in the same order; a single plan gives its one result.
     """
     plans, single = _one_or_many(plans)
     n_levels = hierarchy.n_levels
@@ -369,13 +366,11 @@ def run_mlcv(
         n_primes = [plan.n_prime[ell] for plan in plans]
         zbars = estimate_zbar(hierarchy, basis, n_primes, pilot.master_seed)
         keep = np.delete(np.arange(pilot.n_pilot), basis.selected_pilot_indices)
-        y, z = pilot.levels[ell].y[keep], setup.pilot_z[ell][keep]
         controls[ell] = (
-            _coupled_yz(hierarchy, basis),
-            [
-                (_controlled(cfg.theta, zbar), y - cfg.theta * (z - zbar), n_prime, zbar)
-                for n_prime, zbar in zip(n_primes, zbars)
-            ],
+            _controlled_correction(hierarchy, basis, cfg.theta),
+            (pilot.levels[ell].y - cfg.theta * setup.pilot_z[ell])[keep],
+            cfg.theta,
+            list(zip(n_primes, zbars)),
             cfg.mse_factor,
         )
     results = _telescope(hierarchy, plans, pilot, controls)

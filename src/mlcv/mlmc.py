@@ -521,34 +521,34 @@ def _stream_moments(
     level: int,
     counts,
     values_of,
-    replays=(),
-    finishes=(),
+    replay=None,
 ) -> list[stats.RunningMoments]:
-    """Moments of one run per count ``n`` in ``counts``, each over stream
-    indices 0..n-1 of the (seed, purpose, level) stream.
+    """Moments of one run per count ``n`` in ``counts``: the first ``n``
+    samples of ``replay``, if given, and then as many fresh samples as the
+    replay lacks, stream indices 0, 1, ... of the (seed, purpose, level)
+    stream mapped by ``values_of``.
 
     The stream is walked once, in ``_BATCH`` slices, up to the largest
-    count.  Each slice is drawn and mapped by ``values_of`` once, and every
-    run that reaches into it reduces its prefix of those values (see
-    ``_BATCH``).  Run ``k`` first reduces its replayed samples
-    ``replays[k]``, if given, and then ``finishes[k](values)`` in place of
-    ``values`` when ``finishes`` is given (a finish is elementwise, so it
-    commutes with taking the prefix).
+    fresh count.  Each slice is drawn and mapped once, and every run that
+    reaches into it reduces its prefix of those values (see ``_BATCH``).
     """
-    runs = [stats.RunningMoments() for _ in counts]
-    for moments, replay in zip(runs, replays):
-        if replay.size:
-            moments.update(replay)
-    finishes = finishes or [None] * len(runs)
-    n_max = max(counts, default=0)
+    runs, fresh = [], []
+    for n in counts:
+        moments = stats.RunningMoments()
+        head = replay[:n] if replay is not None else ()
+        if len(head):
+            moments.update(head)
+        runs.append(moments)
+        fresh.append(n - len(head))
+    n_max = max(fresh, default=0)
     for start in range(0, n_max, _BATCH):
         b = min(_BATCH, n_max - start)
         full = values_of(
             draw_inputs(master_seed, purpose, level, start, b, hierarchy.input_dim)
         )
-        for moments, n, finish in zip(runs, counts, finishes):
-            if n > start:
-                moments.update((full if finish is None else finish(full))[: n - start])
+        for moments, f in zip(runs, fresh):
+            if f > start:
+                moments.update(full[: f - start])
         # freed before the next draw, so memory is reused as with one run
         del full
     return runs
@@ -575,14 +575,16 @@ def _telescope(
     """The multilevel estimator, one result per plan in ``plans``: the sum
     over levels of mean corrections.
 
-    Each level reduces the first ``n`` replayed pilot samples, then fresh
+    Each level reduces the first ``n`` samples of its replay, then fresh
     draws from its main stream; the stream is walked once for all plans.
-    ``controls`` maps a level to ``(values_of, runs, mse_factor)``: the
-    per-batch map of its controlled level, one ``(finish, replay, n_prime,
-    zbar)`` per plan (the map from batch values to controlled corrections,
-    their pilot replay, and the auxiliary coarse solves behind ``zbar``),
-    and the factor shrinking its variance term.  A level without an entry
-    replays its pilot Y and samples ``_correction``, so with no controls
+    ``controls`` maps a controlled level to ``(values_of, replay, theta,
+    aux, mse_factor)``: the per-batch map to Y - theta Z, its pilot replay,
+    the control-variate weight, one ``(n_prime, zbar)`` per plan (the
+    auxiliary coarse solves and the mean they give), and the factor
+    shrinking the level's variance term.  The level mean of plan k is
+    mean(Y - theta Z) + theta zbar_k, which is mean(Y - theta (Z - zbar_k))
+    with the constant added once.  A level without an entry replays its
+    pilot Y and samples ``_correction`` with theta 0, so with no controls
     this is plain MLMC.  Logged counts include the pilot solves.
     """
     n_levels = hierarchy.n_levels
@@ -598,37 +600,33 @@ def _telescope(
         for ell, n in enumerate(plan.n_samples):
             if n < 1:
                 raise ConfigError(f"plan requests {n} samples at level {ell}")
-    # per plan, one (moments, counts, zbar, error term) per level
+    # per plan, one (mean, variance, counts, zbar, error term) per level
     levels = [[] for _ in plans]
     for ell in range(n_levels):
         ns = [plan.n_samples[ell] for plan in plans]
-        values_of, runs, mse_factor = controls.get(
+        values_of, replay, theta, aux, mse_factor = controls.get(
             ell,
-            (_correction(hierarchy, ell), [(None, pilot.levels[ell].y, 0, 0.0)] * len(ns), 1.0),
+            (_correction(hierarchy, ell), pilot.levels[ell].y, 0.0, [(0, 0.0)] * len(ns), 1.0),
         )
-        finishes, replays, n_primes, zbars = zip(*runs)
-        replays = [replay[:n] for replay, n in zip(replays, ns)]
-        fresh = [n - replay.size for replay, n in zip(replays, ns)]
         moments = _stream_moments(
-            hierarchy, pilot.master_seed, PURPOSE_MAIN_Y, ell, fresh, values_of,
-            replays, finishes,
+            hierarchy, pilot.master_seed, PURPOSE_MAIN_Y, ell, ns, values_of, replay
         )
-        for row, m, f, n, n_prime, zbar in zip(levels, moments, fresh, ns, n_primes, zbars):
-            counts = pair_counts(ell, pilot.n_pilot + f, n_prime)
-            row.append((m, counts, zbar, (pilot.stats[ell].var_y / n) * mse_factor))
+        for row, m, n, (n_prime, zbar) in zip(levels, moments, ns, aux):
+            counts = pair_counts(ell, pilot.n_pilot + max(0, n - replay.size), n_prime)
+            error = (pilot.stats[ell].var_y / n) * mse_factor
+            row.append((m.mean + theta * zbar, m.variance, counts, zbar, error))
     results = []
     for plan, row in zip(plans, levels):
-        moments, counts, zbars, error_terms = zip(*row)
-        level_means = [m.mean for m in moments]
+        level_means, variances, counts, zbars, error_terms = zip(*row)
         results.append(
             EstimatorResult(
                 estimate=float(sum(level_means)),
-                level_estimates=tuple(level_means),
+                level_estimates=level_means,
                 n_samples=plan.n_samples,
                 sampling_error=float(sum(error_terms)),
                 total_cost=counted_cost(counts, pilot.stats),
                 eval_counts=counts,
-                sample_variances=tuple(m.variance for m in moments),
+                sample_variances=variances,
                 zbar_values=zbars,
             )
         )

@@ -223,6 +223,15 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["pilot", str(path)]) == 2
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes('{"schema": 1}'.encode("utf-16"))
+        assert path.read_bytes()[:2] == b"\xff\xfe"
+        assert main(["pilot", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file is not valid UTF-8 JSON")
+        assert "Traceback" not in err
+
     def test_invalid_config(self, tmp_path):
         path = write_config(tmp_path, {"schema": 1})
         assert main(["pilot", path]) == 2
@@ -327,6 +336,18 @@ class TestExitCodes:
         assert "out_dir" in err and str(out) in err
         assert "Traceback" not in err
         assert blocker.read_text() == "not a directory\n"
+
+    def test_cache_dir_blocked_by_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "cache").write_text("not a directory\n")
+        assert main(["pilot", write_config(tmp_path, base_config(out))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field out_dir:")
+        assert str(out / "cache") in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["cache"]
+        assert (out / "cache").read_text() == "not a directory\n"
 
 
 @pytest.fixture(scope="module")

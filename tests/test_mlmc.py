@@ -540,29 +540,25 @@ _PLAN_FIELDS = ("n_samples", "sampling_error", "total_cost", "eval_counts")
 
 def _sliced_moments(h, seed, purpose, level, runs, values_of, batch):
     """The one-pass rule by hand: each batch of the longest run is drawn and
-    evaluated once, at full width, and run ``(n, replay, finish)`` reduces
-    its replayed samples and then ``finish(values, k)``, its first ``k``
-    values, of every batch it reaches."""
-    n_max = max(n for n, _, _ in runs)
+    evaluated once, at full width, and run ``(n, replay)`` reduces its
+    replayed samples and then its first ``n`` fresh values, a prefix of
+    every batch it reaches."""
+    n_max = max(n for n, _ in runs)
     starts = range(0, n_max, batch)
     batches = [
         values_of(draw_inputs(seed, purpose, level, s, min(batch, n_max - s), h.input_dim))
         for s in starts
     ]
     out = []
-    for n, replay, finish in runs:
+    for n, replay in runs:
         m = RunningMoments()
         if replay.size:
             m.update(replay)
         for s, values in zip(starts, batches):
             if n > s:
-                m.update(finish(values, n - s))
+                m.update(values[: n - s])
         out.append(m)
     return out
-
-
-def _prefix(values, k):
-    return values[:k]
 
 
 def _correction_of(h, level):
@@ -654,7 +650,7 @@ class TestOnePassOverPlans:
             runs = []
             for plan in plans:
                 replay = pilot.levels[ell].y[: plan.n_samples[ell]]
-                runs.append((plan.n_samples[ell] - replay.size, replay, _prefix))
+                runs.append((plan.n_samples[ell] - replay.size, replay))
             hand = _sliced_moments(
                 h, pilot.master_seed, PURPOSE_MAIN_Y, ell, runs, _correction_of(h, ell), self.BATCH
             )
@@ -676,24 +672,22 @@ class TestOnePassOverPlans:
             zbars = [r.zbar_values[ell] for r in joint]
             assert zbars == estimate_zbar(h, basis, [p.n_prime[ell] for p in plans], seed)
             keep = np.delete(np.arange(pilot.n_pilot), basis.selected_pilot_indices)
-            y, z = pilot.levels[ell].y[keep], setup.pilot_z[ell][keep]
+            replay = (pilot.levels[ell].y - cfg.theta * setup.pilot_z[ell])[keep]
 
-            def yz(xi):
+            def w(xi):
                 fine, coarse = h.evaluate(ell, xi), h.evaluate(ell - 1, xi)
-                return fine.qoi - coarse.qoi, sample_z(h, basis, coarse.q, coarse.qoi)
+                return fine.qoi - coarse.qoi - cfg.theta * sample_z(h, basis, coarse.q, coarse.qoi)
 
             runs = []
-            for plan, zbar in zip(plans, zbars):
-                n = plan.n_samples[ell]
-                replay = (y - cfg.theta * (z - zbar))[:n]
-
-                def finish(values, k, zbar=zbar):
-                    return values[0][:k] - cfg.theta * (values[1][:k] - zbar)
-
-                runs.append((n - replay.size, replay, finish))
-            hand = _sliced_moments(h, seed, PURPOSE_MAIN_Y, ell, runs, yz, self.BATCH)
-            for result, m in zip(joint, hand):
-                _assert_moments(result.level_estimates[ell], result.sample_variances[ell], m)
+            for plan in plans:
+                head = replay[: plan.n_samples[ell]]
+                runs.append((plan.n_samples[ell] - head.size, head))
+            hand = _sliced_moments(h, seed, PURPOSE_MAIN_Y, ell, runs, w, self.BATCH)
+            # theta Zbar is added once, to the mean of Y - theta Z
+            for result, m, zbar in zip(joint, hand, zbars):
+                assert repr((result.level_estimates[ell], result.sample_variances[ell])) == repr(
+                    (m.mean + cfg.theta * zbar, m.variance)
+                )
 
     def test_estimate_zbar(self, study, small_batches):
         h, pilot = study
@@ -707,7 +701,7 @@ class TestOnePassOverPlans:
             coarse = h.evaluate(0, xi)
             return sample_z(h, basis, coarse.q, coarse.qoi)
 
-        runs = [(n, np.empty(0), _prefix) for n in counts]
+        runs = [(n, np.empty(0)) for n in counts]
         hand = _sliced_moments(h, 9, PURPOSE_ZBAR, 1, runs, z, self.BATCH)
         assert repr(joint) == repr([m.mean for m in hand])
 
@@ -723,7 +717,7 @@ class TestOnePassOverPlans:
             _assert_same_result(result, run_mc(h, eps, pilot), _PLAN_FIELDS)
         _assert_same_result(joint[-1], run_mc(h, epsilons[-1], pilot))
         finest = h.finest_level
-        runs = [(n, np.empty(0), _prefix) for n in counts]
+        runs = [(n, np.empty(0)) for n in counts]
         hand = _sliced_moments(
             h, pilot.master_seed, PURPOSE_MAIN_Y, finest, runs,
             lambda xi: h.evaluate(finest, xi).qoi, self.BATCH,
@@ -775,6 +769,74 @@ class TestOnePassOverPlans:
             run_mc(synthetic, [0.1, -0.2], synthetic_pilot)
         with pytest.raises(ConfigError, match="out of range"):
             run_mc(synthetic, [0.1, 1e-160], synthetic_pilot)
+
+
+
+class TestStreamMoments:
+    """``_stream_moments`` reduces, per count ``n``, the first ``n`` replayed
+    samples and then the fresh stream prefix the replay lacks, drawing only
+    the rows some run reduces."""
+
+    BATCH = 4
+    LEVEL = 1
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        monkeypatch.setattr(mlmc_module, "_BATCH", self.BATCH)
+        rows = []
+
+        def counting_draw(seed, purpose, level, start, count, dim):
+            rows.append(count)
+            return draw_inputs(seed, purpose, level, start, count, dim)
+
+        monkeypatch.setattr(mlmc_module, "draw_inputs", counting_draw)
+        return rows
+
+    def moments(self, h, counts, replay=None):
+        return mlmc_module._stream_moments(
+            h, 7, PURPOSE_MAIN_Y, self.LEVEL, counts, _correction_of(h, self.LEVEL), replay
+        )
+
+    def hand(self, h, runs):
+        return _sliced_moments(
+            h, 7, PURPOSE_MAIN_Y, self.LEVEL, runs, _correction_of(h, self.LEVEL), self.BATCH
+        )
+
+    def test_count_inside_replay_draws_nothing(self, synthetic, draws):
+        replay = np.linspace(-1.0, 2.0, 9)
+        runs = self.moments(synthetic, [3, 9], replay)
+        assert draws == []
+        for m, n in zip(runs, [3, 9]):
+            ref = RunningMoments()
+            ref.update(replay[:n])
+            _assert_moments(m.mean, m.variance, ref)
+
+    def test_count_past_replay_reduces_replay_then_fresh_prefix(self, synthetic, draws):
+        replay = np.linspace(-1.0, 2.0, 5)
+        counts = [15, 7, 2]
+        runs = self.moments(synthetic, counts, replay)
+        # one walk up to the largest fresh count, 10, in batches of 4
+        assert draws == [4, 4, 2]
+        hand = self.hand(synthetic, [(10, replay), (2, replay), (0, replay[:2])])
+        for m, ref, n in zip(runs, hand, counts):
+            assert m.count == n
+            _assert_moments(m.mean, m.variance, ref)
+
+    def test_count_zero_reduces_nothing(self, synthetic, draws):
+        for replay in (None, np.ones(3), np.empty(0)):
+            (m,) = self.moments(synthetic, [0], replay)
+            assert (m.count, m.mean, m.variance) == (0, 0.0, 0.0)
+        runs = self.moments(synthetic, [0, 6], np.ones(3))
+        assert draws == [3]
+        assert [m.count for m in runs] == [0, 6]
+
+    def test_without_replay_is_the_plain_stream(self, synthetic, draws):
+        counts = [6, 11]
+        runs = self.moments(synthetic, counts)
+        assert draws == [4, 4, 3]
+        hand = self.hand(synthetic, [(n, np.empty(0)) for n in counts])
+        for m, ref in zip(runs, hand):
+            _assert_moments(m.mean, m.variance, ref)
 
 
 def test_reference_generator_call_shapes():
