@@ -324,9 +324,9 @@ def _controlled_correction(hierarchy: LevelHierarchy, basis: ReducedBasisPair, t
     correction without its constant theta Zbar."""
 
     def w(xi):
-        fine = hierarchy.evaluate(basis.level, xi)
+        fine = hierarchy.qoi_of(basis.level, xi)
         coarse = hierarchy.evaluate(basis.level - 1, xi)
-        return fine.qoi - coarse.qoi - theta * sample_z(hierarchy, basis, coarse.q, coarse.qoi)
+        return fine - coarse.qoi - theta * sample_z(hierarchy, basis, coarse.q, coarse.qoi)
 
     return w
 

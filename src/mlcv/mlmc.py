@@ -493,16 +493,19 @@ def pair_counts(level: int, n: int, aux: int = 0) -> LevelEvalCounts:
 
 
 # Fresh draws are evaluated in fixed-size batches so runs with sample counts
-# in the millions keep bounded memory.  Per-sample stream addressing makes the
-# drawn inputs independent of the batch split, but model outputs are not: they
-# depend on batch width in the last bits (a 65,536-row batch and its prefixes
-# differ by up to 1.6e-14 in ``SyntheticLowRank`` outputs and 8.7e-11 in
-# ``sample_z``, a 4,096-row ``Diffusion1D`` batch and its prefixes by up to
-# 3.2e-13 in an output entry; see ``LevelHierarchy``).  The batch boundaries,
-# like the reduction order they fix, are therefore part of the result.  Each
-# batch is evaluated once, at the width of the longest run, and a shorter run
-# reduces a prefix of its values, so only the longest run keeps its lone-run
-# bits.
+# in the millions keep bounded memory.  Each batch is solved through
+# ``qoi_of`` wherever its output vectors go unread, so a plain MC or MLMC
+# batch holds n quantities of interest per level, not an (m, n) solution.
+# Per-sample stream addressing makes the drawn inputs independent of the
+# batch split, but model outputs are not: they depend on batch width in the
+# last bits (a 65,536-row batch and its prefixes differ by up to 1.6e-14 in
+# ``SyntheticLowRank`` outputs and 8.7e-11 in ``sample_z``, a 4,096-row
+# ``Diffusion1D`` batch and its prefixes by up to 3.2e-13 in an output entry
+# and 1.1e-15 in a ``qoi_of`` value; see ``LevelHierarchy``).  The batch
+# boundaries, like the reduction order they fix, are therefore part of the
+# result.  Each batch is evaluated once, at the width of the longest run, and
+# a shorter run reduces a prefix of its values, so only the longest run keeps
+# its lone-run bits.
 _BATCH = 1 << 16
 
 
@@ -558,10 +561,10 @@ def _correction(hierarchy: LevelHierarchy, level: int):
     """Per-batch map from inputs to the level's correction Y = Q_l - Q_(l-1)
     (Y = Q_0 at level 0)."""
     if level == 0:
-        return lambda xi: hierarchy.evaluate(0, xi).qoi
+        return lambda xi: hierarchy.qoi_of(0, xi)
 
     def y(xi):
-        return hierarchy.evaluate(level, xi).qoi - hierarchy.evaluate(level - 1, xi).qoi
+        return hierarchy.qoi_of(level, xi) - hierarchy.qoi_of(level - 1, xi)
 
     return y
 
@@ -680,7 +683,7 @@ def run_mc(
         PURPOSE_MAIN_Y,
         finest,
         ns,
-        lambda xi: hierarchy.evaluate(finest, xi).qoi,
+        lambda xi: hierarchy.qoi_of(finest, xi),
     )
     results = []
     for n, moments in zip(ns, runs):
@@ -722,6 +725,6 @@ def mc_oracle_mean(
         PURPOSE_ORACLE,
         ell,
         [n],
-        lambda xi: hierarchy.evaluate(ell, xi).qoi,
+        lambda xi: hierarchy.qoi_of(ell, xi),
     )
     return moments.mean

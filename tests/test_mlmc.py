@@ -563,8 +563,8 @@ def _sliced_moments(h, seed, purpose, level, runs, values_of, batch):
 
 def _correction_of(h, level):
     if level == 0:
-        return lambda xi: h.evaluate(0, xi).qoi
-    return lambda xi: h.evaluate(level, xi).qoi - h.evaluate(level - 1, xi).qoi
+        return lambda xi: h.qoi_of(0, xi)
+    return lambda xi: h.qoi_of(level, xi) - h.qoi_of(level - 1, xi)
 
 
 def _assert_moments(mean, variance, moments):
@@ -675,8 +675,8 @@ class TestOnePassOverPlans:
             replay = (pilot.levels[ell].y - cfg.theta * setup.pilot_z[ell])[keep]
 
             def w(xi):
-                fine, coarse = h.evaluate(ell, xi), h.evaluate(ell - 1, xi)
-                return fine.qoi - coarse.qoi - cfg.theta * sample_z(h, basis, coarse.q, coarse.qoi)
+                fine, coarse = h.qoi_of(ell, xi), h.evaluate(ell - 1, xi)
+                return fine - coarse.qoi - cfg.theta * sample_z(h, basis, coarse.q, coarse.qoi)
 
             runs = []
             for plan in plans:
@@ -720,7 +720,7 @@ class TestOnePassOverPlans:
         runs = [(n, np.empty(0)) for n in counts]
         hand = _sliced_moments(
             h, pilot.master_seed, PURPOSE_MAIN_Y, finest, runs,
-            lambda xi: h.evaluate(finest, xi).qoi, self.BATCH,
+            lambda xi: h.qoi_of(finest, xi), self.BATCH,
         )
         for result, m in zip(joint, hand):
             _assert_moments(result.estimate, result.sample_variances[0], m)
@@ -729,22 +729,29 @@ class TestOnePassOverPlans:
     def test_each_drawn_row_solved_once(self, study, small_batches, monkeypatch, method):
         """Each level solves exactly the rows drawn for the maps that read it,
         once for all plans: the main-stream rows of its own correction and of
-        the next one, and the auxiliary rows of the next level's Zbar."""
+        the next one, and the auxiliary rows of the next level's Zbar.  Only
+        the coarse side of a controlled correction forms output vectors:
+        every other solve is a ``qoi_of`` call."""
         h, pilot = study
         setup = prepare_control_variates(h, pilot, rank=3)
         drawn, solved = collections.Counter(), collections.Counter()
-        evaluate = h.evaluate
 
         def counting_draw(seed, purpose, level, start, count, dim):
             drawn[purpose, level] += count
             return draw_inputs(seed, purpose, level, start, count, dim)
 
-        def counting_evaluate(level, xi):
-            solved[level] += xi.shape[0]
-            return evaluate(level, xi)
+        def counting(entry):
+            solve = getattr(h, entry)
+
+            def counted(level, xi):
+                solved[entry, level] += xi.shape[0]
+                return solve(level, xi)
+
+            return counted
 
         monkeypatch.setattr(mlmc_module, "draw_inputs", counting_draw)
-        monkeypatch.setattr(h, "evaluate", counting_evaluate)
+        for entry in ("evaluate", "qoi_of"):
+            monkeypatch.setattr(h, entry, counting(entry))
         if method == "mlmc":
             run_mlmc(h, self.plans(with_n_prime=False), pilot)
             # the largest fresh count per level, past the 40 replayed samples
@@ -754,7 +761,27 @@ class TestOnePassOverPlans:
             assert drawn[PURPOSE_ZBAR, 2] == (50 if setup.configs[2].enabled else 0)
         for ell in range(h.n_levels):
             rows = drawn[PURPOSE_MAIN_Y, ell] + drawn[PURPOSE_MAIN_Y, ell + 1]
-            assert solved[ell] == rows + drawn[PURPOSE_ZBAR, ell + 1], ell
+            total = solved["evaluate", ell] + solved["qoi_of", ell]
+            assert total == rows + drawn[PURPOSE_ZBAR, ell + 1], ell
+            controlled = (
+                method == "mlcv" and ell < h.finest_level and setup.configs[ell + 1].enabled
+            )
+            read_q = drawn[PURPOSE_MAIN_Y, ell + 1] + drawn[PURPOSE_ZBAR, ell + 1]
+            assert solved["evaluate", ell] == (read_q if controlled else 0), ell
+
+    def test_plain_mc_forms_no_output_vector(self, study, small_batches, monkeypatch):
+        """``run_mc`` and ``mc_oracle_mean`` read quantities of interest only,
+        so they solve through ``qoi_of`` and never call ``evaluate``."""
+        h, pilot = study
+
+        def no_evaluate(level, xi):
+            raise AssertionError(f"evaluate called at level {level}")
+
+        monkeypatch.setattr(h, "evaluate", no_evaluate)
+        var_q = pilot.stats[-1].var_q
+        run_mc(h, [math.sqrt(2.0 * var_q / n) for n in (10, 75)], pilot)
+        mc_oracle_mean(h, 40, 3)
+        mc_oracle_mean(h, 20, 3, level=0)
 
     def test_checks_cover_every_plan(self, synthetic, synthetic_pilot):
         good = AllocationPlan((50, 30, 75), (0, 20, 50))

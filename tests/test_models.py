@@ -46,6 +46,10 @@ def _closed_form_reference(a, h, qoi):
     return list(itertools.accumulate((f_half - x) * v for x, v in zip(ih[:-1], w)))
 
 
+# the two entry points that solve a level: with and without its output vectors
+_SOLVES = ("evaluate", "qoi_of")
+
+
 def _longdouble_solve(a, qoi):
     """The closed form in extended precision for node-major coefficients a
     (m + 1, n); returns (q, Q) with q of shape (output_dim, n)."""
@@ -349,7 +353,7 @@ class TestDiffusion1D:
         # closed form would turn into finite output if it went unchecked;
         # -1e4 with no mean coefficient underflows it to zero, a finite
         # coefficient with a non-finite solution
-        for qoi in ("integral_of_u", "flux_at_left"):
+        for qoi, entry in itertools.product(("integral_of_u", "flux_at_left"), _SOLVES):
             for abar, big in ((0.1, 1e4), (0.1, 3000.0), (0.0, -1e4)):
                 h = Diffusion1D(
                     grids=(9, 19), n_modes=4, kl_grid_n=65, qoi=qoi, mean_coefficient=abar
@@ -357,7 +361,7 @@ class TestDiffusion1D:
                 xi = np.zeros((5, 4))
                 xi[2, 0] = big
                 with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
-                    h.evaluate(level, xi)
+                    getattr(h, entry)(level, xi)
                 assert f"at level {level} for input row 2: xi=[{big:.0f}." in str(err.value)
 
     @pytest.mark.skipif(
@@ -419,9 +423,50 @@ class TestDiffusion1D:
         monkeypatch.setattr(models_module, "_BLOCK_DOUBLES", 2 * 10)
         xi = np.zeros((5, 4))
         xi[3, 0] = 1e4
-        with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
-            h.evaluate(0, xi)
-        assert "at level 0 for input row 3: xi=[10000." in str(err.value)
+        for entry in _SOLVES:
+            with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+                getattr(h, entry)(0, xi)
+            assert "at level 0 for input row 3: xi=[10000." in str(err.value)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="long double is no wider than double here",
+    )
+    @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
+    def test_qoi_of_is_accurate_at_fine_grid(self, qoi):
+        """At m = 255 the quantities of interest solved without the output
+        vector lie within 3e-14 relative of the closed form evaluated in
+        extended precision from the same coefficients."""
+        h = Diffusion1D(grids=(255,), n_modes=8, kl_grid_n=513, qoi=qoi)
+        xi = draw_inputs(13, PURPOSE_PILOT, 0, 0, 64, h.input_dim)
+        _, ref_qoi = _longdouble_solve(h._coefficient(0, xi), qoi)
+        assert float(np.max(np.abs(h.qoi_of(0, xi) - ref_qoi) / np.abs(ref_qoi))) < 3e-14
+
+    @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
+    def test_qoi_of_blocks_do_not_change_bits(self, qoi, monkeypatch):
+        """A blocked ``qoi_of`` is its blocks' calls side by side, bit for bit."""
+        h = Diffusion1D(grids=(2, 5, 11), n_modes=4, kl_grid_n=65, qoi=qoi)
+        for n in (1, 2, 3, 6, 11, 16):
+            xi = draw_inputs(5, PURPOSE_PILOT, 0, 0, n, h.input_dim)
+            for level in range(h.n_levels):
+                monkeypatch.setattr(models_module, "_BLOCK_DOUBLES", 5 * (h.dofs(level) + 1))
+                alone = [h.qoi_of(level, xi[s : s + 5]) for s in range(0, n, 5)]
+                assert h.qoi_of(level, xi).tobytes() == np.hstack(alone).tobytes(), (n, level)
+
+    @pytest.mark.parametrize("qoi", ["integral_of_u", "flux_at_left"])
+    def test_qoi_of_memory_is_a_few_blocks(self, qoi):
+        """``qoi_of`` never forms the (m, n) output matrix: its traced peak,
+        its n quantities of interest included, stays below four blocks."""
+        h = Diffusion1D(grids=(255,), n_modes=8, kl_grid_n=513, qoi=qoi)
+        xi = draw_inputs(12, PURPOSE_PILOT, 0, 0, 65536, h.input_dim)
+        h.qoi_of(0, xi[:1])  # the KL modes are formed once, outside the trace
+        tracemalloc.start()
+        try:
+            h.qoi_of(0, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * models_module._BLOCK_DOUBLES * 8
 
     def test_coefficient_positive(self):
         h = Diffusion1D(grids=(9, 19), n_modes=4, sigma2=1.5, kl_grid_n=65)
@@ -543,6 +588,14 @@ class TestDiffusion1D:
             diffusion_small.evaluate(0, np.zeros((1, 3)))
 
 
+def test_synthetic_qoi_of_is_evaluate_qoi_bitwise(synthetic):
+    """A model without its own ``_solve_qoi`` maps its solved outputs, so
+    ``qoi_of`` is ``evaluate``'s quantity of interest bit for bit."""
+    xi = draw_inputs(21, PURPOSE_PILOT, 0, 0, 200, synthetic.input_dim)
+    for level in range(synthetic.n_levels):
+        assert synthetic.qoi_of(level, xi).tobytes() == synthetic.evaluate(level, xi).qoi.tobytes()
+
+
 @pytest.mark.parametrize("model", ["synthetic", "integral_of_u", "flux_at_left", "subset"])
 def test_evaluate_qoi_is_qoi_of_outputs_bitwise(model, synthetic):
     """``evaluate``'s quantities of interest are ``qoi`` applied to its
@@ -573,6 +626,20 @@ class TestLevelSubset:
         fine, coarse = sub.evaluate(1, xi), sub.evaluate(0, xi)
         assert np.array_equal(fine.q, diffusion_small.evaluate(2, xi).q)
         assert np.array_equal(coarse.q, diffusion_small.evaluate(0, xi).q)
+
+    def test_qoi_of_forwards_to_parent(self, diffusion_small, monkeypatch):
+        """A subset solves its quantities of interest through its parent's
+        ``_solve_qoi``, not through the output vectors."""
+        sub = LevelSubset(diffusion_small, [0, 2])
+        xi = draw_inputs(10, PURPOSE_PILOT, 0, 0, 3, sub.input_dim)
+        expected = [diffusion_small.qoi_of(level, xi) for level in (0, 2)]
+
+        def no_solve(level, z):
+            raise AssertionError("output vector formed")
+
+        monkeypatch.setattr(diffusion_small, "_solve", no_solve)
+        for level, ref in enumerate(expected):
+            assert sub.qoi_of(level, xi).tobytes() == ref.tobytes()
 
     def test_single_level_subset(self, diffusion_small):
         sub = LevelSubset(diffusion_small, [2])
