@@ -499,13 +499,13 @@ def pair_counts(level: int, n: int, aux: int = 0) -> LevelEvalCounts:
 # Per-sample stream addressing makes the drawn inputs independent of the
 # batch split, but model outputs are not: they depend on batch width in the
 # last bits (a 65,536-row batch and its prefixes differ by up to 1.6e-14 in
-# ``SyntheticLowRank`` outputs and 8.7e-11 in ``sample_z``, a 4,096-row
-# ``Diffusion1D`` batch and its prefixes by up to 3.2e-13 in an output entry
-# and 1.1e-15 in a ``qoi_of`` value; see ``LevelHierarchy``).  The batch
-# boundaries, like the reduction order they fix, are therefore part of the
-# result.  Each batch is evaluated once, at the width of the longest run, and
-# a shorter run reduces a prefix of its values, so only the longest run keeps
-# its lone-run bits.
+# ``SyntheticLowRank`` outputs, 2.8e-16 relative in its ``qoi_of`` values and
+# 8.7e-11 in ``sample_z``, a 4,096-row ``Diffusion1D`` batch and its prefixes
+# by up to 3.2e-13 in an output entry and 1.1e-15 in a ``qoi_of`` value; see
+# ``LevelHierarchy``).  The batch boundaries, like the reduction order they
+# fix, are therefore part of the result.  Each batch is evaluated once, at
+# the width of the longest run, and a shorter run reduces a prefix of its
+# values, so only the longest run keeps its lone-run bits.
 _BATCH = 1 << 16
 
 

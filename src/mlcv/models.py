@@ -198,10 +198,13 @@ class LevelHierarchy(abc.ABC):
     The estimators draw every sample whose output vector they do not read
     from ``qoi_of``: plain MC, both levels of an MLMC correction and the
     fine level of a controlled one.  A model may override the hook with a
-    cheaper route to the same numbers that rounds differently:
-    ``Diffusion1D``'s closed-form Q differed from ``evaluate``'s by up to
-    9.6e-15 relative (``integral_of_u``) and 8.8e-16 (``flux_at_left``) over
-    65,536 rows on each of the ``fine_mc`` grids.
+    cheaper route to the same numbers that rounds differently.  Both built-in
+    models do: ``Diffusion1D``'s closed-form Q differed from ``evaluate``'s
+    by up to 9.6e-15 relative (``integral_of_u``) and 8.8e-16
+    (``flux_at_left``) over 65,536 rows on each of the ``fine_mc`` grids, and
+    ``SyntheticLowRank``'s, which averages the rows of A before its product
+    with g, by up to 2.2e-15 of the level's largest |Q| over 65,536 rows of
+    the ``wide_pilot`` model.
 
     Inputs are standard Gaussian (n, input_dim) matrices from
     ``streams.draw_inputs(..., hierarchy.input_dim)`` and outputs are
@@ -215,9 +218,13 @@ class LevelHierarchy(abc.ABC):
     because BLAS picks its kernel by matrix shape: evaluating a 65,536-row
     batch and slicing the result differs from evaluating the prefix alone.
     Measured on the ``wide_pilot`` benchmark model against eight prefixes
-    (1 to 65,535 rows), ``SyntheticLowRank`` quantities of interest (about 20
-    in size) differed by up to 1.6e-14 and the surrogate corrections of
-    ``control_variates.sample_z`` by up to 8.7e-11.  ``Diffusion1D`` forms
+    (1 to 65,535 rows), ``SyntheticLowRank`` quantities of interest from
+    ``evaluate`` (about 20 in size) differed by up to 1.6e-14 and the
+    surrogate corrections of ``control_variates.sample_z`` by up to 8.7e-11;
+    from ``qoi_of``, one product of the averaged rows with g, the 1-, 7-,
+    341-, 4,095- and 65,535-row prefixes of a 65,536-row batch differed from
+    the full batch at 19 of their 25 (level, prefix) pairs, by up to 2.8e-16
+    relative (3.6e-15 absolute).  ``Diffusion1D`` forms
     each column block's coefficient in one node-major product, whose
     trailing columns BLAS rounds by the block's width: on the ``fine_mc``
     grids at m = 255, the 341-, 1,365-, 2,047- and 4,095-row prefixes of a
@@ -383,6 +390,11 @@ class SyntheticLowRank(LevelHierarchy):
     oscillates fast enough that the scalar output map averages most of it
     away.  With delta = 0 every level's output ensemble has rank exactly
     ``r_true``.  The quantity of interest is the mean of the output entries.
+
+    That mean is linear, so ``qoi_of`` forms no output vector: Q_ell =
+    abar_ell . g(xi) + delta * refine^-ell * mean(p_ell) w(xi), with abar_ell
+    the column means of A_ell, O(r_true) work per sample instead of
+    O(m r_true).
     """
 
     def __init__(
@@ -449,23 +461,34 @@ class SyntheticLowRank(LevelHierarchy):
             self._pert_profile.append(np.sin(omega * x + self._pert_phase[ell]))
 
     def _gmap(self, z: np.ndarray) -> np.ndarray:
-        g = np.empty((z.shape[0], self.r_true))
+        """g(xi) as (r_true, n) rows, each built from contiguous input rows."""
+        zt = np.ascontiguousarray(z.T)
+        g = np.empty((self.r_true, z.shape[0]))
         for k in range(self.r_true):
-            g[:, k] = (
+            g[k] = (
                 self._b0[k]
-                + self._b1[k] * z[:, self._ia[k]]
-                + self._b2[k] * z[:, self._ip[k]] * z[:, self._iq[k]]
-                + self._b3[k] * np.exp(-0.5 * z[:, self._ie[k]] ** 2)
+                + self._b1[k] * zt[self._ia[k]]
+                + self._b2[k] * zt[self._ip[k]] * zt[self._iq[k]]
+                + self._b3[k] * np.exp(-0.5 * zt[self._ie[k]] ** 2)
             )
         return g
 
+    def _weight(self, z: np.ndarray) -> np.ndarray:
+        return 1.0 + 0.5 * np.tanh(z @ self._pert_weights / np.sqrt(self.input_dim))
+
     def _solve(self, level: int, z: np.ndarray) -> np.ndarray:
-        q = self._a[level] @ self._gmap(z).T
+        q = self._a[level] @ self._gmap(z)
         if self.delta > 0.0:
-            w = 1.0 + 0.5 * np.tanh(z @ self._pert_weights / np.sqrt(self.input_dim))
             scale = self.delta * float(self.refine) ** (-level)
-            q = q + scale * self._pert_profile[level][:, None] * w[None, :]
+            q = q + scale * self._pert_profile[level][:, None] * self._weight(z)[None, :]
         return q
+
+    def _solve_qoi(self, level: int, z: np.ndarray) -> np.ndarray:
+        qoi = self._a[level].mean(axis=0) @ self._gmap(z)
+        if self.delta > 0.0:
+            scale = self.delta * float(self.refine) ** (-level)
+            qoi = qoi + scale * float(np.mean(self._pert_profile[level])) * self._weight(z)
+        return qoi
 
     def _output_map(self, level: int, q: np.ndarray) -> np.ndarray:
         return q.mean(axis=0)
