@@ -15,7 +15,10 @@ Three subcommands share one JSON config file:
 Everything randomized is keyed by the master seed, so any command rerun with
 the same config and seed, the same numpy, the same BLAS library and the same
 BLAS thread count writes byte-identical files; costs are the declared
-per-level unit costs, never wall-clock time.
+per-level unit costs, never wall-clock time.  ``pilot`` depends on the BLAS
+thread count through LAPACK (the KL eigensolve and the ID residual); given
+one pilot cache, ``estimate`` and ``compare`` wrote the same bytes under one
+and two OpenBLAS threads on the README and benchmark configs.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
@@ -36,36 +40,7 @@ from .models import Diffusion1D, LevelSubset, SyntheticLowRank
 
 CONFIG_SCHEMA = 1
 
-_MODELS = {
-    "synthetic_low_rank": (
-        SyntheticLowRank,
-        {
-            "r_true": int,
-            "m0": int,
-            "refine": int,
-            "num_levels": int,
-            "cost_gamma": float,
-            "input_dim": int,
-            "delta": float,
-            "coeff_seed": int,
-        },
-    ),
-    "diffusion_1d": (
-        Diffusion1D,
-        {
-            "kernel": str,
-            "sigma2": float,
-            "corr_length": float,
-            "mean_coefficient": float,
-            "n_modes": int,
-            "grids": list,
-            "qoi": str,
-            "cost_gamma": float,
-            "kl_grid_n": int,
-            "constant_coefficient": bool,
-        },
-    ),
-}
+_MODELS = {"synthetic_low_rank": SyntheticLowRank, "diffusion_1d": Diffusion1D}
 
 _METHODS = ("mc", "mlmc", "mlcv")
 
@@ -105,6 +80,31 @@ def _want_number(value, path: str) -> float:
     return float(value)
 
 
+def _want_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        _fail(path, f"expected string, got {value!r}")
+    return value
+
+
+def _want_int_list(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        _fail(path, "expected a non-empty list")
+    return [_want_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+# A model's config fields are its constructor's parameters, each checked by
+# the type of its default; a tuple default takes a non-empty list of integers.
+_FIELD_CHECKS = {int: _want_int, float: _want_number, str: _want_str, tuple: _want_int_list}
+
+_MODEL_FIELDS = {
+    name: {
+        key: _FIELD_CHECKS[type(param.default)]
+        for key, param in inspect.signature(ctor).parameters.items()
+    }
+    for name, ctor in _MODELS.items()
+}
+
+
 def _validate_model(section) -> dict:
     if not isinstance(section, dict):
         _fail("model", "expected an object")
@@ -113,31 +113,14 @@ def _validate_model(section) -> dict:
     name = section["name"]
     if name not in _MODELS:
         _fail("model.name", f"unknown model {name!r}; choices: {sorted(_MODELS)}")
-    _, params = _MODELS[name]
+    fields = _MODEL_FIELDS[name]
     out = {"name": name}
     for key, value in section.items():
         if key == "name":
             continue
-        if key not in params:
+        if key not in fields:
             _fail(f"model.{key}", f"unknown parameter for model {name!r}")
-        want = params[key]
-        path = f"model.{key}"
-        if want is int:
-            out[key] = _want_int(value, path)
-        elif want is float:
-            out[key] = _want_number(value, path)
-        elif want is bool:
-            if not isinstance(value, bool):
-                _fail(path, f"expected boolean, got {value!r}")
-            out[key] = value
-        elif want is str:
-            if not isinstance(value, str):
-                _fail(path, f"expected string, got {value!r}")
-            out[key] = value
-        elif want is list:
-            if not isinstance(value, list) or not value:
-                _fail(path, "expected a non-empty list")
-            out[key] = [_want_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        out[key] = fields[key](value, f"model.{key}")
     return out
 
 
@@ -258,8 +241,7 @@ def build_hierarchy(cfg: dict):
     """Instantiate the configured model, restricted to a level subset if one
     is given, and check the config fields that depend on its level count."""
     section = dict(cfg["model"])
-    ctor, _ = _MODELS[section.pop("name")]
-    hierarchy = ctor(**section)
+    hierarchy = _MODELS[section.pop("name")](**section)
     levels = cfg["levels"]
     if levels is not None:
         if levels[-1] > hierarchy.finest_level:

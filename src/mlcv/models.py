@@ -535,9 +535,6 @@ class Diffusion1D(LevelHierarchy):
     midpoint flux profile -a u' and Q = its second-order extrapolation to
     x = 0.
 
-    ``constant_coefficient=True`` is a verification hook forcing a = 1, for
-    which u(x) = x(1 - x)/2 exactly.
-
     The constructor checks every parameter but defers the KL eigensolve:
     the modes are formed on the first solve (``_mid_modes``), so a model
     that never solves never pays for them.  They depend on the parameters
@@ -569,7 +566,6 @@ class Diffusion1D(LevelHierarchy):
         qoi: str = "integral_of_u",
         cost_gamma: float = 1.0,
         kl_grid_n: int = 257,
-        constant_coefficient: bool = False,
     ):
         kernel_fn = make_kernel(kernel, sigma2, corr_length)
         if qoi not in ("integral_of_u", "flux_at_left"):
@@ -597,7 +593,6 @@ class Diffusion1D(LevelHierarchy):
         self.mean_coefficient = float(mean_coefficient)
         self.qoi_kind = qoi
         self.cost_gamma = float(cost_gamma)
-        self.constant_coefficient = bool(constant_coefficient)
         self.input_dim = int(n_modes)
         # q holds the m interior values of u, or the m + 1 midpoint fluxes
         self._output_dims = tuple(m + (qoi == "flux_at_left") for m in self._dofs)
@@ -622,23 +617,16 @@ class Diffusion1D(LevelHierarchy):
         return self._modes
 
     def kept_shapes(self) -> dict[str, tuple[int, ...]]:
-        # a constant coefficient reads no modes
-        if self.constant_coefficient:
-            return {}
         return {f"mid_modes{ell}": (m + 1, self.input_dim) for ell, m in enumerate(self._dofs)}
 
     def kept_arrays(self) -> dict[str, np.ndarray]:
-        names = self.kept_shapes()
-        return dict(zip(names, self._mid_modes)) if names else {}
+        return dict(zip(self.kept_shapes(), self._mid_modes))
 
     def adopt_kept(self, arrays: dict[str, np.ndarray]) -> None:
-        if arrays:
-            self._modes = [arrays[name] for name in self.kept_shapes()]
+        self._modes = [arrays[name] for name in self.kept_shapes()]
 
     def _coefficient(self, level: int, z: np.ndarray) -> np.ndarray:
         """Node-major coefficient (m + 1, n) at the midpoints for inputs z."""
-        if self.constant_coefficient:
-            return np.ones((self._dofs[level] + 1, z.shape[0]))
         g = self._mid_modes[level] @ z.T
         np.exp(g, out=g)
         g += self.mean_coefficient

@@ -34,6 +34,20 @@ def diffusion_small():
     return Diffusion1D(grids=(7, 15, 31), n_modes=4, kl_grid_n=65)
 
 
+class UnitCoefficientDiffusion(Diffusion1D):
+    """``Diffusion1D`` with the coefficient a = 1 at every input, for which
+    u(x) = x(1 - x) / 2 exactly and every level is deterministic."""
+
+    def _coefficient(self, level, z):
+        return np.ones((self._dofs[level] + 1, z.shape[0]))
+
+
+@pytest.fixture(scope="session")
+def unit_diffusion():
+    """The a = 1 diffusion class; call it with ``Diffusion1D``'s parameters."""
+    return UnitCoefficientDiffusion
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(987)

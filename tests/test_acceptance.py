@@ -7,7 +7,7 @@ One test per shipped guarantee, each printing a single
 
 The criteria cover the reduced-basis residual bound, allocation optimality
 against exhaustive integer search, hand-derived plans, estimator MSE against
-a large Monte Carlo oracle, variance reduction and cost-ratio trends on the
+the model's exact mean, variance reduction and cost-ratio trends on the
 built-in models, the optimality of the control-variate coefficient,
 degeneration to the plain estimator, convergence-rate fits, byte-level
 reproducibility of the command line driver, and the exact cost identity.
@@ -39,7 +39,6 @@ from mlcv import (
     estimate_zbar,
     fit_rates,
     interpolative_decomposition,
-    mc_oracle_mean,
     pilot_mlmc,
     prepare_control_variates,
     nominal_mlcv_cost,
@@ -184,10 +183,10 @@ class TestCriterion03HandDerivedPlan:
 
 
 class TestCriterion04EstimatorMse:
-    def test_mse_within_budget_over_seeds(self):
+    def test_mse_within_budget_over_seeds(self, exact_mean):
         t0 = time.perf_counter()
         model = SyntheticLowRank()
-        oracle = mc_oracle_mean(model, 10**6, 424242)
+        exact = exact_mean(model, model.finest_level)
         eps = 0.01
         plain, controlled = [], []
         for seed in range(100):
@@ -197,8 +196,8 @@ class TestCriterion04EstimatorMse:
             plan_cv = allocate_mlcv(pilot.stats, setup.configs, eps)
             plain.append(run_mlmc(model, plan_ml, pilot).estimate)
             controlled.append(run_mlcv(model, plan_cv, pilot, setup).estimate)
-        mse_ml = float(np.mean((np.asarray(plain) - oracle) ** 2))
-        mse_cv = float(np.mean((np.asarray(controlled) - oracle) ** 2))
+        mse_ml = float(np.mean((np.asarray(plain) - exact) ** 2))
+        mse_cv = float(np.mean((np.asarray(controlled) - exact) ** 2))
         budget = 1.2 * eps**2
         elapsed = time.perf_counter() - t0
         ok = mse_ml <= budget and mse_cv <= budget and elapsed < 300.0

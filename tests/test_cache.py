@@ -428,21 +428,6 @@ class TestModelArrays:
             assert _same_bits(b.q, a.q)
             assert _same_bits(b.qoi, a.qoi)
 
-    def test_constant_coefficient_keeps_nothing(self, tmp_path, monkeypatch):
-        """A constant coefficient reads no modes, so neither the pilot nor a
-        loaded model forms them and the cache holds none."""
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the KL modes were formed")
-
-        monkeypatch.setattr(models, "kl_decompose", forbidden)
-        h = Diffusion1D(constant_coefficient=True, **DIFFUSION)
-        pilot = pilot_mlmc(h, 20, 5)
-        setup = prepare_control_variates(h, pilot, rank=2)
-        save_pilot_cache(tmp_path, h, pilot, setup, "key-1")
-        assert not list(tmp_path.glob("model_*"))
-        load_pilot_cache(tmp_path, h, "key-1")
-
     def test_key_mismatch_rejected(self, tmp_path, diffusion_out):
         h = Diffusion1D(**DIFFUSION)
         with pytest.raises(DataError, match="different configuration"):

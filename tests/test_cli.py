@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from mlcv import (
     run_mlcv,
     run_mlmc,
 )
+from mlcv import cli
 from mlcv.cache import CACHE_SCHEMA
 from mlcv.cli import build_hierarchy, main, normalize_config
 
@@ -95,6 +97,19 @@ DIFFUSION_CACHE_FILES = sorted(
 )
 
 
+def diffusion_fields(**fields):
+    """A config mutation that sets the small diffusion model with ``fields``."""
+    return lambda cfg: cfg.update(model={**DIFFUSION_MODEL, **fields})
+
+
+def blas_name():
+    """The name of the BLAS library numpy was built with, or "unknown"."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return "unknown"
+
+
 def tree_hashes(root):
     return {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -126,6 +141,14 @@ class TestNormalizeConfig:
             (lambda c: c["model"].update(name="nope"), "model.name"),
             (lambda c: c["model"].update(wrong=1), "model.wrong"),
             (lambda c: c["model"].update(m0="eight"), "model.m0"),
+            (diffusion_fields(sigma2="0.5"), "model.sigma2: expected number"),
+            (diffusion_fields(grids=7), "model.grids: expected a non-empty list"),
+            (diffusion_fields(n_modes=4.0), "model.n_modes: expected integer"),
+            (diffusion_fields(kernel=1), "model.kernel: expected string"),
+            (
+                diffusion_fields(constant_coefficient=True),
+                "model.constant_coefficient: unknown parameter",
+            ),
             (lambda c: c.update(levels=[]), "levels"),
             (lambda c: c.update(levels=[1, 1]), "levels"),
             (lambda c: c.update(levels=[-1, 0]), "levels"),
@@ -168,6 +191,19 @@ class TestNormalizeConfig:
         cfg = normalize_config(raw)
         assert cfg["rank"] is None
         assert cfg["id_tol"] == 1e-8
+
+    @pytest.mark.parametrize("name", sorted(cli._MODELS))
+    def test_every_model_parameter_has_a_typed_default(self, name):
+        """A model's config fields are its constructor's parameters, checked by
+        the type of each default, so every parameter needs a default of a type
+        that rule maps: an integer, a float, a string or a tuple of integers."""
+        params = inspect.signature(cli._MODELS[name]).parameters
+        assert params
+        for key, param in params.items():
+            default = param.default
+            assert type(default) in (int, float, str, tuple), f"{name}.{key}: {default!r}"
+            if type(default) is tuple:
+                assert default and all(type(v) is int for v in default), f"{name}.{key}"
 
 
 class TestBuildHierarchy:
@@ -459,6 +495,42 @@ class TestReproducibility:
             assert main([cmd, path]) == 0
         assert tree_hashes(out) == first
         assert len(first) >= 8
+
+    @pytest.mark.skipif(
+        "openblas" not in blas_name(),
+        reason=f"numpy's BLAS is {blas_name()!r}, not OpenBLAS, so "
+        "OPENBLAS_NUM_THREADS sets nothing",
+    )
+    def test_estimate_and_compare_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """Given one pilot cache, ``estimate`` and ``compare`` write the same
+        bytes under one and two OpenBLAS threads, each set in the child
+        process's environment only."""
+        import mlcv
+
+        out = tmp_path / "out"
+        # full 65,536-row batches: plain MC at the finest level, MLMC and MLCV at level 0
+        cfg = base_config(out, model=DIFFUSION_MODEL, epsilon=[1e-4, 5e-5], n_pilot=100)
+        path = write_config(tmp_path, cfg)
+        assert main(["pilot", path]) == 0
+        src = str(Path(mlcv.__file__).resolve().parents[1])
+        written = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            for command in ("estimate", "compare"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "mlcv.cli", command, path],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    timeout=300,
+                )
+                assert proc.returncode == 0, proc.stderr
+            written.append({p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        one, two = written
+        assert sorted(one) == sorted(two)
+        assert len([p for p in one if p.name.startswith("report_")]) == 6
+        for p in one:
+            assert one[p] == two[p], p
 
     def test_seed_changes_artifacts(self, tmp_path):
         out_a = tmp_path / "a"
@@ -967,14 +1039,16 @@ class TestSpecialModes:
             assert read_report(out, method, "0.01")["bias_check"] == expected
         assert '"bias_estimate": null' in (out / "pilot.json").read_text()
 
-    def test_deterministic_model_degenerates_gracefully(self, tmp_path):
+    def test_deterministic_model_degenerates_gracefully(
+        self, tmp_path, monkeypatch, unit_diffusion
+    ):
+        monkeypatch.setitem(cli._MODELS, "diffusion_1d", unit_diffusion)
         out = tmp_path / "out"
         cfg = base_config(
             out,
             model={
                 "name": "diffusion_1d",
                 "grids": [7, 15],
-                "constant_coefficient": True,
                 "n_modes": 2,
                 "kl_grid_n": 33,
             },

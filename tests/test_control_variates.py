@@ -16,7 +16,6 @@ from mlcv import (
     ConfigError,
     CVLevelConfig,
     DataError,
-    Diffusion1D,
     DimensionError,
     SyntheticLowRank,
     allocate_mlcv,
@@ -26,7 +25,6 @@ from mlcv import (
     counted_cost,
     draw_inputs,
     estimate_zbar,
-    mc_oracle_mean,
     nominal_mlcv_cost,
     nominal_mlmc_cost,
     pilot_mlmc,
@@ -316,8 +314,8 @@ class TestPrepareControlVariates:
         with pytest.raises(ConfigError):
             prepare_control_variates(synthetic, synthetic_pilot, rank=3, tol=1e-8)
 
-    def test_deterministic_model_degenerates(self):
-        h = Diffusion1D(grids=(7, 15), constant_coefficient=True, n_modes=2, kl_grid_n=33)
+    def test_deterministic_model_degenerates(self, unit_diffusion):
+        h = unit_diffusion(grids=(7, 15), n_modes=2, kl_grid_n=33)
         pilot = pilot_mlmc(h, 10, 0)
         setup = prepare_control_variates(h, pilot, rank=2)
         # pilot Y and Z both have zero variance here, so rho2 = 0 alone
@@ -488,8 +486,7 @@ class TestRunMlcv:
             assert var_w <= var_y * setup.configs[ell].mse_factor + slack
             assert var_w <= 0.05 * var_y
 
-    def test_estimator_mean_unbiased_over_seeds(self, synthetic):
-        oracle = mc_oracle_mean(synthetic, 200_000, 5)
+    def test_estimator_mean_unbiased_over_seeds(self, synthetic, exact_mean):
         estimates = []
         for seed in range(200):
             pilot = pilot_mlmc(synthetic, 30, 1000 + seed)
@@ -498,8 +495,7 @@ class TestRunMlcv:
             estimates.append(run_mlcv(synthetic, plan, pilot, setup).estimate)
         est = np.asarray(estimates)
         se = est.std(ddof=1) / math.sqrt(est.size)
-        oracle_se = 1.5 / math.sqrt(200_000)
-        assert abs(est.mean() - oracle) <= 3.0 * (se + oracle_se)
+        assert abs(est.mean() - exact_mean(synthetic, synthetic.finest_level)) <= 3.0 * se
 
     def test_plan_without_n_prime_rejected(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
@@ -539,14 +535,14 @@ class TestNominalCosts:
 
 
 class TestRelativeErrorCurve:
-    def test_decreases_on_average_over_seeds(self, synthetic):
-        oracle = mc_oracle_mean(synthetic, 200_000, 5)
+    def test_decreases_on_average_over_seeds(self, synthetic, exact_mean):
+        exact = exact_mean(synthetic, synthetic.finest_level)
         curves = []
         for seed in range(10):
             pilot = pilot_mlmc(synthetic, 30, 2000 + seed)
             setup = prepare_control_variates(synthetic, pilot, rank=3)
             plan = allocate_mlcv(pilot.stats, setup.configs, 0.05)
             result = run_mlcv(synthetic, plan, pilot, setup)
-            curves.append(np.abs(np.cumsum(result.level_estimates) - oracle))
+            curves.append(np.abs(np.cumsum(result.level_estimates) - exact))
         mean_curve = np.mean(curves, axis=0)
         assert mean_curve[-1] < mean_curve[0]

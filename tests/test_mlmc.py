@@ -21,7 +21,6 @@ from mlcv import (
     AllocationPlan,
     ConfigError,
     DataError,
-    Diffusion1D,
     DimensionError,
     LevelHierarchy,
     LevelStats,
@@ -192,8 +191,8 @@ class TestPilotMlmc:
         v = [s.var_y for s in synthetic_pilot.stats]
         assert v[2] < v[1]
 
-    def test_deterministic_model_zero_variances(self):
-        h = Diffusion1D(grids=(7, 15), constant_coefficient=True, n_modes=2, kl_grid_n=33)
+    def test_deterministic_model_zero_variances(self, unit_diffusion):
+        h = unit_diffusion(grids=(7, 15), n_modes=2, kl_grid_n=33)
         pilot = pilot_mlmc(h, 10, 0)
         assert all(s.var_y == 0.0 for s in pilot.stats)
 
@@ -413,8 +412,8 @@ class TestRunMlmc:
         scaled = run_mlmc(doubled, plan, pilot2)
         assert scaled.estimate == pytest.approx(2.0 * base.estimate, rel=1e-12)
 
-    def test_deterministic_model_estimate_exact(self):
-        h = Diffusion1D(grids=(7, 15), constant_coefficient=True, n_modes=2, kl_grid_n=33)
+    def test_deterministic_model_estimate_exact(self, unit_diffusion):
+        h = unit_diffusion(grids=(7, 15), n_modes=2, kl_grid_n=33)
         pilot = pilot_mlmc(h, 5, 0)
         plan = AllocationPlan(n_samples=(5, 5))
         result = run_mlmc(h, plan, pilot)
@@ -452,8 +451,8 @@ class TestRunMc:
         manual = synthetic.evaluate(2, xi).qoi.mean()
         assert result.estimate == pytest.approx(manual, rel=1e-12)
 
-    def test_deterministic_model_rejected(self):
-        h = Diffusion1D(grids=(7, 15), constant_coefficient=True, n_modes=2, kl_grid_n=33)
+    def test_deterministic_model_rejected(self, unit_diffusion):
+        h = unit_diffusion(grids=(7, 15), n_modes=2, kl_grid_n=33)
         pilot = pilot_mlmc(h, 5, 0)
         with pytest.raises(DataError):
             run_mc(h, 0.1, pilot)

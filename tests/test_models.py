@@ -103,7 +103,47 @@ class TestTrapezoidWeights:
         assert np.dot(w, 3.0 * g + 1.0) == pytest.approx(8.0, rel=1e-14)
 
 
+def _exponential_kl_eigenvalues(sigma2, corr_length, count):
+    """The ``count`` largest eigenvalues of sigma2 exp(-|x - y| / corr_length)
+    on [0, 1], exactly (Ghanem and Spanos, Stochastic Finite Elements, 1991).
+
+    On an interval of half-length a = 1/2, with c = 1 / corr_length, each
+    eigenvalue is 2 c sigma2 / (omega^2 + c^2), where omega solves
+    c - omega tan(omega a) = 0 (even modes) or omega + c tan(omega a) = 0
+    (odd modes).  Each equation has one root in every half-period of the
+    tangent on which it changes sign, found here by bisection.
+    """
+    c, a = 1.0 / corr_length, 0.5
+    k = np.arange(count)
+
+    def bisect(f, lo, hi):
+        # f(lo) > 0 > f(hi); tan is never evaluated at a pole
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            above = f(mid) > 0.0
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        return 0.5 * (lo + hi)
+
+    even = bisect(lambda w: c - w * np.tan(w * a), k * np.pi / a, (k + 0.5) * np.pi / a)
+    odd = bisect(lambda w: -(w + c * np.tan(w * a)), (k + 0.5) * np.pi / a, (k + 1) * np.pi / a)
+    omega = np.sort(np.concatenate([even, odd]))[:count]
+    return 2.0 * c * sigma2 / (omega**2 + c * c)
+
+
 class TestKlDecompose:
+    def test_exponential_eigenvalues_converge_at_second_order(self):
+        """The trapezoid Nystrom eigenvalues approach the exact ones as h^2:
+        the 10 largest lie within the pinned relative bounds, and doubling
+        the grid divides each error by 4."""
+        exact = _exponential_kl_eigenvalues(0.5, 0.3, 10)
+        assert exact[0] == pytest.approx(0.2181243, rel=1e-6)
+        errors = {}
+        for n, bound in ((65, 2e-2), (513, 3e-4), (1025, 8e-5)):
+            field = kl_decompose(ExponentialKernel(0.5, 0.3), np.linspace(0.0, 1.0, n), 10)
+            errors[n] = np.abs(field.eigenvalues - exact) / exact
+            assert errors[n].max() <= bound, n
+        assert np.all(np.abs(errors[513] / errors[1025] - 4.0) <= 0.2)
+
     def test_constant_kernel_rank_one(self):
         class ConstKernel:
             def __call__(self, x, y):
@@ -287,8 +327,8 @@ class TestSyntheticExactMean:
 
 
 class TestDiffusion1D:
-    def test_constant_coefficient_exact_solution(self):
-        h = Diffusion1D(grids=(15, 31), constant_coefficient=True, n_modes=2, kl_grid_n=33)
+    def test_constant_coefficient_exact_solution(self, unit_diffusion):
+        h = unit_diffusion(grids=(15, 31), n_modes=2, kl_grid_n=33)
         xi = np.zeros((1, 2))
         out = h.evaluate(1, xi)
         m = 31
@@ -296,10 +336,9 @@ class TestDiffusion1D:
         exact = nodes * (1.0 - nodes) / 2.0
         assert np.allclose(out.q[:, 0], exact, atol=1e-13)
 
-    def test_constant_coefficient_flux(self):
-        h = Diffusion1D(
+    def test_constant_coefficient_flux(self, unit_diffusion):
+        h = unit_diffusion(
             grids=(7, 15),
-            constant_coefficient=True,
             qoi="flux_at_left",
             n_modes=2,
             kl_grid_n=33,
@@ -309,10 +348,8 @@ class TestDiffusion1D:
         mids = (np.arange(8) + 0.5) / 8.0
         assert np.allclose(out.q[:, 0], mids - 0.5, atol=1e-13)
 
-    def test_integral_qoi_second_order_convergence(self):
-        h = Diffusion1D(
-            grids=(7, 15, 31, 63), constant_coefficient=True, n_modes=2, kl_grid_n=33
-        )
+    def test_integral_qoi_second_order_convergence(self, unit_diffusion):
+        h = unit_diffusion(grids=(7, 15, 31, 63), n_modes=2, kl_grid_n=33)
         errors = [abs(h.evaluate(k, np.zeros((1, 2))).qoi[0] - 1.0 / 12.0) for k in range(4)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 <= coarse / fine <= 4.5
@@ -500,8 +537,8 @@ class TestDiffusion1D:
         assert y == alt
         assert y != 0.0
 
-    def test_deterministic_model_zero_correction_variance(self):
-        h = Diffusion1D(grids=(7, 15), constant_coefficient=True, n_modes=2, kl_grid_n=33)
+    def test_deterministic_model_zero_correction_variance(self, unit_diffusion):
+        h = unit_diffusion(grids=(7, 15), n_modes=2, kl_grid_n=33)
         xi = draw_inputs(5, PURPOSE_PILOT, 0, 0, 20, h.input_dim)
         fine, coarse = h.evaluate(1, xi), h.evaluate(0, xi)
         y = fine.qoi - coarse.qoi

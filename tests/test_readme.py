@@ -1,9 +1,13 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start runs as written, and its config text
+names the fields the model constructors declare."""
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
+
+from mlcv import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +20,16 @@ def test_quick_start_runs(capsys):
     assert out.startswith("RateFit(alpha=")
     # the two single runs and the three tolerances of the multi-plan run
     assert len(out.splitlines()) == 6
+
+
+def test_config_fields_are_the_constructor_parameters():
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"Config fields beyond the example:.*?\(fields: (.*?);", text, re.S)
+    assert re.findall(r"`(\w+)`", listed.group(1)) == list(cli._MODEL_FIELDS["diffusion_1d"])
+    blocks = re.findall(r"^```json\n(.*?)^```", text, re.M | re.S)
+    assert len(blocks) == 1
+    example = json.loads(blocks[0])
+    model = example["model"]
+    assert model["name"] == "synthetic_low_rank"
+    assert set(model) - {"name"} <= set(cli._MODEL_FIELDS["synthetic_low_rank"])
+    assert cli.normalize_config(example)["model"] == model
