@@ -48,8 +48,9 @@ CACHE_SCHEMA = 6
 
 _META = "meta.json"
 
-# the per-level control-variate scalars of ``meta.json``, each a JSON number
-_LEVEL_FLOATS = ("rho2", "multiplier", "theta")
+# the ``CVLevelConfig`` fields of a ``meta.json`` level record; all but rank are floats
+_LEVEL_KEYS = ("rank", "rho2", "multiplier", "theta")
+_LEVEL_FLOATS = _LEVEL_KEYS[1:]
 
 
 def canonical_json(obj) -> str:
@@ -127,10 +128,7 @@ def save_pilot_cache(
         "master_seed": pilot.master_seed,
         "n_pilot": pilot.n_pilot,
         "n_levels": pilot.n_levels,
-        "levels": [
-            {"rank": c.rank, "rho2": c.rho2, "multiplier": c.multiplier, "theta": c.theta}
-            for c in setup.configs
-        ],
+        "levels": [{k: getattr(c, k) for k in _LEVEL_KEYS} for c in setup.configs],
     }
     tmp = cache_dir / (_META + ".tmp")
     _write_text(tmp, canonical_json(meta))
@@ -143,7 +141,7 @@ def _malformed_level(ell: int, c) -> list[str]:
     A level without a basis (level 0 always) has rank 0 and can hold no
     control variate, so its multiplier must be 0.
     """
-    if type(c) is not dict or sorted(c) != sorted(("rank",) + _LEVEL_FLOATS):
+    if type(c) is not dict or sorted(c) != sorted(_LEVEL_KEYS):
         return [f"levels[{ell}]"]
     bad = [
         f"levels[{ell}].{k}"

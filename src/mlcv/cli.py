@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -289,16 +290,17 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _write_csv(path: Path, cfg: dict, header: list[str], rows) -> None:
+def _write_csv(path: Path, cfg: dict, rows: list[dict]) -> None:
+    """One line per row dict, under a header of the first row's keys."""
     buf = io.StringIO()
     buf.write(
         f"# master_seed={cfg['master_seed']} "
         f"config=sha256:{cache.config_sha(_hash_payload(cfg))}\n"
     )
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
@@ -318,15 +320,7 @@ def _try_rates(level_stats):
 def _rates_block(rates, note):
     if rates is None:
         return {"available": False, "note": note}
-    return {
-        "available": True,
-        "alpha": rates.alpha,
-        "beta": rates.beta,
-        "gamma": rates.gamma,
-        "alpha_residual": rates.alpha_residual,
-        "beta_residual": rates.beta_residual,
-        "gamma_residual": rates.gamma_residual,
-    }
+    return {"available": True, **dataclasses.asdict(rates)}
 
 
 def _bias_block(level_stats, rates, eps: float):
@@ -397,18 +391,9 @@ def cmd_pilot(cfg: dict) -> int:
 
     rates, rates_note = _try_rates(level_stats)
 
-    rows = []
-    for st, c, basis in zip(level_stats, setup.configs, setup.bases):
-        row = {
-            "level": st.level,
-            "dofs": st.dofs,
-            "output_dim": st.output_dim,
-            "mean_y": st.mean_y,
-            "var_y": st.var_y,
-            "mean_q": st.mean_q,
-            "var_q": st.var_q,
-            "cost_fine": st.cost_fine,
-            "cost_coarse": st.cost_coarse,
+    rows = [
+        {
+            **dataclasses.asdict(st),
             "cv_enabled": c.enabled,
             "rank": c.rank,
             "rho2": c.rho2,
@@ -417,7 +402,8 @@ def cmd_pilot(cfg: dict) -> int:
             "theta": c.theta,
             "id_residual": basis.idf.residual_norm if basis is not None else 0.0,
         }
-        rows.append(row)
+        for st, c, basis in zip(level_stats, setup.configs, setup.bases)
+    ]
 
     report = {
         "provenance": _provenance(cfg),
@@ -510,17 +496,7 @@ def cmd_estimate(cfg: dict, methods) -> int:
             }
             tag = f"{method}_{_eps_tag(eps)}"
             _write_json(out_dir / f"report_{tag}.json", report)
-            header = [
-                "level", "dofs", "output_dim", "mean_y", "var_y", "rho2",
-                "mse_factor", "n_samples", "n_prime", "zbar", "theta",
-                "cost", "cost_share",
-            ]
-            _write_csv(
-                out_dir / f"levels_{tag}.csv",
-                cfg,
-                header,
-                ([row[k] for k in header] for row in rows),
-            )
+            _write_csv(out_dir / f"levels_{tag}.csv", cfg, rows)
             print(
                 f"estimate: method={method} eps={_eps_tag(eps)} "
                 f"estimate={result.estimate!r} cost={total_cost!r}"
@@ -532,18 +508,17 @@ def cmd_compare(cfg: dict) -> int:
     out_dir, hierarchy, pilot, setup = _load_study(cfg)
     blocks = [block for block, _ in _plan_blocks(cfg, pilot.stats, setup)]
     rows = [
-        [
-            block["epsilon"],
-            hierarchy.n_levels,
-            block["cost_mc_reference"],
-            block["cost_mlmc"],
-            block["cost_mlcv"],
-            block["cost_ratio"],
-        ]
+        {
+            "epsilon": block["epsilon"],
+            "levels": hierarchy.n_levels,
+            "cost_mc": block["cost_mc_reference"],
+            "cost_mlmc": block["cost_mlmc"],
+            "cost_mlcv": block["cost_mlcv"],
+            "ratio": block["cost_ratio"],
+        }
         for block in sorted(blocks, key=lambda b: b["epsilon"], reverse=True)
     ]
-    header = ["epsilon", "levels", "cost_mc", "cost_mlmc", "cost_mlcv", "ratio"]
-    _write_csv(out_dir / "compare.csv", cfg, header, rows)
+    _write_csv(out_dir / "compare.csv", cfg, rows)
     print(f"compare: wrote {out_dir / 'compare.csv'}")
     return 0
 

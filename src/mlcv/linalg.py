@@ -38,10 +38,6 @@ _STALE = 2.0**-26
 # temporary is a few hundred columns, never the whole matrix.
 _NORM_BLOCK = 256
 
-# Pivots the truncated QR first makes room for under tolerance termination,
-# where the rank is not known up front.
-_GROW_ROWS = 32
-
 
 def _check_matrix(u, name: str = "matrix") -> np.ndarray:
     a = np.asarray(u, dtype=np.float64)
@@ -114,10 +110,9 @@ def pivoted_qr(u, *, rank: int | None = None, tol: float | None = None) -> Pivot
     steps = rank if rank is not None else min(m, n)
 
     # Orthonormal pivot directions and the rows of R over the original column
-    # order, one row per pivot; under tolerance termination they start at
-    # _GROW_ROWS rows and double as needed.
-    size = steps if rank is not None else min(steps, _GROW_ROWS)
-    qt, rows = np.empty((size, m)), np.empty((size, n))
+    # order, one row per pivot; a row's pages are touched only once its pivot
+    # writes it.
+    qt, rows = np.empty((steps, m)), np.empty((steps, n))
     piv = np.empty(steps, dtype=np.int64)
     norms2 = np.einsum("ij,ij->j", a, a)
     exact2 = norms2.copy()  # each norm's value when it was last formed exactly
@@ -130,10 +125,6 @@ def pivoted_qr(u, *, rank: int | None = None, tol: float | None = None) -> Pivot
         diag = float(np.linalg.norm(v))
         if tol is not None and diag <= tol:
             break
-        if r == len(rows):
-            more = min(r, steps - r)
-            qt = np.concatenate([qt, np.empty((more, m))])
-            rows = np.concatenate([rows, np.empty((more, n))])
         qt[r] = v / diag if diag > 0.0 else 0.0
         np.matmul(qt[r], a, out=rows[r])
         rows[r, p] = diag

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -17,10 +18,12 @@ import pytest
 
 from mlcv import (
     ConfigError,
+    LevelStats,
     LevelSubset,
     SyntheticLowRank,
     allocate_mlcv,
     allocate_mlmc,
+    fit_rates,
     pilot_mlmc,
     prepare_control_variates,
     run_mc,
@@ -441,15 +444,23 @@ class TestEndToEnd:
                     )
 
     def test_csv_matches_json(self, study):
+        """Each level CSV holds its report's ``levels`` rows, column for
+        column, every cell equal to its JSON value (the report sorts its
+        keys, so columns are matched by name)."""
         _, out = study
-        report = read_report(out, "mlcv", "0.05")
-        header, rows = read_csv_rows(out / "levels_mlcv_0.05.csv")
-        assert header[:2] == ["level", "dofs"]
-        assert len(rows) == len(report["levels"])
-        for row, entry in zip(rows, report["levels"]):
-            assert int(row[0]) == entry["level"]
-            assert float(row[header.index("mean_y")]) == entry["mean_y"]
-            assert int(row[header.index("n_prime")]) == entry["n_prime"]
+        paths = sorted(out.glob("levels_*.csv"))
+        assert len(paths) == 6
+        for path in paths:
+            report = read_report(out, *path.stem.split("_", 2)[1:])
+            header, rows = read_csv_rows(path)
+            assert header[:2] == ["level", "dofs"]
+            assert sorted(header) == list(report["levels"][0])
+            assert len(rows) == len(report["levels"])
+            for row, entry in zip(rows, report["levels"]):
+                for name, cell in zip(header, row, strict=True):
+                    value = entry[name]
+                    assert type(value) in (int, float)
+                    assert type(value)(cell) == value
 
     def test_compare_table(self, study):
         _, out = study
@@ -457,11 +468,32 @@ class TestEndToEnd:
         assert header == ["epsilon", "levels", "cost_mc", "cost_mlmc", "cost_mlcv", "ratio"]
         eps = [float(r[0]) for r in rows]
         assert eps == sorted(eps, reverse=True)
+        plans = {
+            plan["epsilon"]: plan
+            for plan in json.loads((out / "pilot.json").read_text())["plans"]
+        }
+        assert len(rows) == len(plans)
         for row in rows:
             assert int(row[1]) == 3
             assert float(row[5]) == pytest.approx(
                 float(row[4]) / float(row[3]), rel=1e-12
             )
+            plan = plans[float(row[0])]
+            keys = ("cost_mc_reference", "cost_mlmc", "cost_mlcv", "cost_ratio")
+            assert [float(v) for v in row[2:]] == [plan[k] for k in keys]
+
+    def test_pilot_rows_hold_the_pilot_records(self, study):
+        """Every ``LevelStats`` field is in its ``levels`` row with the live
+        pilot's value, and ``rates`` is ``available`` plus the ``RateFit``."""
+        path, out = study
+        report = json.loads((out / "pilot.json").read_text())
+        stats = live_pilot(path).stats
+        assert len(report["levels"]) == len(stats)
+        for row, st in zip(report["levels"], stats):
+            for field in dataclasses.fields(LevelStats):
+                assert row[field.name] == getattr(st, field.name)
+        rates = dataclasses.asdict(fit_rates(stats))
+        assert report["rates"] == {"available": True, **rates}
 
     def test_mc_cost_scales_with_epsilon(self, study):
         _, out = study

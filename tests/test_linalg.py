@@ -17,7 +17,6 @@ from mlcv import (
     interpolative_decomposition,
     pivoted_qr,
 )
-from mlcv import linalg
 from mlcv.linalg import solve_T
 
 
@@ -97,13 +96,13 @@ class TestPivotedQR:
         f = pivoted_qr(a, rank=11)
         assert np.array_equal(f.permutation[:11], piv_ref[:11])
 
-    def test_tolerance_rank_beyond_first_allocation(self):
-        """Under tolerance termination the factors start with room for
-        ``_GROW_ROWS`` pivots and grow when the rank passes it."""
+    def test_tolerance_reaches_full_rank(self):
+        """A tolerance below every pivot runs all min(m, n) steps, with
+        scipy's pivots."""
         a = np.random.default_rng(5).normal(size=(50, 70))
         f = pivoted_qr(a, tol=1e-8)
         _, _, piv_ref = scipy.linalg.qr(a, mode="economic", pivoting=True)
-        assert f.rank == 50 > linalg._GROW_ROWS
+        assert f.rank == 50
         assert np.array_equal(f.permutation[:50], piv_ref[:50])
         assert np.linalg.norm(gram_gap(a, f)) <= 1e-12 * np.linalg.norm(a) ** 2
 

@@ -1,5 +1,6 @@
-"""The README's library quick start runs as written, and its config text
-names the fields the model constructors declare."""
+"""The README's library quick start runs as written, its config text names
+the fields the model constructors declare, and the cache schema it and the
+cache module name is ``CACHE_SCHEMA``."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import json
 import re
 from pathlib import Path
 
-from mlcv import cli
+from mlcv import cache, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +34,9 @@ def test_config_fields_are_the_constructor_parameters():
     assert model["name"] == "synthetic_low_rank"
     assert set(model) - {"name"} <= set(cli._MODEL_FIELDS["synthetic_low_rank"])
     assert cli.normalize_config(example)["model"] == model
+
+
+def test_cache_schema_is_named_where_the_cache_is_described():
+    readme = re.findall(r"The cache\s+\(schema\s+(\d+)\)", README.read_text(encoding="utf-8"))
+    module = re.findall(r"A pilot cache\s+\(schema\s+(\d+)\)", cache.__doc__)
+    assert readme == module == [str(cache.CACHE_SCHEMA)]
