@@ -25,7 +25,6 @@ from .cache import (
 from .control_variates import (
     S2_DEFAULT,
     CVLevelConfig,
-    CVSetup,
     ReducedBasisPair,
     allocate_mlcv,
     allocate_zbar,
@@ -67,12 +66,10 @@ from .mlmc import (
 )
 from .models import (
     Diffusion1D,
-    ExponentialKernel,
     KLField,
     LevelHierarchy,
     LevelOutput,
     LevelSubset,
-    SquaredExponentialKernel,
     SyntheticLowRank,
     kl_decompose,
     kl_modes_at,
@@ -81,11 +78,9 @@ from .models import (
 )
 from .stats import (
     RunningMoments,
-    mc_mean,
     mse_reduction_factor,
     rho_squared,
     sample_covariance,
-    sample_variance,
 )
 from .streams import (
     PURPOSE_MAIN_Y,
@@ -101,13 +96,11 @@ __all__ = [
     "AllocationPlan",
     "CACHE_SCHEMA",
     "CVLevelConfig",
-    "CVSetup",
     "ConfigError",
     "DataError",
     "Diffusion1D",
     "DimensionError",
     "EstimatorResult",
-    "ExponentialKernel",
     "IDFactorization",
     "KLField",
     "LeastSquaresOperator",
@@ -128,7 +121,6 @@ __all__ = [
     "ReducedBasisPair",
     "RunningMoments",
     "S2_DEFAULT",
-    "SquaredExponentialKernel",
     "SyntheticLowRank",
     "allocate_mlcv",
     "allocate_mlmc",
@@ -149,7 +141,6 @@ __all__ = [
     "load_setup",
     "make_kernel",
     "mc_cost_reference",
-    "mc_mean",
     "mc_oracle_mean",
     "mse_reduction_factor",
     "nominal_mlcv_cost",
@@ -162,7 +153,6 @@ __all__ = [
     "run_mlcv",
     "run_mlmc",
     "sample_covariance",
-    "sample_variance",
     "sample_z",
     "save_pilot_cache",
     "theta_star",

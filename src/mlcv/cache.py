@@ -38,10 +38,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .control_variates import CVLevelConfig, CVSetup, ReducedBasisPair
+from .control_variates import CVLevelConfig, ReducedBasisPair
 from .errors import DataError
 from .linalg import LeastSquaresOperator
-from .mlmc import PilotRun, _build_pilot
+from .mlmc import N_MIN, PilotRun, _build_pilot
 from .models import LevelHierarchy
 
 CACHE_SCHEMA = 6
@@ -97,7 +97,7 @@ def save_pilot_cache(
     cache_dir: Path,
     hierarchy: LevelHierarchy,
     pilot: PilotRun,
-    setup: CVSetup,
+    setup: list[CVLevelConfig],
     pilot_key: str,
 ) -> None:
     """Persist the pilot's quantities of interest, its control-variate setup,
@@ -113,13 +113,13 @@ def save_pilot_cache(
         old.unlink()
     for ell, data in enumerate(pilot.levels):
         _save_array(cache_dir / f"level{ell}_qoi.npy", data.qoi)
-    for ell, (basis, z) in enumerate(zip(setup.bases, setup.pilot_z)):
-        if basis is None:
+    for ell, c in enumerate(setup):
+        if c.basis is None:
             continue
-        _save_array(cache_dir / f"level{ell}_selected.npy", basis.selected_pilot_indices)
-        _save_array(cache_dir / f"level{ell}_fine_basis.npy", basis.fine_basis)
-        _save_array(cache_dir / f"level{ell}_coarse_basis.npy", basis.solver.a)
-        _save_array(cache_dir / f"level{ell}_z.npy", z)
+        _save_array(cache_dir / f"level{ell}_selected.npy", c.basis.selected_pilot_indices)
+        _save_array(cache_dir / f"level{ell}_fine_basis.npy", c.basis.fine_basis)
+        _save_array(cache_dir / f"level{ell}_coarse_basis.npy", c.basis.solver.a)
+        _save_array(cache_dir / f"level{ell}_z.npy", c.pilot_z)
     for name, a in hierarchy.kept_arrays().items():
         _save_array(_model_file(cache_dir, name), a)
     meta = {
@@ -128,7 +128,7 @@ def save_pilot_cache(
         "master_seed": pilot.master_seed,
         "n_pilot": pilot.n_pilot,
         "n_levels": pilot.n_levels,
-        "levels": [{k: getattr(c, k) for k in _LEVEL_KEYS} for c in setup.configs],
+        "levels": [{k: getattr(c, k) for k in _LEVEL_KEYS} for c in setup],
     }
     tmp = cache_dir / (_META + ".tmp")
     _write_text(tmp, canonical_json(meta))
@@ -182,6 +182,8 @@ def _read_meta(cache_dir: Path) -> dict:
         raise DataError(f"{path} lacks {', '.join(missing)}: re-run the pilot command")
     # exact types: JSON gives bool for true/false, which isinstance counts as int
     bad = [k for k in ("n_levels", "n_pilot", "master_seed") if type(meta[k]) is not int]
+    if "n_pilot" not in bad and meta["n_pilot"] < N_MIN:
+        bad.append("n_pilot")
     if type(meta["pilot_key"]) is not str:
         bad.append("pilot_key")
     levels = meta["levels"]
@@ -242,8 +244,11 @@ def load_pilot_cache(
     return _build_pilot(hierarchy, meta["master_seed"], n, outputs)
 
 
-def load_setup(cache_dir: Path, hierarchy: LevelHierarchy, pilot_key: str) -> CVSetup:
-    """Rebuild the control-variate setup that the pilot command stored.
+def load_setup(
+    cache_dir: Path, hierarchy: LevelHierarchy, pilot_key: str
+) -> list[CVLevelConfig]:
+    """Rebuild the control-variate setup that the pilot command stored, one
+    record per level.
 
     Each level's parameters come from ``meta.json`` and each basis from its
     arrays, checked for dtype and for shape against the hierarchy's output
@@ -256,13 +261,11 @@ def load_setup(cache_dir: Path, hierarchy: LevelHierarchy, pilot_key: str) -> CV
     cache_dir = Path(cache_dir)
     meta = _study_meta(cache_dir, hierarchy, pilot_key)
     n = meta["n_pilot"]
-    configs, bases, pilot_z = [], [], []
+    configs = []
     for ell, c in enumerate(meta["levels"]):
-        configs.append(CVLevelConfig(level=ell, **c))
         r = c["rank"]
         if r == 0:
-            bases.append(None)
-            pilot_z.append(None)
+            configs.append(CVLevelConfig(level=ell, **c))
             continue
         tag = f"level{ell}"
         path = cache_dir / f"{tag}_selected.npy"
@@ -275,16 +278,15 @@ def load_setup(cache_dir: Path, hierarchy: LevelHierarchy, pilot_key: str) -> CV
         coarse = _load_array(
             cache_dir / f"{tag}_coarse_basis.npy", (hierarchy.output_dim(ell - 1), r)
         )
-        bases.append(
-            ReducedBasisPair(
-                level=ell,
-                fine_basis=_load_array(
-                    cache_dir / f"{tag}_fine_basis.npy", (hierarchy.output_dim(ell), r)
-                ),
-                selected_pilot_indices=sel,
-                idf=None,
-                solver=LeastSquaresOperator(coarse),
-            )
+        basis = ReducedBasisPair(
+            level=ell,
+            fine_basis=_load_array(
+                cache_dir / f"{tag}_fine_basis.npy", (hierarchy.output_dim(ell), r)
+            ),
+            selected_pilot_indices=sel,
+            idf=None,
+            solver=LeastSquaresOperator(coarse),
         )
-        pilot_z.append(_load_array(cache_dir / f"{tag}_z.npy", (n,)))
-    return CVSetup(configs=configs, bases=bases, pilot_z=pilot_z)
+        pilot_z = _load_array(cache_dir / f"{tag}_z.npy", (n,))
+        configs.append(CVLevelConfig(level=ell, **c, basis=basis, pilot_z=pilot_z))
+    return configs

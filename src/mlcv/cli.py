@@ -335,15 +335,11 @@ def _plan_block(level_stats, setup, eps: float):
     """Planned allocations and plan-implied costs for one tolerance, and the
     plans themselves keyed by method."""
     plan_ml = mlmc.allocate_mlmc(level_stats, eps)
-    plan_cv = cv.allocate_mlcv(level_stats, setup.configs, eps)
+    plan_cv = cv.allocate_mlcv(level_stats, setup, eps)
     finest = level_stats[-1]
     cost_ml = cv.nominal_mlmc_cost(level_stats, plan_ml)
     cost_cv = cv.nominal_mlcv_cost(level_stats, plan_cv, setup)
-    under_rank = [
-        c.level
-        for c, n in zip(setup.configs, plan_cv.n_samples)
-        if c.enabled and n < c.rank
-    ]
+    under_rank = [c.level for c, n in zip(setup, plan_cv.n_samples) if c.enabled and n < c.rank]
     block = {
         "epsilon": eps,
         "n_mlmc": list(plan_ml.n_samples),
@@ -400,9 +396,9 @@ def cmd_pilot(cfg: dict) -> int:
             "mse_factor": c.mse_factor,
             "zbar_multiplier": c.multiplier,
             "theta": c.theta,
-            "id_residual": basis.idf.residual_norm if basis is not None else 0.0,
+            "id_residual": c.basis.idf.residual_norm if c.basis is not None else 0.0,
         }
-        for st, c, basis in zip(level_stats, setup.configs, setup.bases)
+        for st, c in zip(level_stats, setup)
     ]
 
     report = {
@@ -461,7 +457,7 @@ def cmd_estimate(cfg: dict, methods) -> int:
             rows = []
             for i, counts in enumerate(result.eval_counts):
                 st = level_stats[counts.level]
-                c = setup.configs[counts.level]
+                c = setup[counts.level]
                 level_cost = mlmc.counted_cost([counts], level_stats)
                 use_cv = method == "mlcv" and c.enabled
                 rows.append(

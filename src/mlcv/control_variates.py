@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -193,11 +193,13 @@ def allocate_zbar(rho2: float, zeta: float, s2: float = S2_DEFAULT) -> float:
 
 @dataclass(frozen=True)
 class CVLevelConfig:
-    """Frozen per-level control-variate parameters derived from the pilot.
+    """One level's control variate, frozen from the pilot.
 
     ``enabled`` means ``multiplier > 0``: the control variate runs exactly
     on the levels whose auxiliary multiplier is positive.  ``rank`` is the
-    number of columns in the level's reduced basis (0 without a basis).
+    number of columns in the level's reduced basis ``basis``, and
+    ``pilot_z`` holds the surrogate corrections Z at the pilot inputs; both
+    are None exactly when ``rank`` is 0 (level 0 always).
     """
 
     level: int
@@ -205,6 +207,8 @@ class CVLevelConfig:
     rho2: float = 0.0
     multiplier: float = 0.0
     theta: float = 0.0
+    basis: ReducedBasisPair | None = field(default=None, repr=False, compare=False)
+    pilot_z: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def enabled(self) -> bool:
@@ -223,15 +227,6 @@ class CVLevelConfig:
         return stats.mse_reduction_factor(self.rho2, self.ratio)
 
 
-@dataclass
-class CVSetup:
-    """Per-level bases and frozen parameters for the control-variate run."""
-
-    configs: list[CVLevelConfig]
-    bases: list[ReducedBasisPair | None]
-    pilot_z: list[np.ndarray | None]
-
-
 def prepare_control_variates(
     hierarchy: LevelHierarchy,
     pilot: PilotRun,
@@ -239,8 +234,9 @@ def prepare_control_variates(
     rank=None,
     tol: float | None = None,
     s2: float = S2_DEFAULT,
-) -> CVSetup:
-    """Build bases and freeze per-level control-variate parameters.
+) -> list[CVLevelConfig]:
+    """Build bases and freeze the control variate of each level, one record
+    per level.
 
     ``rank`` may be a single value or one value per correction level;
     alternatively pass ``tol`` for tolerance-terminated basis selection.
@@ -263,16 +259,11 @@ def prepare_control_variates(
             )
         ranks = [None] + [int(r) for r in rank]
 
-    configs: list[CVLevelConfig] = [CVLevelConfig(level=0)]
-    bases: list[ReducedBasisPair | None] = [None]
-    pilot_z: list[np.ndarray | None] = [None]
-
+    configs = [CVLevelConfig(level=0)]
     for ell in range(1, n_levels):
         basis = build_reduced_basis(hierarchy, ell, pilot, rank=ranks[ell], tol=tol)
         if basis is None:
             configs.append(CVLevelConfig(level=ell))
-            bases.append(None)
-            pilot_z.append(None)
             continue
         coarse = pilot.levels[ell - 1]
         y = pilot.levels[ell].y
@@ -284,15 +275,19 @@ def prepare_control_variates(
         theta = 0.0
         if multiplier > 0.0:
             cov = stats.sample_covariance(y, z)
-            theta = theta_star(cov, stats.sample_variance(z), 1.0 / multiplier)
+            theta = theta_star(cov, stats.RunningMoments.of(z).variance, 1.0 / multiplier)
         configs.append(
             CVLevelConfig(
-                level=ell, rank=basis.idf.rank, rho2=rho2, multiplier=multiplier, theta=theta
+                level=ell,
+                rank=basis.idf.rank,
+                rho2=rho2,
+                multiplier=multiplier,
+                theta=theta,
+                basis=basis,
+                pilot_z=z,
             )
         )
-        bases.append(basis)
-        pilot_z.append(z)
-    return CVSetup(configs=configs, bases=bases, pilot_z=pilot_z)
+    return configs
 
 
 def allocate_mlcv(
@@ -335,7 +330,7 @@ def run_mlcv(
     hierarchy: LevelHierarchy,
     plans: AllocationPlan | Sequence[AllocationPlan],
     pilot: PilotRun,
-    setup: CVSetup,
+    setup: list[CVLevelConfig],
 ) -> EstimatorResult | list[EstimatorResult]:
     """Control-variate estimate under each plan of ``plans``: sum over levels
     of mean(Y - theta (Z - Zbar)).
@@ -355,20 +350,20 @@ def run_mlcv(
     n_levels = hierarchy.n_levels
     if pilot.n_levels != n_levels or any(len(p.n_samples) != n_levels for p in plans):
         raise DimensionError("plan, pilot, and hierarchy level counts must agree")
-    if len(setup.configs) != n_levels:
+    if len(setup) != n_levels:
         raise DimensionError("setup level count does not match hierarchy")
     if any(plan.n_prime is None for plan in plans):
         raise ConfigError("plan lacks auxiliary counts; use allocate_mlcv")
     controls = {}
-    for ell, (cfg, basis) in enumerate(zip(setup.configs, setup.bases)):
+    for ell, cfg in enumerate(setup):
         if not cfg.enabled:
             continue
         n_primes = [plan.n_prime[ell] for plan in plans]
-        zbars = estimate_zbar(hierarchy, basis, n_primes, pilot.master_seed)
-        keep = np.delete(np.arange(pilot.n_pilot), basis.selected_pilot_indices)
+        zbars = estimate_zbar(hierarchy, cfg.basis, n_primes, pilot.master_seed)
+        keep = np.delete(np.arange(pilot.n_pilot), cfg.basis.selected_pilot_indices)
         controls[ell] = (
-            _controlled_correction(hierarchy, basis, cfg.theta),
-            (pilot.levels[ell].y - cfg.theta * setup.pilot_z[ell])[keep],
+            _controlled_correction(hierarchy, cfg.basis, cfg.theta),
+            (pilot.levels[ell].y - cfg.theta * cfg.pilot_z)[keep],
             cfg.theta,
             list(zip(n_primes, zbars)),
             cfg.mse_factor,
@@ -378,7 +373,7 @@ def run_mlcv(
 
 
 def nominal_mlcv_cost(
-    level_stats: list[LevelStats], plan: AllocationPlan, setup: CVSetup
+    level_stats: list[LevelStats], plan: AllocationPlan, setup: list[CVLevelConfig]
 ) -> float:
     """Plan-implied cost of a control-variate run: coupled samples plus basis
     pairs at each correction level, plus the auxiliary coarse solves, at the
@@ -387,9 +382,7 @@ def nominal_mlcv_cost(
         raise ConfigError("plan lacks auxiliary counts; use allocate_mlcv")
     counts = [
         pair_counts(ell, n + (cfg.rank if cfg.enabled else 0), n_prime)
-        for ell, (cfg, n, n_prime) in enumerate(
-            zip(setup.configs, plan.n_samples, plan.n_prime)
-        )
+        for ell, (cfg, n, n_prime) in enumerate(zip(setup, plan.n_samples, plan.n_prime))
     ]
     return counted_cost(counts, level_stats)
 

@@ -106,13 +106,14 @@ def _build_pilot(
     for ell, (q, qoi) in enumerate(outputs):
         y = qoi - run.levels[ell - 1].qoi if ell > 0 else qoi
         run.levels.append(PilotLevel(q=q, qoi=qoi, y=y))
+        my, mq = stats.RunningMoments.of(y), stats.RunningMoments.of(qoi)
         run.stats.append(
             LevelStats(
                 level=ell,
-                mean_y=stats.mc_mean(y),
-                var_y=stats.sample_variance(y),
-                mean_q=stats.mc_mean(qoi),
-                var_q=stats.sample_variance(qoi),
+                mean_y=my.mean,
+                var_y=my.variance,
+                mean_q=mq.mean,
+                var_q=mq.variance,
                 cost_fine=hierarchy.cost(ell),
                 cost_coarse=hierarchy.cost(ell - 1) if ell > 0 else 0.0,
                 dofs=hierarchy.dofs(ell),

@@ -18,6 +18,7 @@ Two desk-scale families are provided:
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,59 +30,29 @@ from .errors import ConfigError, DataError, DimensionError, NumericalError
 # covariance kernels and Karhunen-Loeve machinery
 
 
-@dataclass(frozen=True)
-class ExponentialKernel:
-    """k(x, y) = sigma2 * exp(-|x - y| / corr_length)."""
-
-    sigma2: float
-    corr_length: float
-
-    def __post_init__(self):
-        _check_kernel_params(self.sigma2, self.corr_length)
-
-    def __call__(self, x, y):
-        return self.sigma2 * np.exp(-np.abs(np.asarray(x) - np.asarray(y)) / self.corr_length)
-
-
-@dataclass(frozen=True)
-class SquaredExponentialKernel:
-    """k(x, y) = sigma2 * exp(-(x - y)^2 / corr_length).
-
-    Note the squared distance is divided by corr_length itself, not by
-    corr_length squared; corr_length therefore has units of length squared.
-    """
-
-    sigma2: float
-    corr_length: float
-
-    def __post_init__(self):
-        _check_kernel_params(self.sigma2, self.corr_length)
-
-    def __call__(self, x, y):
-        d = np.asarray(x) - np.asarray(y)
-        return self.sigma2 * np.exp(-(d * d) / self.corr_length)
-
-
-def _check_kernel_params(sigma2: float, corr_length: float) -> None:
-    if not np.isfinite(sigma2) or sigma2 <= 0.0:
-        raise ConfigError(f"kernel sigma2 must be positive, got {sigma2}")
-    if not np.isfinite(corr_length) or corr_length <= 0.0:
-        raise ConfigError(f"kernel corr_length must be positive, got {corr_length}")
-
-
+# k(x, y) = sigma2 * profile(x - y, corr_length).  The squared exponential
+# divides the squared distance by corr_length itself, not by corr_length
+# squared; corr_length therefore has units of length squared there.
 _KERNELS = {
-    "exponential": ExponentialKernel,
-    "squared_exponential": SquaredExponentialKernel,
+    "exponential": lambda d, corr_length: np.exp(-np.abs(d) / corr_length),
+    "squared_exponential": lambda d, corr_length: np.exp(-(d * d) / corr_length),
 }
 
 
 def make_kernel(name: str, sigma2: float, corr_length: float):
-    try:
-        return _KERNELS[name](sigma2, corr_length)
-    except KeyError:
-        raise ConfigError(
-            f"unknown kernel {name!r}; expected one of {sorted(_KERNELS)}"
-        ) from None
+    """The covariance kernel ``k(x, y)`` of the named profile."""
+    if name not in _KERNELS:
+        raise ConfigError(f"unknown kernel {name!r}; expected one of {sorted(_KERNELS)}")
+    if not np.isfinite(sigma2) or sigma2 <= 0.0:
+        raise ConfigError(f"kernel sigma2 must be positive, got {sigma2}")
+    if not np.isfinite(corr_length) or corr_length <= 0.0:
+        raise ConfigError(f"kernel corr_length must be positive, got {corr_length}")
+    profile = _KERNELS[name]
+
+    def k(x, y):
+        return sigma2 * profile(np.asarray(x) - np.asarray(y), corr_length)
+
+    return k
 
 
 @dataclass(frozen=True)
@@ -90,11 +61,13 @@ class KLField:
 
     ``eigenvectors[:, i]`` holds mode i on ``grid``, orthonormal under the
     trapezoid quadrature weights; ``eigenvalues`` are the matching kernel
-    eigenvalues in descending order.
+    eigenvalues in descending order.  ``kernel`` is the covariance callable
+    ``k(x, y)`` (as ``make_kernel`` returns) that ``kl_modes_at`` extends
+    the modes with.
     """
 
     grid: np.ndarray
-    kernel: object
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
@@ -666,6 +639,7 @@ class Diffusion1D(LevelHierarchy):
             else:
                 np.subtract(f_half, ih[:-1], out=out)
                 out *= w[:-1]
+                # row by row: np.cumsum(axis=0) gives the same bits, 4-14x slower per block
                 for i in range(1, m):
                     np.add(out[i - 1], out[i], out=out[i])
             finite &= np.isfinite(out).all(axis=0)

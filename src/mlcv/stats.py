@@ -44,12 +44,6 @@ def _chunked_sum(x: np.ndarray) -> float:
     return total
 
 
-def mc_mean(values) -> float:
-    """Sample mean."""
-    x = _as_vector(values, "values")
-    return _chunked_sum(x) / x.size
-
-
 class RunningMoments:
     """Streaming mean and variance over batches of samples.
 
@@ -66,6 +60,14 @@ class RunningMoments:
         self.mean = 0.0
         self._m2 = 0.0
 
+    @classmethod
+    def of(cls, values) -> RunningMoments:
+        """The moments of one batch: its mean, and its variance for two or
+        more values."""
+        moments = cls()
+        moments.update(values)
+        return moments
+
     def update(self, values) -> None:
         x = _as_vector(values, "values")
         n = x.size
@@ -74,7 +76,9 @@ class RunningMoments:
         total = self.count + n
         delta = mean_b - self.mean
         self.mean += delta * (n / total)
-        self._m2 += m2_b + delta * delta * (self.count * n / total)
+        # no cross term on the first batch: delta * delta may overflow there
+        cross = delta * delta * (self.count * n / total) if self.count else 0.0
+        self._m2 += m2_b + cross
         self.count = total
 
     @property
@@ -83,16 +87,6 @@ class RunningMoments:
         if self.count < 2:
             return 0.0
         return max(self._m2, 0.0) / (self.count - 1)
-
-
-def sample_variance(values) -> float:
-    """Unbiased sample variance (n - 1 normalization).  Requires n >= 2."""
-    x = _as_vector(values, "values")
-    if x.size < 2:
-        raise DataError("sample_variance needs at least two values")
-    mean = _chunked_sum(x) / x.size
-    ss = _chunked_sum((x - mean) ** 2)
-    return max(ss, 0.0) / (x.size - 1)
 
 
 def sample_covariance(y, z) -> float:
@@ -120,8 +114,8 @@ def rho_squared(y, z) -> float:
         raise DimensionError(f"length mismatch: {yv.size} vs {zv.size}")
     if yv.size < 2:
         raise DataError("rho_squared needs at least two values")
-    vy = sample_variance(yv)
-    vz = sample_variance(zv)
+    vy = RunningMoments.of(yv).variance
+    vz = RunningMoments.of(zv).variance
     if vy <= 0.0 or vz <= 0.0:
         return 0.0
     cov = sample_covariance(yv, zv)

@@ -193,7 +193,7 @@ class TestCriterion04EstimatorMse:
             pilot = pilot_mlmc(model, 100, 10_000 + seed)
             setup = prepare_control_variates(model, pilot, rank=5)
             plan_ml = allocate_mlmc(pilot.stats, eps)
-            plan_cv = allocate_mlcv(pilot.stats, setup.configs, eps)
+            plan_cv = allocate_mlcv(pilot.stats, setup, eps)
             plain.append(run_mlmc(model, plan_ml, pilot).estimate)
             controlled.append(run_mlcv(model, plan_cv, pilot, setup).estimate)
         mse_ml = float(np.mean((np.asarray(plain) - exact) ** 2))
@@ -210,7 +210,7 @@ class TestCriterion04EstimatorMse:
 class TestCriterion05VarianceReduction:
     def test_correlations_and_sample_variances(self, synthetic_study):
         model, pilot, setup = synthetic_study
-        rho2 = [cfg.rho2 for cfg in setup.configs]
+        rho2 = [cfg.rho2 for cfg in setup]
         plan_cv = AllocationPlan(
             n_samples=(400, 400, 400), n_prime=(0, 100, 100)
         )
@@ -225,7 +225,7 @@ class TestCriterion05VarianceReduction:
         diffusion = Diffusion1D()
         pilot_d = pilot_mlmc(diffusion, 200, 2024)
         setup_d = prepare_control_variates(diffusion, pilot_d, rank=10)
-        rho2_d = [cfg.rho2 for cfg in setup_d.configs]
+        rho2_d = [cfg.rho2 for cfg in setup_d]
 
         ok = (
             all(r >= 0.99 for r in rho2[1:])
@@ -254,7 +254,7 @@ class TestCriterion06CostRatioTrend:
         ratios = []
         for eps in (1e-3, 1e-4, 1e-5):
             cost_ml = nominal_mlmc_cost(pilot.stats, allocate_mlmc(pilot.stats, eps))
-            plan_cv = allocate_mlcv(pilot.stats, setup.configs, eps)
+            plan_cv = allocate_mlcv(pilot.stats, setup, eps)
             cost_cv = nominal_mlcv_cost(pilot.stats, plan_cv, setup)
             ratios.append(cost_cv / cost_ml)
         elapsed = time.perf_counter() - t0
@@ -275,8 +275,8 @@ class TestCriterion06CostRatioTrend:
 class TestCriterion07ThetaGridOptimality:
     def test_mse_minimized_at_theta_star(self, synthetic_study):
         model, pilot, setup = synthetic_study
-        basis = setup.bases[1]
-        cfg = setup.configs[1]
+        basis = setup[1].basis
+        cfg = setup[1]
         xi_big = draw_inputs(171717, PURPOSE_ORACLE, 1, 0, 400_000, model.input_dim)
         truth = float((model.evaluate(1, xi_big).qoi - model.evaluate(0, xi_big).qoi).mean())
         grid = np.array([0.25, 0.5, 1.0, 1.5, 2.0]) * cfg.theta
@@ -308,11 +308,9 @@ class TestCriterion08Degeneration:
         model = SyntheticLowRank()
         pilot = pilot_mlmc(model, 100, 4321)
         setup = prepare_control_variates(model, pilot, rank=5)
-        setup.configs = [
-            dataclasses.replace(c, rho2=0.0, multiplier=0.0, theta=0.0) for c in setup.configs
-        ]
-        assert all(not cfg.enabled for cfg in setup.configs)
-        plan_cv = allocate_mlcv(pilot.stats, setup.configs, 0.05)
+        setup = [dataclasses.replace(c, rho2=0.0, multiplier=0.0, theta=0.0) for c in setup]
+        assert all(not cfg.enabled for cfg in setup)
+        plan_cv = allocate_mlcv(pilot.stats, setup, 0.05)
         plan_ml = allocate_mlmc(pilot.stats, 0.05)
         assert plan_cv.n_samples == plan_ml.n_samples
         res_cv = run_mlcv(model, plan_cv, pilot, setup)
@@ -405,7 +403,7 @@ class TestCriterion11CostIdentity:
         pilot = pilot_mlmc(model, 100, 555)
         setup = prepare_control_variates(model, pilot, rank=5)
 
-        plan = allocate_mlcv(pilot.stats, setup.configs, 0.02)
+        plan = allocate_mlcv(pilot.stats, setup, 0.02)
         result = run_mlcv(model, plan, pilot, setup)
         allocated_ok = result.total_cost == self._recompute(model, result)
 
@@ -421,7 +419,7 @@ class TestCriterion11CostIdentity:
             fine = model.cost(ell)
             coarse = model.cost(ell - 1) if ell > 0 else 0.0
             n = saturated.n_samples[ell]
-            cfg = setup.configs[ell]
+            cfg = setup[ell]
             if ell == 0 or not cfg.enabled:
                 closed_form += n * (fine + coarse)
             else:

@@ -178,7 +178,14 @@ class TestPilotCache:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("n_pilot", "abc"), ("master_seed", None), ("master_seed", "123"), ("n_levels", 3.0)],
+        [
+            ("n_pilot", "abc"),
+            ("n_pilot", 1),
+            ("n_pilot", 0),
+            ("master_seed", None),
+            ("master_seed", "123"),
+            ("n_levels", 3.0),
+        ],
     )
     def test_malformed_meta_value_rejected(self, cache_dir, synthetic, key, value):
         _edit_meta(cache_dir, lambda meta: meta.update({key: value}))
@@ -218,7 +225,7 @@ class TestPilotCache:
             load_setup(cache_dir, synthetic, "key-1")
 
     def test_output_dim_mismatch_rejected(self, cache_dir, synthetic, synthetic_setup):
-        np.save(cache_dir / "level1_fine_basis.npy", synthetic_setup.bases[2].fine_basis)
+        np.save(cache_dir / "level1_fine_basis.npy", synthetic_setup[2].basis.fine_basis)
         with pytest.raises(DataError, match="shape"):
             load_setup(cache_dir, synthetic, "key-1")
 
@@ -329,7 +336,7 @@ TERMINATIONS = [{"rank": 3}, {"tol": 1e-6}, {"tol": 20.0}]
 class TestLoadSetup:
     def test_matching_cache_accepted(self, cache_dir, synthetic, synthetic_setup):
         again = load_setup(cache_dir, synthetic, "key-1")
-        assert [c.rho2 for c in again.configs] == [c.rho2 for c in synthetic_setup.configs]
+        assert [c.rho2 for c in again] == [c.rho2 for c in synthetic_setup]
 
     def test_loaded_pilot_builds_no_basis(self, cache_dir, synthetic):
         """A loaded pilot has no snapshots, so only the stored setup serves it."""
@@ -342,8 +349,8 @@ class TestLoadSetup:
     ):
         back = load_setup(cache_dir, synthetic, "key-1")
         coarse = synthetic_pilot.levels[0]
-        z_orig = sample_z(synthetic, synthetic_setup.bases[1], coarse.q, coarse.qoi)
-        z_back = sample_z(synthetic, back.bases[1], coarse.q, coarse.qoi)
+        z_orig = sample_z(synthetic, synthetic_setup[1].basis, coarse.q, coarse.qoi)
+        z_back = sample_z(synthetic, back[1].basis, coarse.q, coarse.qoi)
         assert np.array_equal(z_orig, z_back)
 
     @pytest.mark.parametrize("termination", TERMINATIONS, ids=["rank", "tol", "tol_rank0"])
@@ -351,7 +358,7 @@ class TestLoadSetup:
         """The setup rebuilt from the cache is the one the pilot derived, bit
         for bit, over every field the estimators read."""
         live = prepare_control_variates(synthetic, synthetic_pilot, **termination)
-        ranks = [c.rank for c in live.configs]
+        ranks = [c.rank for c in live]
         if termination.get("tol") == 20.0:
             # the premise: level 1 finds no basis, level 2 does
             assert ranks[1] == 0 and ranks[2] > 0
@@ -361,13 +368,14 @@ class TestLoadSetup:
             3, [ell for ell, r in enumerate(ranks) if r]
         )
 
-        for c_live, c_back in zip(live.configs, back.configs, strict=True):
+        for c_live, c_back in zip(live, back, strict=True):
             assert (c_back.level, c_back.rank) == (c_live.level, c_live.rank)
             assert type(c_back.rank) is int
             for name in ("rho2", "multiplier", "theta"):
                 assert _same_bits(getattr(c_back, name), getattr(c_live, name)), name
-        for b_live, b_back in zip(live.bases, back.bases, strict=True):
-            assert (b_back is None) == (b_live is None)
+            b_live, b_back = c_live.basis, c_back.basis
+            assert (b_back is None) == (b_live is None) == (c_live.rank == 0)
+            assert (c_back.pilot_z is None) == (c_live.pilot_z is None) == (b_live is None)
             if b_live is None:
                 continue
             assert b_back.level == b_live.level
@@ -376,10 +384,7 @@ class TestLoadSetup:
             assert _same_bits(b_back.fine_basis, b_live.fine_basis)
             assert _same_bits(b_back.solver.a, b_live.solver.a)
             assert _same_bits(b_back.solver._pinv, b_live.solver._pinv)
-        for z_live, z_back in zip(live.pilot_z, back.pilot_z, strict=True):
-            assert (z_back is None) == (z_live is None)
-            if z_live is not None:
-                assert _same_bits(z_back, z_live)
+            assert _same_bits(c_back.pilot_z, c_live.pilot_z)
 
         for l_live, l_back in zip(synthetic_pilot.levels, pilot.levels, strict=True):
             assert _same_bits(l_back.qoi, l_live.qoi)

@@ -884,7 +884,7 @@ class TestSetupOnDemand:
             "mc": run_mc(live, 0.01, pilot),
             "mlmc": run_mlmc(live, allocate_mlmc(pilot.stats, 0.01), pilot),
             "mlcv": run_mlcv(
-                live, allocate_mlcv(pilot.stats, setup.configs, 0.01), pilot, setup
+                live, allocate_mlcv(pilot.stats, setup, 0.01), pilot, setup
             ),
         }
         for method, result in results.items():
@@ -990,7 +990,7 @@ class TestMethodSelection:
             ),
             "mlcv": run_mlcv(
                 hierarchy,
-                [allocate_mlcv(pilot.stats, setup.configs, e) for e in epsilons],
+                [allocate_mlcv(pilot.stats, setup, e) for e in epsilons],
                 pilot,
                 setup,
             ),

@@ -17,6 +17,7 @@ from mlcv import (
     CVLevelConfig,
     DataError,
     DimensionError,
+    RunningMoments,
     SyntheticLowRank,
     allocate_mlcv,
     allocate_mlmc,
@@ -33,7 +34,6 @@ from mlcv import (
     run_mlcv,
     run_mlmc,
     sample_covariance,
-    sample_variance,
     sample_z,
     theta_star,
 )
@@ -42,13 +42,8 @@ from tests.test_mlmc import make_stats
 
 def all_off(setup):
     """The setup with every level's control variate off: zero correlation,
-    multiplier and coefficient, bases kept."""
-    return dataclasses.replace(
-        setup,
-        configs=[
-            dataclasses.replace(c, rho2=0.0, multiplier=0.0, theta=0.0) for c in setup.configs
-        ],
-    )
+    multiplier and coefficient, bases and pilot Z kept."""
+    return [dataclasses.replace(c, rho2=0.0, multiplier=0.0, theta=0.0) for c in setup]
 
 
 class TestAllocateZbar:
@@ -253,25 +248,25 @@ class TestEstimateZbar:
 class TestPrepareControlVariates:
     def test_level_zero_always_disabled(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
-        assert not setup.configs[0].enabled
-        assert setup.bases[0] is None
-        assert setup.configs[0].rank == 0
+        assert not setup[0].enabled
+        assert setup[0].basis is None
+        assert setup[0].rank == 0
 
     def test_synthetic_high_rho2(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
-        for cfg in setup.configs[1:]:
+        for cfg in setup[1:]:
             assert cfg.enabled
             assert cfg.rho2 >= 0.99
 
     def test_frozen_parameters_recomputable(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
         for ell in (1, 2):
-            cfg = setup.configs[ell]
+            cfg = setup[ell]
             st = synthetic_pilot.stats[ell]
             zeta = st.cost_coarse / (st.cost_fine + st.cost_coarse)
             assert cfg.multiplier == allocate_zbar(cfg.rho2, zeta)
-            y, z = synthetic_pilot.levels[ell].y, setup.pilot_z[ell]
-            cov_yz, var_z = sample_covariance(y, z), sample_variance(z)
+            y, z = synthetic_pilot.levels[ell].y, setup[ell].pilot_z
+            cov_yz, var_z = sample_covariance(y, z), RunningMoments.of(z).variance
             assert cfg.theta == theta_star(cov_yz, var_z, cfg.ratio)
             assert cfg.mse_factor == pytest.approx(
                 1.0 - cfg.rho2 / (1.0 + cfg.ratio), rel=1e-12
@@ -280,33 +275,33 @@ class TestPrepareControlVariates:
     def test_pilot_z_matches_sample_z(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
         coarse = synthetic_pilot.levels[0]
-        z = sample_z(synthetic, setup.bases[1], coarse.q, coarse.qoi)
-        assert np.array_equal(setup.pilot_z[1], z)
+        z = sample_z(synthetic, setup[1].basis, coarse.q, coarse.qoi)
+        assert np.array_equal(setup[1].pilot_z, z)
 
     def test_all_off_setup_disables_everything(self, synthetic, synthetic_pilot):
         setup = all_off(prepare_control_variates(synthetic, synthetic_pilot, rank=3))
-        for cfg in setup.configs:
+        for cfg in setup:
             assert not cfg.enabled
             assert cfg.rho2 == 0.0
             assert cfg.mse_factor == 1.0
             assert cfg.multiplier == 0.0
-        # the bases stay, but a disabled level withholds no pilot pairs
-        assert setup.bases[1] is not None
-        plan = allocate_mlcv(synthetic_pilot.stats, setup.configs, 0.05)
+        # the bases and pilot Z stay, but a disabled level withholds no pilot pairs
+        assert setup[1].basis is not None and setup[1].pilot_z is not None
+        plan = allocate_mlcv(synthetic_pilot.stats, setup, 0.05)
         assert nominal_mlcv_cost(synthetic_pilot.stats, plan, setup) == nominal_mlmc_cost(
             synthetic_pilot.stats, plan
         )
 
     def test_rank_list_per_correction_level(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=[2, 3])
-        assert [c.rank for c in setup.configs] == [0, 2, 3]
+        assert [c.rank for c in setup] == [0, 2, 3]
         with pytest.raises(DimensionError):
             prepare_control_variates(synthetic, synthetic_pilot, rank=[2])
 
     def test_tolerance_mode(self, synthetic_exact):
         pilot = pilot_mlmc(synthetic_exact, 40, 123)
         setup = prepare_control_variates(synthetic_exact, pilot, tol=1e-8)
-        assert [c.rank for c in setup.configs] == [0, 3, 3]
+        assert [c.rank for c in setup] == [0, 3, 3]
 
     def test_termination_validation(self, synthetic, synthetic_pilot):
         with pytest.raises(ConfigError):
@@ -320,10 +315,10 @@ class TestPrepareControlVariates:
         setup = prepare_control_variates(h, pilot, rank=2)
         # pilot Y and Z both have zero variance here, so rho2 = 0 alone
         # switches the level off
-        assert not setup.configs[1].enabled
-        assert setup.configs[1].rho2 == 0.0
-        assert setup.configs[1].multiplier == 0.0
-        assert setup.configs[1].theta == 0.0
+        assert not setup[1].enabled
+        assert setup[1].rho2 == 0.0
+        assert setup[1].multiplier == 0.0
+        assert setup[1].theta == 0.0
 
 
 class TestAllocateMlcv:
@@ -371,19 +366,19 @@ class TestAllocateMlcv:
     def test_effective_variance_budget(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
         epsilon = 0.02
-        plan = allocate_mlcv(synthetic_pilot.stats, setup.configs, epsilon)
+        plan = allocate_mlcv(synthetic_pilot.stats, setup, epsilon)
         budget = sum(
             (s.var_y * cfg.mse_factor) / n
-            for s, cfg, n in zip(synthetic_pilot.stats, setup.configs, plan.n_samples)
+            for s, cfg, n in zip(synthetic_pilot.stats, setup, plan.n_samples)
         )
         assert budget <= epsilon**2 / 2.0 + 1e-12
 
     def test_cheaper_than_plain_plan_when_correlated(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
-        plan_cv = allocate_mlcv(synthetic_pilot.stats, setup.configs, 0.01)
+        plan_cv = allocate_mlcv(synthetic_pilot.stats, setup, 0.01)
         plan_plain = allocate_mlmc(synthetic_pilot.stats, 0.01)
         for enabled, n_cv, n_plain in zip(
-            [c.enabled for c in setup.configs], plan_cv.n_samples, plan_plain.n_samples
+            [c.enabled for c in setup], plan_cv.n_samples, plan_plain.n_samples
         ):
             if enabled:
                 assert n_cv <= n_plain
@@ -396,7 +391,7 @@ class TestAllocateMlcv:
 class TestRunMlcv:
     def test_degenerates_to_mlmc_bitwise(self, synthetic, synthetic_pilot):
         setup = all_off(prepare_control_variates(synthetic, synthetic_pilot, rank=3))
-        plan = allocate_mlcv(synthetic_pilot.stats, setup.configs, 0.05)
+        plan = allocate_mlcv(synthetic_pilot.stats, setup, 0.05)
         result_cv = run_mlcv(synthetic, plan, synthetic_pilot, setup)
         plain_plan = AllocationPlan(n_samples=plan.n_samples)
         result_plain = run_mlmc(synthetic, plain_plan, synthetic_pilot)
@@ -418,13 +413,13 @@ class TestRunMlcv:
         )
         result = run_mlcv(synthetic, plan, synthetic_pilot, setup)
         for ell in (1, 2):
-            cfg = setup.configs[ell]
+            cfg = setup[ell]
             keep = np.setdiff1d(
-                np.arange(n_p), setup.bases[ell].selected_pilot_indices
+                np.arange(n_p), setup[ell].basis.selected_pilot_indices
             )
             w = (
                 synthetic_pilot.levels[ell].y[keep]
-                - cfg.theta * (setup.pilot_z[ell][keep] - result.zbar_values[ell])
+                - cfg.theta * (setup[ell].pilot_z[keep] - result.zbar_values[ell])
             )
             assert result.level_estimates[ell] == pytest.approx(w.mean(), rel=1e-12)
             # no fresh coupled solves: pilot evaluations only
@@ -432,11 +427,11 @@ class TestRunMlcv:
 
     def test_zbar_values_match_direct_estimates(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
-        plan = allocate_mlcv(synthetic_pilot.stats, setup.configs, 0.05)
+        plan = allocate_mlcv(synthetic_pilot.stats, setup, 0.05)
         result = run_mlcv(synthetic, plan, synthetic_pilot, setup)
         for ell in (1, 2):
             direct = estimate_zbar(
-                synthetic, setup.bases[ell], plan.n_prime[ell], synthetic_pilot.master_seed
+                synthetic, setup[ell].basis, plan.n_prime[ell], synthetic_pilot.master_seed
             )
             assert result.zbar_values[ell] == direct
 
@@ -462,11 +457,11 @@ class TestRunMlcv:
 
     def test_sampling_error_identity(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
-        plan = allocate_mlcv(synthetic_pilot.stats, setup.configs, 0.03)
+        plan = allocate_mlcv(synthetic_pilot.stats, setup, 0.03)
         result = run_mlcv(synthetic, plan, synthetic_pilot, setup)
         expected = sum(
             (s.var_y / n) * cfg.mse_factor
-            for s, cfg, n in zip(synthetic_pilot.stats, setup.configs, plan.n_samples)
+            for s, cfg, n in zip(synthetic_pilot.stats, setup, plan.n_samples)
         )
         assert result.sampling_error == pytest.approx(expected, rel=1e-14)
 
@@ -483,7 +478,7 @@ class TestRunMlcv:
             var_w = result_cv.sample_variances[ell]
             var_y = plain.sample_variances[ell]
             slack = 3.0 * var_y * math.sqrt(2.0 / 199.0)
-            assert var_w <= var_y * setup.configs[ell].mse_factor + slack
+            assert var_w <= var_y * setup[ell].mse_factor + slack
             assert var_w <= 0.05 * var_y
 
     def test_estimator_mean_unbiased_over_seeds(self, synthetic, exact_mean):
@@ -491,7 +486,7 @@ class TestRunMlcv:
         for seed in range(200):
             pilot = pilot_mlmc(synthetic, 30, 1000 + seed)
             setup = prepare_control_variates(synthetic, pilot, rank=3)
-            plan = allocate_mlcv(pilot.stats, setup.configs, 0.15)
+            plan = allocate_mlcv(pilot.stats, setup, 0.15)
             estimates.append(run_mlcv(synthetic, plan, pilot, setup).estimate)
         est = np.asarray(estimates)
         se = est.std(ddof=1) / math.sqrt(est.size)
@@ -505,7 +500,7 @@ class TestRunMlcv:
 
     def test_same_seed_bitwise_identical(self, synthetic, synthetic_pilot):
         setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
-        plan = allocate_mlcv(synthetic_pilot.stats, setup.configs, 0.04)
+        plan = allocate_mlcv(synthetic_pilot.stats, setup, 0.04)
         a = run_mlcv(synthetic, plan, synthetic_pilot, setup)
         b = run_mlcv(synthetic, plan, synthetic_pilot, setup)
         assert a.estimate == b.estimate
@@ -541,7 +536,7 @@ class TestRelativeErrorCurve:
         for seed in range(10):
             pilot = pilot_mlmc(synthetic, 30, 2000 + seed)
             setup = prepare_control_variates(synthetic, pilot, rank=3)
-            plan = allocate_mlcv(pilot.stats, setup.configs, 0.05)
+            plan = allocate_mlcv(pilot.stats, setup, 0.05)
             result = run_mlcv(synthetic, plan, pilot, setup)
             curves.append(np.abs(np.cumsum(result.level_estimates) - exact))
         mean_curve = np.mean(curves, axis=0)

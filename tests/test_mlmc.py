@@ -35,7 +35,6 @@ from mlcv import (
     estimate_zbar,
     fit_rates,
     mc_cost_reference,
-    mc_mean,
     mc_oracle_mean,
     nominal_mlmc_cost,
     pilot_mlmc,
@@ -43,7 +42,6 @@ from mlcv import (
     run_mc,
     run_mlcv,
     run_mlmc,
-    sample_variance,
     sample_z,
 )
 from mlcv import mlmc as mlmc_module
@@ -152,9 +150,9 @@ class TestPilotMlmc:
             s = synthetic_pilot.stats[level]
             assert s.level == level
             assert data.y.size == synthetic_pilot.n_pilot
-            assert s.mean_y == mc_mean(data.y)
-            assert s.var_y == sample_variance(data.y)
-            assert s.mean_q == mc_mean(data.qoi)
+            my, mq = RunningMoments.of(data.y), RunningMoments.of(data.qoi)
+            assert (s.mean_y, s.var_y) == (my.mean, my.variance)
+            assert (s.mean_q, s.var_q) == (mq.mean, mq.variance)
 
     def test_same_inputs_shared_across_levels(self, synthetic, synthetic_pilot):
         """Every level is evaluated at the one pilot input set, so a coupled
@@ -320,7 +318,7 @@ class TestAgainstExactMean:
             result = run_mlmc(synthetic, plan, synthetic_pilot)
         else:
             setup = prepare_control_variates(synthetic, synthetic_pilot, rank=3)
-            plan = allocate_mlcv(synthetic_pilot.stats, setup.configs, eps)
+            plan = allocate_mlcv(synthetic_pilot.stats, setup, eps)
             result = run_mlcv(synthetic, plan, synthetic_pilot, setup)
         realized = sum(v / n for v, n in zip(result.sample_variances, result.n_samples))
         error = result.estimate - exact_mean(synthetic, synthetic.finest_level)
@@ -514,7 +512,7 @@ class TestMcOracleMean:
             "run_mc": lambda: levels(run_mc(synthetic, 0.25, synthetic_pilot)),
             "run_mlmc": lambda: levels(run_mlmc(synthetic, plan, synthetic_pilot)),
             "run_mlcv": lambda: levels(run_mlcv(synthetic, plan, synthetic_pilot, setup)),
-            "estimate_zbar": lambda: estimate_zbar(synthetic, setup.bases[1], 37, 9),
+            "estimate_zbar": lambda: estimate_zbar(synthetic, setup[1].basis, 37, 9),
         }
         default = {name: run() for name, run in consumers.items()}
         monkeypatch.setattr(mlmc_module, "_BATCH", 7)
@@ -659,19 +657,20 @@ class TestOnePassOverPlans:
     def test_run_mlcv(self, study, small_batches):
         h, pilot = study
         setup = prepare_control_variates(h, pilot, rank=3)
-        assert any(c.enabled for c in setup.configs)
+        assert any(c.enabled for c in setup)
         plans = self.plans(with_n_prime=True)
         joint = run_mlcv(h, plans, pilot, setup)
         self._assert_longest_runs_alone(joint, lambda p: run_mlcv(h, p, pilot, setup), plans)
         assert any(z != 0.0 for r in joint for z in r.zbar_values)
         seed = pilot.master_seed
-        for ell, (cfg, basis) in enumerate(zip(setup.configs, setup.bases)):
+        for ell, cfg in enumerate(setup):
             if not cfg.enabled:
                 continue
+            basis = cfg.basis
             zbars = [r.zbar_values[ell] for r in joint]
             assert zbars == estimate_zbar(h, basis, [p.n_prime[ell] for p in plans], seed)
             keep = np.delete(np.arange(pilot.n_pilot), basis.selected_pilot_indices)
-            replay = (pilot.levels[ell].y - cfg.theta * setup.pilot_z[ell])[keep]
+            replay = (pilot.levels[ell].y - cfg.theta * cfg.pilot_z)[keep]
 
             def w(xi):
                 fine, coarse = h.qoi_of(ell, xi), h.evaluate(ell - 1, xi)
@@ -690,7 +689,7 @@ class TestOnePassOverPlans:
 
     def test_estimate_zbar(self, study, small_batches):
         h, pilot = study
-        basis = prepare_control_variates(h, pilot, rank=3).bases[1]
+        basis = prepare_control_variates(h, pilot, rank=3)[1].basis
         counts = [20, 32, 1, 50]
         joint = estimate_zbar(h, basis, counts, 9)
         assert repr(joint[-1]) == repr(estimate_zbar(h, basis, 50, 9))
@@ -757,13 +756,13 @@ class TestOnePassOverPlans:
             assert [drawn[PURPOSE_MAIN_Y, ell] for ell in range(3)] == [48, 32, 35]
         else:
             run_mlcv(h, self.plans(with_n_prime=True), pilot, setup)
-            assert drawn[PURPOSE_ZBAR, 2] == (50 if setup.configs[2].enabled else 0)
+            assert drawn[PURPOSE_ZBAR, 2] == (50 if setup[2].enabled else 0)
         for ell in range(h.n_levels):
             rows = drawn[PURPOSE_MAIN_Y, ell] + drawn[PURPOSE_MAIN_Y, ell + 1]
             total = solved["evaluate", ell] + solved["qoi_of", ell]
             assert total == rows + drawn[PURPOSE_ZBAR, ell + 1], ell
             controlled = (
-                method == "mlcv" and ell < h.finest_level and setup.configs[ell + 1].enabled
+                method == "mlcv" and ell < h.finest_level and setup[ell + 1].enabled
             )
             read_q = drawn[PURPOSE_MAIN_Y, ell + 1] + drawn[PURPOSE_ZBAR, ell + 1]
             assert solved["evaluate", ell] == (read_q if controlled else 0), ell

@@ -17,11 +17,9 @@ from mlcv import (
     ConfigError,
     Diffusion1D,
     DimensionError,
-    ExponentialKernel,
     LevelHierarchy,
     LevelSubset,
     NumericalError,
-    SquaredExponentialKernel,
     SyntheticLowRank,
     draw_inputs,
     kl_decompose,
@@ -66,25 +64,32 @@ def _longdouble_solve(a, qoi):
 
 class TestKernels:
     def test_make_kernel_dispatch(self):
+        d = np.array([0.0, 0.1, -0.4, 1.0])
         k = make_kernel("exponential", 4.0, 0.15)
-        assert isinstance(k, ExponentialKernel)
+        assert np.array_equal(k(d, 0.0), 4.0 * np.exp(-np.abs(d) / 0.15))
         k = make_kernel("squared_exponential", 0.33, 0.33)
-        assert isinstance(k, SquaredExponentialKernel)
-        with pytest.raises(ConfigError):
+        assert np.array_equal(k(d, 0.0), 0.33 * np.exp(-(d * d) / 0.33))
+        with pytest.raises(ConfigError, match="unknown kernel 'matern'"):
             make_kernel("matern", 1.0, 1.0)
 
     def test_kernel_values(self):
-        k = ExponentialKernel(4.0, 0.5)
+        k = make_kernel("exponential", 4.0, 0.5)
         assert k(0.0, 0.0) == 4.0
         assert k(0.0, 0.5) == pytest.approx(4.0 * np.exp(-1.0))
-        k = SquaredExponentialKernel(2.0, 0.25)
+        # the squared exponential divides by corr_length, not its square
+        k = make_kernel("squared_exponential", 2.0, 0.25)
         assert k(0.0, 0.5) == pytest.approx(2.0 * np.exp(-1.0))
 
     def test_parameter_validation(self):
-        with pytest.raises(ConfigError):
-            ExponentialKernel(-1.0, 0.3)
-        with pytest.raises(ConfigError):
-            SquaredExponentialKernel(1.0, 0.0)
+        """The name is checked first, then sigma2, then corr_length."""
+        with pytest.raises(ConfigError, match="sigma2 must be positive"):
+            make_kernel("exponential", -1.0, 0.3)
+        with pytest.raises(ConfigError, match="corr_length must be positive"):
+            make_kernel("squared_exponential", 1.0, 0.0)
+        with pytest.raises(ConfigError, match="unknown kernel"):
+            make_kernel("matern", -1.0, 0.0)
+        with pytest.raises(ConfigError, match="sigma2"):
+            make_kernel("exponential", np.nan, 0.0)
 
 
 class TestTrapezoidWeights:
@@ -139,7 +144,7 @@ class TestKlDecompose:
         assert exact[0] == pytest.approx(0.2181243, rel=1e-6)
         errors = {}
         for n, bound in ((65, 2e-2), (513, 3e-4), (1025, 8e-5)):
-            field = kl_decompose(ExponentialKernel(0.5, 0.3), np.linspace(0.0, 1.0, n), 10)
+            field = kl_decompose(make_kernel("exponential", 0.5, 0.3), np.linspace(0.0, 1.0, n), 10)
             errors[n] = np.abs(field.eigenvalues - exact) / exact
             assert errors[n].max() <= bound, n
         assert np.all(np.abs(errors[513] / errors[1025] - 4.0) <= 0.2)
@@ -154,13 +159,13 @@ class TestKlDecompose:
         assert np.all(field.eigenvalues[1:] < 1e-10)
 
     def test_eigenvalues_descending_nonnegative(self):
-        field = kl_decompose(ExponentialKernel(4.0, 0.15), np.linspace(0.0, 1.0, 128), 50)
+        field = kl_decompose(make_kernel("exponential", 4.0, 0.15), np.linspace(0.0, 1.0, 128), 50)
         lam = field.eigenvalues
         assert np.all(lam >= 0.0)
         assert np.all(np.diff(lam) <= 1e-12)
 
     def test_exponential_trace_capture(self):
-        kernel = ExponentialKernel(4.0, 0.15)
+        kernel = make_kernel("exponential", 4.0, 0.15)
         grid = np.linspace(0.0, 1.0, 128)
         field = kl_decompose(kernel, grid, 50)
         trace = 4.0 * trapezoid_weights(grid).sum()
@@ -168,15 +173,15 @@ class TestKlDecompose:
 
     def test_squared_exponential_decays_faster(self):
         grid = np.linspace(0.0, 1.0, 128)
-        se = kl_decompose(SquaredExponentialKernel(0.33, 0.33), grid, 12)
-        ex = kl_decompose(ExponentialKernel(0.33, 0.33), grid, 12)
+        se = kl_decompose(make_kernel("squared_exponential", 0.33, 0.33), grid, 12)
+        ex = kl_decompose(make_kernel("exponential", 0.33, 0.33), grid, 12)
         ratio_se = se.eigenvalues[9] / se.eigenvalues[0]
         ratio_ex = ex.eigenvalues[9] / ex.eigenvalues[0]
         assert ratio_se < ratio_ex
 
     def test_eigenvectors_orthonormal_under_quadrature(self):
         grid = np.linspace(0.0, 1.0, 65)
-        field = kl_decompose(SquaredExponentialKernel(1.0, 0.2), grid, 8)
+        field = kl_decompose(make_kernel("squared_exponential", 1.0, 0.2), grid, 8)
         w = trapezoid_weights(grid)
         gram = field.eigenvectors.T @ (w[:, None] * field.eigenvectors)
         assert np.allclose(gram, np.eye(8), atol=1e-8)
@@ -184,15 +189,15 @@ class TestKlDecompose:
     def test_kernel_matrix_reconstruction(self):
         """Full-rank Nystrom decomposition reproduces the kernel matrix."""
         grid = np.linspace(0.0, 1.0, 24)
-        field = kl_decompose(SquaredExponentialKernel(0.5, 0.3), grid, 24)
+        field = kl_decompose(make_kernel("squared_exponential", 0.5, 0.3), grid, 24)
         recon = (field.eigenvectors * field.eigenvalues) @ field.eigenvectors.T
         k = field.kernel(grid[:, None], grid[None, :])
         assert np.allclose(recon, k, atol=1e-8)
 
     def test_sign_convention_deterministic(self):
         grid = np.linspace(0.0, 1.0, 40)
-        a = kl_decompose(ExponentialKernel(1.0, 0.3), grid, 6)
-        b = kl_decompose(ExponentialKernel(1.0, 0.3), grid, 6)
+        a = kl_decompose(make_kernel("exponential", 1.0, 0.3), grid, 6)
+        b = kl_decompose(make_kernel("exponential", 1.0, 0.3), grid, 6)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
         for i in range(6):
             col = a.eigenvectors[:, i]
@@ -200,7 +205,7 @@ class TestKlDecompose:
             assert first > 0
 
     def test_validation(self):
-        kernel = ExponentialKernel(1.0, 0.3)
+        kernel = make_kernel("exponential", 1.0, 0.3)
         with pytest.raises(DimensionError):
             kl_decompose(kernel, np.linspace(0, 1, 8), 9)
         with pytest.raises(DimensionError):
@@ -210,13 +215,13 @@ class TestKlDecompose:
 class TestKlModesAt:
     def test_matches_grid_values(self):
         grid = np.linspace(0.0, 1.0, 48)
-        field = kl_decompose(SquaredExponentialKernel(1.0, 0.2), grid, 6)
+        field = kl_decompose(make_kernel("squared_exponential", 1.0, 0.2), grid, 6)
         at_grid = kl_modes_at(field, grid)
         assert np.allclose(at_grid, field.eigenvectors, atol=1e-8)
 
     def test_extension_is_smooth_between_nodes(self):
         grid = np.linspace(0.0, 1.0, 48)
-        field = kl_decompose(SquaredExponentialKernel(1.0, 0.2), grid, 4)
+        field = kl_decompose(make_kernel("squared_exponential", 1.0, 0.2), grid, 4)
         mid = (grid[:-1] + grid[1:]) / 2.0
         vals = kl_modes_at(field, mid)
         neighbor_mean = (field.eigenvectors[:-1] + field.eigenvectors[1:]) / 2.0

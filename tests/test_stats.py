@@ -17,11 +17,9 @@ from mlcv import (
     DimensionError,
     RunningMoments,
     draw_inputs,
-    mc_mean,
     mse_reduction_factor,
     rho_squared,
     sample_covariance,
-    sample_variance,
 )
 
 
@@ -31,53 +29,54 @@ def _uniforms(seed, n, purpose=PURPOSE_PILOT):
 
 
 class TestMcMean:
+    """The Monte Carlo mean of one batch, ``RunningMoments.of(x).mean``."""
+
     def test_singleton(self):
-        assert mc_mean([3.0]) == 3.0
+        assert RunningMoments.of([3.0]).mean == 3.0
 
     def test_small(self):
-        assert mc_mean([1.0, 2.0, 3.0, 4.0]) == 2.5
+        assert RunningMoments.of([1.0, 2.0, 3.0, 4.0]).mean == 2.5
 
     def test_uniform_mean_near_half(self):
         vals = _uniforms(1, 10_000)
-        assert abs(mc_mean(vals) - 0.5) < 0.01
+        assert abs(RunningMoments.of(vals).mean - 0.5) < 0.01
 
     def test_matches_numpy_oracle(self, rng):
         x = rng.normal(size=1001) * 3.0 + 7.0
-        assert mc_mean(x) == pytest.approx(np.mean(x), rel=1e-14)
+        assert RunningMoments.of(x).mean == pytest.approx(np.mean(x), rel=1e-14)
 
     def test_empty_raises(self):
         with pytest.raises(DataError):
-            mc_mean([])
+            RunningMoments.of([])
 
     def test_non_finite_raises(self):
         with pytest.raises(DataError):
-            mc_mean([1.0, np.nan])
+            RunningMoments.of([1.0, np.nan])
 
 
 class TestSampleVariance:
+    """The unbiased sample variance of one batch,
+    ``RunningMoments.of(x).variance``."""
+
     def test_constant_is_zero(self):
-        assert sample_variance([4.2, 4.2, 4.2]) == 0.0
+        assert RunningMoments.of([4.2, 4.2, 4.2]).variance == 0.0
 
     def test_two_points(self):
-        assert sample_variance([0.0, 2.0]) == 2.0
+        assert RunningMoments.of([0.0, 2.0]).variance == 2.0
 
     def test_uniform_variance(self):
         vals = _uniforms(2, 100_000)
-        assert abs(sample_variance(vals) - 1.0 / 12.0) < 0.002
+        assert abs(RunningMoments.of(vals).variance - 1.0 / 12.0) < 0.002
 
     def test_matches_numpy_oracle(self, rng):
         x = rng.normal(size=513)
-        assert sample_variance(x) == pytest.approx(np.var(x, ddof=1), rel=1e-12)
-
-    def test_needs_two_values(self):
-        with pytest.raises(DataError):
-            sample_variance([1.0])
+        assert RunningMoments.of(x).variance == pytest.approx(np.var(x, ddof=1), rel=1e-12)
 
     def test_catastrophic_offset(self):
         """Large common offset must not destroy the variance estimate."""
         base = np.array([0.0, 1.0, 2.0, 3.0])
         shifted = base + 1e9
-        assert sample_variance(shifted) == pytest.approx(
+        assert RunningMoments.of(shifted).variance == pytest.approx(
             np.var(base, ddof=1), rel=1e-9
         )
 
@@ -85,11 +84,11 @@ class TestSampleVariance:
 class TestSampleCovariance:
     def test_self_covariance_is_variance(self, rng):
         y = rng.normal(size=301)
-        assert sample_covariance(y, y) == sample_variance(y)
+        assert sample_covariance(y, y) == RunningMoments.of(y).variance
 
     def test_negated(self, rng):
         y = rng.normal(size=301)
-        assert sample_covariance(y, -y) == pytest.approx(-sample_variance(y), rel=1e-12)
+        assert sample_covariance(y, -y) == pytest.approx(-RunningMoments.of(y).variance, rel=1e-12)
 
     def test_independent_near_zero(self):
         y = _uniforms(3, 100_000)
@@ -109,13 +108,12 @@ class TestSampleCovariance:
 @pytest.mark.parametrize(
     "reduce",
     [
-        mc_mean,
-        sample_variance,
+        RunningMoments.of,
         lambda x: sample_covariance(x, x),
         lambda x: rho_squared(x, x),
         lambda x: RunningMoments().update(x),
     ],
-    ids=["mc_mean", "sample_variance", "sample_covariance", "rho_squared", "RunningMoments.update"],
+    ids=["RunningMoments.of", "sample_covariance", "rho_squared", "RunningMoments.update"],
 )
 def test_non_vector_samples_rejected(reduce, rng):
     """Sample statistics take 1-D vectors; a matrix is refused, not flattened."""
@@ -201,6 +199,12 @@ class TestRunningMoments:
         assert a.mean == pytest.approx(b.mean, rel=1e-13)
         assert a.variance == pytest.approx(b.variance, rel=1e-12)
 
+    def test_large_first_batch_mean_keeps_variance_finite(self):
+        """A first batch whose mean squares past the float range still gets
+        its two-pass variance: it has no cross term to overflow."""
+        x = np.array([2e154, np.nextafter(2e154, np.inf), 2e154])
+        assert RunningMoments.of(x).variance == pytest.approx(np.var(x, ddof=1), rel=1e-12)
+
     def test_short_series_variance_is_zero(self):
         mom = RunningMoments()
         mom.update([5.0])
@@ -245,6 +249,27 @@ def test_property_chunked_sum_bitwise_equals_per_chunk_loop(size, seed, stride):
     assert _chunked_sum(x) == _chunked_sum_loop(x)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.one_of(st.integers(min_value=1, max_value=5000), st.just(65_536)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_property_running_moments_of_bitwise_equals_two_pass(size, seed):
+    """One batch reduces to the two-pass formulas bit for bit: the mean is
+    the chunked sum over n, the variance the chunked sum of squared
+    deviations over n - 1."""
+    from mlcv.stats import _chunked_sum
+
+    base = np.random.default_rng(seed).standard_normal(size)
+    x = base * np.exp2(np.round(base * 8))
+    moments = RunningMoments.of(x)
+    mean = _chunked_sum(x) / size
+    assert repr(moments.mean) == repr(mean)
+    if size >= 2:
+        variance = max(_chunked_sum((x - mean) ** 2), 0.0) / (size - 1)
+        assert repr(moments.variance) == repr(variance)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     data=st.lists(
@@ -253,6 +278,6 @@ def test_property_chunked_sum_bitwise_equals_per_chunk_loop(size, seed, stride):
 )
 def test_property_variance_nonnegative_and_cov_symmetric(data):
     x = np.asarray(data)
-    assert sample_variance(x) >= 0.0
+    assert RunningMoments.of(x).variance >= 0.0
     y = x[::-1].copy()
     assert sample_covariance(x, y) == pytest.approx(sample_covariance(y, x), rel=1e-12, abs=1e-12)
