@@ -1,7 +1,7 @@
 """Deterministic on-disk persistence for pilot runs and their
 control-variate setup.
 
-A pilot cache (schema 6) holds the study's sufficient state, so only the
+A pilot cache (schema 7) holds the study's sufficient state, so only the
 pilot command derives anything.  Per level it holds the quantities of
 interest ``level{l}_qoi.npy`` at the shared pilot inputs; per correction
 level with a reduced basis, the sorted selected pilot indices
@@ -15,10 +15,12 @@ command solves the KL eigenproblem); and ``meta.json`` with the schema, the
 identity key and each level's ``rank``, ``rho2``, ``multiplier`` and
 ``theta`` (JSON numbers, which round-trip float64 exactly).  Output
 snapshots are not stored: only the basis selection reads them, and it runs
-in the pilot command.  A cache of schema 1 to 5 is refused: schema 3 lacks
+in the pilot command.  A cache of schema 1 to 6 is refused: schema 3 lacks
 the model's arrays, schema 4 holds pilot values drawn from an earlier
-definition of the input streams, and schema 5 holds pilot values solved with
-an earlier ``Diffusion1D`` coefficient product.  Arrays are stored as
+definition of the input streams, schema 5 holds pilot values solved with
+an earlier ``Diffusion1D`` coefficient product, and schema 6 holds KL modes
+from the dense eigensolver that ``kl_decompose`` used before its subspace
+iteration.  Arrays are stored as
 individual ``.npy`` files (their bytes depend only on shape, dtype, and
 contents, never on timestamps), metadata as canonical JSON with sorted
 keys, so re-saving identical data rewrites identical bytes.  Caches are
@@ -44,7 +46,7 @@ from .linalg import LeastSquaresOperator
 from .mlmc import N_MIN, PilotRun, _build_pilot
 from .models import LevelHierarchy
 
-CACHE_SCHEMA = 6
+CACHE_SCHEMA = 7
 
 _META = "meta.json"
 

@@ -16,9 +16,10 @@ Everything randomized is keyed by the master seed, so any command rerun with
 the same config and seed, the same numpy, the same BLAS library and the same
 BLAS thread count writes byte-identical files; costs are the declared
 per-level unit costs, never wall-clock time.  ``pilot`` depends on the BLAS
-thread count through LAPACK (the KL eigensolve and the ID residual); given
-one pilot cache, ``estimate`` and ``compare`` wrote the same bytes under one
-and two OpenBLAS threads on the README and benchmark configs.
+thread count through the QR factorizations and matrix products of the KL
+subspace iteration and through the ID residual; given one pilot cache,
+``estimate`` and ``compare`` wrote the same bytes under one and two
+OpenBLAS threads on the README and benchmark configs.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 

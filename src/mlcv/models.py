@@ -60,10 +60,11 @@ class KLField:
     """Truncated Karhunen-Loeve expansion of a 1-D random field.
 
     ``eigenvectors[:, i]`` holds mode i on ``grid``, orthonormal under the
-    trapezoid quadrature weights; ``eigenvalues`` are the matching kernel
-    eigenvalues in descending order.  ``kernel`` is the covariance callable
-    ``k(x, y)`` (as ``make_kernel`` returns) that ``kl_modes_at`` extends
-    the modes with.
+    trapezoid quadrature weights to rounding; ``eigenvalues`` are the
+    matching kernel eigenvalues in descending order, the largest of the
+    Nystrom eigenproblem (``kl_decompose``).  ``kernel`` is the covariance
+    callable ``k(x, y)`` (as ``make_kernel`` returns) that ``kl_modes_at``
+    extends the modes with.
     """
 
     grid: np.ndarray
@@ -81,13 +82,39 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
+# The KL eigensolver's block carries _KL_OVERSAMPLE columns beyond the kept
+# modes and starts from a Gaussian block of the fixed Philox key
+# _KL_START_KEY.  The kept Ritz values have settled once no step moves one by
+# more than _KL_RTOL of the largest: the level of a dense symmetric
+# eigensolver's own error, and above the step-to-step rounding noise of
+# settled Ritz values (up to 20 eps, measured on grids of 2 to 4,097
+# points).  An iteration that needs more than _KL_MAX_STEPS steps fails.
+# All four are part of every Diffusion1D result.
+_KL_OVERSAMPLE = 10
+_KL_START_KEY = 0x4B4C
+_KL_RTOL = 64 * np.finfo(np.float64).eps
+_KL_MAX_STEPS = 1000
+
+
 def kl_decompose(kernel, grid, n_modes: int) -> KLField:
     """Nystrom discretization of the kernel eigenproblem on ``grid``.
 
-    The kernel matrix is weighted by trapezoid quadrature, symmetrized, and
-    passed to a dense symmetric eigensolver; the ``n_modes`` largest pairs
-    are kept.  Eigenvector signs are pinned so the first nonzero component
-    of each mode is positive, making the output deterministic.
+    The kernel matrix is weighted by trapezoid quadrature and symmetrized,
+    and its ``n_modes`` largest pairs are found by block subspace iteration
+    (Halko, Martinsson and Tropp, SIAM Review 53, 2011), without a dense
+    eigensolve of the matrix: a block of ``n_modes + _KL_OVERSAMPLE``
+    columns (at most the grid size) from a fixed Gaussian start is
+    orthonormalized by QR and multiplied by the matrix once per step, and
+    the Ritz pairs come from the small symmetric eigenproblem of the
+    block's projection (Rayleigh-Ritz).  A Ritz value's error is the square
+    of its subspace's angle to the eigenvector, so when the kept Ritz values
+    settle after q steps the modes are only as close as the square root of
+    that; the iteration runs q more steps, which squares the angle again.
+    A kernel that is positive semi-definite, as covariances are, has its
+    largest eigenvalues dominant.  ``NumericalError`` is raised if the
+    iteration needs more than ``_KL_MAX_STEPS`` steps.  Eigenvalues are
+    clamped at zero, and eigenvector signs are pinned so the first nonzero
+    component of each mode is positive, making the output deterministic.
     """
     x = np.asarray(grid, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
@@ -104,10 +131,29 @@ def kl_decompose(kernel, grid, n_modes: int) -> KLField:
         raise DataError("kernel matrix contains non-finite entries")
     b = sw[:, None] * k * sw[None, :]
     b = (b + b.T) / 2.0
-    lam, psi = np.linalg.eigh(b)
-    order = np.argsort(-lam, kind="stable")[:n_modes]
-    lam = np.maximum(lam[order], 0.0)
-    phi = psi[:, order] / sw[:, None]
+    width = min(x.size, n_modes + _KL_OVERSAMPLE)
+    y = np.random.Generator(np.random.Philox(key=_KL_START_KEY)).standard_normal((x.size, width))
+    last = stop = None
+    for step in range(1, _KL_MAX_STEPS + 1):
+        q = np.linalg.qr(y)[0]
+        y = b @ q
+        t = q.T @ y
+        ritz, s = np.linalg.eigh((t + t.T) / 2.0)
+        if step == stop:
+            break
+        kept = ritz[-n_modes:]
+        settled = last is not None and np.abs(kept - last).max() <= _KL_RTOL * np.abs(ritz).max()
+        if stop is None and settled:
+            stop = 2 * step
+        last = kept
+    else:
+        raise NumericalError(
+            f"KL subspace iteration for {n_modes} of {x.size} modes needs more "
+            f"than {_KL_MAX_STEPS} steps"
+        )
+    order = np.argsort(-ritz, kind="stable")[:n_modes]
+    lam = np.maximum(ritz[order], 0.0)
+    phi = (q @ s[:, order]) / sw[:, None]
 
     # Sign convention: first component of non-negligible magnitude positive.
     for i in range(phi.shape[1]):
@@ -349,6 +395,28 @@ class LevelSubset(LevelHierarchy):
         self._parent.adopt_kept(arrays)
 
 
+# Float64 values a model may hold after set-up (256 MiB): SyntheticLowRank's
+# per-level profile tables, and Diffusion1D's kl_grid_n**2 Nystrom matrix
+# plus its midpoint modes.  A constructor counts them from its parameters and
+# raises ConfigError past the cap before allocating any of them, so an
+# oversized config fails at once instead of exhausting memory.
+_MAX_MODEL_DOUBLES = 1 << 25
+
+
+def _check_model_size(what: str, sizes) -> None:
+    """Raise ``ConfigError`` once the running sum of ``sizes``, an iterable
+    of float64 counts, passes ``_MAX_MODEL_DOUBLES``.  The sum stops there,
+    so a lazily generated count costs only its terms up to the cap."""
+    total = 0
+    for size in sizes:
+        total += size
+        if total > _MAX_MODEL_DOUBLES:
+            raise ConfigError(
+                f"model too large: {what} would hold more than "
+                f"{_MAX_MODEL_DOUBLES} float64 values"
+            )
+
+
 # ---------------------------------------------------------------------------
 # synthetic low-rank response surface
 
@@ -397,6 +465,11 @@ class SyntheticLowRank(LevelHierarchy):
             raise ConfigError(f"delta must be non-negative, got {delta}")
         if coeff_seed < 0:
             raise ConfigError(f"coeff_seed must be non-negative, got {coeff_seed}")
+        # A_ell and p_ell: m0 * refine**ell rows of r_true + 1 values per level
+        _check_model_size(
+            "the per-level profile tables",
+            (int(m0) * int(refine) ** ell * (int(r_true) + 1) for ell in range(num_levels)),
+        )
 
         self.r_true = int(r_true)
         self.refine = int(refine)
@@ -562,6 +635,10 @@ class Diffusion1D(LevelHierarchy):
                 raise ConfigError(
                     f"grids must nest: {mf} + 1 cells not a multiple of {mc} + 1"
                 )
+        _check_model_size(
+            "the kl_grid_n**2 KL matrix and the midpoint modes",
+            [int(kl_grid_n) ** 2, *((m + 1) * int(n_modes) for m in self._dofs)],
+        )
 
         self.mean_coefficient = float(mean_coefficient)
         self.qoi_kind = qoi

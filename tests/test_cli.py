@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,27 @@ class TestExitCodes:
         mutate(cfg)
         assert main(["pilot", write_config(tmp_path, cfg)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"name": "synthetic_low_rank", "num_levels": 60},
+            {**DIFFUSION_MODEL, "kl_grid_n": 10**6},
+        ],
+        ids=["num_levels", "kl_grid_n"],
+    )
+    def test_oversized_model_exits_2_before_allocating(self, tmp_path, capsys, model):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out, model=model))
+        tracemalloc.start()
+        try:
+            assert main(["pilot", path]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert "model too large" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_override_beyond_64_bits(self, tmp_path, capsys):
@@ -749,6 +771,11 @@ class TestReproducibility:
         values solved with the earlier ``Diffusion1D`` coefficient product)
         is refused."""
         self._current_files_refused(tmp_path, capsys, 5, model=DIFFUSION_MODEL)
+
+    def test_schema_6_cache_needs_new_pilot(self, tmp_path, capsys):
+        """A cache in the schema-6 layout (the current files, but KL modes
+        from the dense eigensolver) is refused."""
+        self._current_files_refused(tmp_path, capsys, 6, model=DIFFUSION_MODEL)
 
     def test_truncated_cache_meta_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -211,6 +211,61 @@ class TestKlDecompose:
         with pytest.raises(DimensionError):
             kl_decompose(kernel, np.array([0.5]), 1)
 
+    # (kernel, grid points, modes, eigenvalue bound / lambda_1, scaled-mode
+    # bound).  Measured under one and two OpenBLAS threads: eigenvalues
+    # within 1.4e-15 lambda_1 and scaled modes within 1.2e-11 (``fine_mc``,
+    # whose tenth eigenvalue is 1e-9 of the first), 3.7e-15 (``cv_crossover``)
+    # and 1.1e-12 (slow decay).
+    @pytest.mark.parametrize(
+        "kernel, n, n_modes, value_bound, mode_bound",
+        [
+            (("squared_exponential", 0.3, 0.3), 1025, 10, 1e-14, 1e-10),
+            (("exponential", 0.5, 0.3), 513, 3, 1e-14, 1e-13),
+            (("exponential", 4.0, 0.15), 128, 50, 1e-14, 1e-11),
+        ],
+        ids=["fine_mc", "cv_crossover", "slow_decay"],
+    )
+    def test_matches_dense_eigensolver(self, kernel, n, n_modes, value_bound, mode_bound):
+        """The subspace iteration keeps the pairs a dense ``eigh`` of the
+        same weighted matrix keeps, on both benchmark kernels and on a kernel
+        whose 50 kept eigenvalues of 128 decay slowly: eigenvalues within
+        ``value_bound`` of the largest, and scaled modes sqrt(lambda) phi
+        within ``mode_bound``."""
+        k = make_kernel(*kernel)
+        grid = np.linspace(0.0, 1.0, n)
+        field = kl_decompose(k, grid, n_modes)
+        sw = np.sqrt(trapezoid_weights(grid))
+        lam, psi = np.linalg.eigh(sw[:, None] * k(grid[:, None], grid[None, :]) * sw[None, :])
+        lam, psi = lam[::-1][:n_modes], psi[:, ::-1][:, :n_modes]
+        phi = psi / sw[:, None] * np.sign(psi[0])  # every mode's first entry is nonzero here
+        assert np.abs(field.eigenvalues - lam).max() <= value_bound * lam[0]
+        scaled = field.eigenvectors * np.sqrt(field.eigenvalues) - phi * np.sqrt(lam)
+        assert np.abs(scaled).max() <= mode_bound
+
+    def test_step_cap_raises(self, monkeypatch):
+        """A kernel whose kept eigenvalues need more steps than the cap
+        allows fails loudly instead of returning unsettled modes."""
+        monkeypatch.setattr(models_module, "_KL_MAX_STEPS", 5)
+        with pytest.raises(NumericalError, match="needs more than 5 steps"):
+            kl_decompose(make_kernel("exponential", 4.0, 0.15), np.linspace(0.0, 1.0, 128), 50)
+
+    def test_no_dense_eigensolve_of_the_nystrom_matrix(self, monkeypatch):
+        """On the ``fine_mc`` grid, no symmetric eigensolver sees a matrix
+        larger than the iteration block, 10 modes plus the oversampling."""
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+
+            def recorded(a, *args, _solve=solve, **kwargs):
+                shapes.append(np.shape(a))
+                return _solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        kl_decompose(make_kernel("squared_exponential", 0.3, 0.3), np.linspace(0.0, 1.0, 1025), 10)
+        width = 10 + models_module._KL_OVERSAMPLE
+        assert shapes
+        assert all(shape == (width, width) for shape in shapes)
+
 
 class TestKlModesAt:
     def test_matches_grid_values(self):
@@ -227,6 +282,44 @@ class TestKlModesAt:
         neighbor_mean = (field.eigenvectors[:-1] + field.eigenvectors[1:]) / 2.0
         # midpoint values sit within linear-interpolation error of the nodes
         assert np.allclose(vals, neighbor_mean, atol=2e-2)
+
+
+class TestModelSizeCap:
+    """A model whose set-up would hold more float64 values than the cap is
+    refused by its constructor before anything large is allocated."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SyntheticLowRank(num_levels=60),
+            lambda: SyntheticLowRank(m0=1 << 40),
+            lambda: Diffusion1D(kl_grid_n=10**6),
+            lambda: Diffusion1D(grids=(1 << 30,)),
+        ],
+        ids=["num_levels", "m0", "kl_grid_n", "grids"],
+    )
+    def test_oversized_model_refused_before_allocating(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="model too large"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_counts_what_the_model_holds(self, monkeypatch):
+        """A model holding exactly the cap is built; a larger one is refused."""
+        # 8 + 16 rows of r_true + 1 = 3 values
+        monkeypatch.setattr(models_module, "_MAX_MODEL_DOUBLES", 72)
+        SyntheticLowRank(r_true=2, m0=8, num_levels=2, input_dim=3)
+        with pytest.raises(ConfigError, match="model too large"):
+            SyntheticLowRank(r_true=2, m0=8, num_levels=2, input_dim=3, refine=3)
+        # a 33-point KL matrix plus (7 + 1) + (15 + 1) midpoints of 2 modes
+        monkeypatch.setattr(models_module, "_MAX_MODEL_DOUBLES", 33 * 33 + 48)
+        Diffusion1D(grids=(7, 15), n_modes=2, kl_grid_n=33)
+        with pytest.raises(ConfigError, match="model too large"):
+            Diffusion1D(grids=(7, 15), n_modes=2, kl_grid_n=34)
 
 
 class TestSyntheticLowRank:
